@@ -7,12 +7,25 @@ sews every site visible at the start of the round and then folds.
 Iterating rounds to a fixpoint yields the Schützenberger automaton of the
 start word (any closed endpoint is the automaton); budgets bound the loop
 because the fixpoint can be an infinite graph.
+
+close keeps one GraphBuilder for the whole run and scans the full graph
+for sites only before round 1.  Later rounds scan the frontier: the start
+vertices reached by walking back along every prefix of every relation
+side from the vertices the last round touched (new chain vertices, chain
+endpoints, merge survivors, neighbours whose edges a merge moved).  That
+finds every site: sewing and folding map the old graph homomorphically
+into the new one, so a read path avoiding all touched vertices
+lifts to a path of the old graph, whose site the last round sewed or
+found stale; either way the other side is readable now.  This is the
+deduction stack of coset enumeration.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .presentation import Presentation, Word
 from .word_graph import BirootedGraph, GraphBuilder, fold, linear_graph
@@ -86,6 +99,30 @@ def _sides(site: ExpansionSite, p: Presentation) -> tuple[Word, Word]:
     return rhs, lhs
 
 
+def _sites_from(
+    walk: Callable[[int, Word], int | None], starts: Iterable[int], p: Presentation
+) -> list[ExpansionSite]:
+    """The sites at each start in turn, by relation index, then direction.
+
+    walk is the deterministic path walk of the graph being scanned.
+    """
+    checks = [
+        (rel_index, direction, read, sew)
+        for rel_index, (lhs, rhs) in enumerate(p.relations)
+        for direction, read, sew in (
+            (Direction.LHS_READ, lhs, rhs),
+            (Direction.RHS_READ, rhs, lhs),
+        )
+    ]
+    sites = []
+    for start in starts:
+        for rel_index, direction, read, sew in checks:
+            end = walk(start, read)
+            if end is not None and walk(start, sew) != end:
+                sites.append(ExpansionSite(rel_index, direction, start, end))
+    return sites
+
+
 def find_expansions(g: BirootedGraph, p: Presentation) -> list[ExpansionSite]:
     """All expansion sites of g, in canonical order.
 
@@ -95,19 +132,33 @@ def find_expansions(g: BirootedGraph, p: Presentation) -> list[ExpansionSite]:
     """
     if not g.is_deterministic:
         raise ValueError("find_expansions() requires a deterministic graph")
-    sites = []
-    for start in g.bfs_order():
-        for rel_index, (lhs, rhs) in enumerate(p.relations):
-            for direction, read, sew in (
-                (Direction.LHS_READ, lhs, rhs),
-                (Direction.RHS_READ, rhs, lhs),
-            ):
-                end = g.walk(start, read)
-                if end is None:
-                    continue
-                if g.walk(start, sew) == end:
-                    continue
-                sites.append(ExpansionSite(rel_index, direction, start, end))
+    return _sites_from(g.walk, g.bfs_order(), p)
+
+
+@functools.lru_cache(maxsize=64)
+def _back_prefixes(p: Presentation) -> frozenset[tuple[tuple[str, int], ...]]:
+    """Inverses of every prefix of every relation side, the empty one included."""
+    inverses = [
+        tuple([(x, -1) for x, _ in side.letters[::-1]]) for pair in p.relations for side in pair
+    ]
+    return frozenset(inverse[k:] for inverse in inverses for k in range(len(inverse) + 1))
+
+
+def _frontier_sites(b: GraphBuilder, p: Presentation) -> list[ExpansionSite]:
+    """The sites of folded b whose read path meets b.touched, in canonical order.
+
+    After a round these are all of b's sites (see the module docstring).
+    Only starts that carry a site are ranked, by a breadth-first search
+    that stops once it has numbered them all.
+    """
+    seeds, backs = {b.find(v) for v in b.touched}, _back_prefixes(p)
+    starts = {b.walk(v, back) for v in seeds for back in backs}
+    starts.discard(None)
+    sites = _sites_from(b.walk, starts, p)
+    carriers = {site.start for site in sites}
+    if len(carriers) > 1:
+        rank = b.bfs_rank(carriers)
+        sites.sort(key=lambda site: rank[site.start])
     return sites
 
 
@@ -139,21 +190,20 @@ def elementary_expansion(g: BirootedGraph, site: ExpansionSite, p: Presentation)
     return b.freeze()
 
 
-def _sew_round(
-    g: BirootedGraph, p: Presentation, sites: list[ExpansionSite]
-) -> tuple[BirootedGraph, int, int]:
-    """Sew the given sites (skipping stale ones), fold, and freeze."""
-    b = GraphBuilder.from_graph(g)
-    sewn = 0
+def _sew_round(b: GraphBuilder, p: Presentation, sites: list[ExpansionSite]) -> int:
+    """Sew the given sites in order (skipping stale ones) and fold; returns the merges.
+
+    Afterwards b.touched holds every vertex this round gave an edge, by
+    sewing or by moving an edge in a merge.
+    """
+    b.touched.clear()
     for site in sites:
         _, sew = _sides(site, p)
         # Earlier sewing in this round may have saturated the site already.
         if site.end in b.readable_ends(site.start, sew):
             continue
         _sew(b, site.start, site.end, sew)
-        sewn += 1
-    merges = b.fold()
-    return b.freeze(), merges, sewn
+    return b.fold()
 
 
 def full_p_expansion(
@@ -170,8 +220,9 @@ def full_p_expansion(
     sites = find_expansions(g, p)
     if site_order == "reversed":
         sites.reverse()
-    graph, _, _ = _sew_round(g, p, sites)
-    return graph
+    b = GraphBuilder.from_graph(g)
+    _sew_round(b, p, sites)
+    return b.freeze()
 
 
 def close(g: BirootedGraph, p: Presentation, budget: Budget = Budget()) -> ClosureResult:
@@ -182,25 +233,24 @@ def close(g: BirootedGraph, p: Presentation, budget: Budget = Budget()) -> Closu
     """
     if not g.is_deterministic:
         raise ValueError("close() requires a deterministic graph")
+    sites = find_expansions(g, p)
+    if not sites:
+        return ClosureResult(Status.CLOSED, g, 0, 0, (len(g.vertices),))
+    b = GraphBuilder.from_graph(g)
     history = [len(g.vertices)]
-    rounds = 0
-    fold_events = 0
-    while True:
-        sites = find_expansions(g, p)
+    rounds = fold_events = 0
+    status = Status.BUDGET_EXCEEDED
+    while rounds < budget.max_rounds:
+        fold_events += _sew_round(b, p, sites)
+        rounds += 1
+        history.append(b.vertex_count())
+        if history[-1] > budget.max_vertices:
+            break
+        sites = _frontier_sites(b, p)
         if not sites:
             status = Status.CLOSED
             break
-        if rounds >= budget.max_rounds:
-            status = Status.BUDGET_EXCEEDED
-            break
-        g, merges, _ = _sew_round(g, p, sites)
-        rounds += 1
-        fold_events += merges
-        history.append(len(g.vertices))
-        if len(g.vertices) > budget.max_vertices:
-            status = Status.BUDGET_EXCEEDED
-            break
-    return ClosureResult(status, g, rounds, fold_events, tuple(history))
+    return ClosureResult(status, b.freeze(), rounds, fold_events, tuple(history))
 
 
 def schutzenberger_automaton(

@@ -174,7 +174,9 @@ class GraphBuilder:
     Backs both folding and the engine's sewing step.  Adjacency tables are
     kept for representatives only and always reference live vertices, so a
     merge has to relink exactly the edges incident to the vertex that goes
-    away.
+    away.  touched collects every vertex given an edge since its owner last
+    cleared it; a deterministic graph can gain a clash only at such a
+    vertex, so fold looks for clashes there alone.
     """
 
     def __init__(self):
@@ -184,6 +186,7 @@ class GraphBuilder:
         self.alpha: int = 0
         self.beta: int = 0
         self.merges = 0
+        self.touched: set[int] = set()
         self._next = 0
 
     @classmethod
@@ -218,6 +221,8 @@ class GraphBuilder:
         s, t = self.find(s), self.find(t)
         self.out[s].setdefault(x, set()).add(t)
         self.inn[t].setdefault(x, set()).add(s)
+        self.touched.add(s)
+        self.touched.add(t)
 
     def vertex_count(self) -> int:
         return len(self.out)
@@ -270,8 +275,9 @@ class GraphBuilder:
     def fold(self, order: str = "fifo") -> int:
         """Merge until deterministic; returns the number of merges performed.
 
-        A merge can create new clashes only at the surviving vertex, so the
-        worklist stays sound while it re-enqueues just that vertex.  The
+        The worklist starts from the touched vertices.  A merge can create
+        new clashes only at the surviving vertex, so the worklist stays
+        sound while it re-enqueues just that vertex.  The
         order parameter ("fifo" or "lifo") picks between two distinct
         clash-selection orders; results agree up to isomorphism.
         """
@@ -279,7 +285,7 @@ class GraphBuilder:
             raise ValueError(f"unknown fold order {order!r}")
         reverse = order == "lifo"
         before = self.merges
-        work = deque(sorted(v for v in self.parent if self.parent[v] == v))
+        work = deque(sorted({self.find(v) for v in self.touched}))
         while work:
             v = work.popleft() if order == "fifo" else work.pop()
             v = self.find(v)
@@ -307,6 +313,36 @@ class GraphBuilder:
                 return set()
             current = nxt
         return current
+
+    def walk(self, start: int, w: Iterable[tuple[str, int]]) -> int | None:
+        """Endpoint of the path labeled by w from representative start, or None; folded only."""
+        v = start
+        for x, sign in w:
+            targets = (self.out if sign == 1 else self.inn)[v].get(x)
+            if not targets:
+                return None
+            (v,) = targets
+        return v
+
+    def bfs_rank(self, targets: Iterable[int]) -> dict[int, int]:
+        """Canonical breadth-first index of each target, as BirootedGraph.bfs_order.
+
+        Needs a folded graph; the search stops once every target is numbered.
+        """
+        alpha = self.find(self.alpha)
+        rank = {alpha: 0}
+        queue = deque([alpha])
+        missing = set(targets) - {alpha}
+        while missing:
+            v = queue.popleft()
+            out, inn = self.out[v], self.inn[v]
+            for x in sorted(out.keys() | inn.keys()):
+                for t in (*out.get(x, ()), *inn.get(x, ())):
+                    if t not in rank:
+                        rank[t] = len(rank)
+                        queue.append(t)
+                        missing.discard(t)
+        return rank
 
     def freeze(self) -> BirootedGraph:
         edges = [

@@ -2,7 +2,17 @@
 
 import itertools
 
-from stephen_kit import Presentation, Word
+from stephen_kit import (
+    BirootedGraph,
+    Budget,
+    ClosureResult,
+    Direction,
+    Presentation,
+    Status,
+    Word,
+    find_expansions,
+)
+from stephen_kit.word_graph import GraphBuilder
 
 
 def pos(text: str) -> Word:
@@ -52,3 +62,42 @@ def all_positive_words(alphabet: str, max_len: int, min_len: int = 1):
     for n in range(min_len, max_len + 1):
         for combo in itertools.product(alphabet, repeat=n):
             yield Word(tuple((x, 1) for x in combo))
+
+
+def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureResult:
+    """Reference closure that rebuilds, rescans and refreezes every round.
+
+    Each round takes every site of the frozen graph in canonical order,
+    sews the missing side unless earlier sewing in the round already made
+    it readable, folds the whole graph and freezes it again.
+    """
+    history = [len(g.vertices)]
+    rounds = fold_events = 0
+    while True:
+        sites = find_expansions(g, p)
+        if not sites:
+            status = Status.CLOSED
+            break
+        if rounds >= budget.max_rounds:
+            status = Status.BUDGET_EXCEEDED
+            break
+        b = GraphBuilder.from_graph(g)
+        for site in sites:
+            lhs, rhs = p.relations[site.relation_index]
+            sew = rhs if site.direction is Direction.LHS_READ else lhs
+            if site.end in b.readable_ends(site.start, sew):
+                continue
+            prev = site.start
+            for x, _ in sew.letters[:-1]:
+                nv = b.new_vertex()
+                b.add_edge(prev, x, nv)
+                prev = nv
+            b.add_edge(prev, sew.letters[-1][0], site.end)
+        fold_events += b.fold()
+        g = b.freeze()
+        rounds += 1
+        history.append(len(g.vertices))
+        if len(g.vertices) > budget.max_vertices:
+            status = Status.BUDGET_EXCEEDED
+            break
+    return ClosureResult(status, g, rounds, fold_events, tuple(history))

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from stephen_kit import (
     Budget,
     Direction,
     ExpansionSite,
+    Presentation,
     StaleSiteError,
     Status,
     Word,
@@ -21,7 +23,19 @@ from stephen_kit import (
     linear_graph,
     schutzenberger_automaton,
 )
-from support import CASE1, CASE2, COMM, FACT1, SUBWORD, pos, w
+from stephen_kit import engine
+from support import (
+    CASE1,
+    CASE2,
+    COMM,
+    FACT1,
+    SUBWORD,
+    naive_close,
+    pos,
+    random_positive_word,
+    random_signed_word,
+    w,
+)
 
 
 positive_words = st.builds(
@@ -296,3 +310,110 @@ def test_acceptance_grows_monotonically():
         for word in probes:
             if earlier.accepts(word):
                 assert later.accepts(word)
+
+
+# --- incremental closure against the rebuild-every-round reference -----------
+
+
+relation_sides = st.builds(
+    lambda ls: Word(tuple((x, 1) for x in ls)),
+    st.lists(st.sampled_from("ab"), min_size=1, max_size=4),
+)
+small_presentations = st.builds(
+    lambda rels: Presentation(("a", "b"), tuple(rels)),
+    st.lists(
+        st.tuples(relation_sides, relation_sides).filter(lambda r: r[0] != r[1]),
+        min_size=1,
+        max_size=3,
+    ),
+)
+signed_words = st.builds(
+    lambda ls: Word(tuple(ls)),
+    st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1))), max_size=12),
+)
+small_budgets = st.builds(Budget, st.integers(1, 12), st.integers(1, 200))
+
+
+def assert_same_closure(result, reference):
+    assert result.to_json() == reference.to_json()
+    assert result.graph.canonical_key() == reference.graph.canonical_key()
+
+
+@given(small_presentations, signed_words, small_budgets)
+@settings(max_examples=150)
+def test_close_matches_rebuilding_reference(p, word, budget):
+    g = fold(linear_graph(word)).final
+    assert_same_closure(close(g, p, budget), naive_close(g, p, budget))
+
+
+def test_close_keeps_canonical_site_order():
+    # Sewing this word's sites in another order skips other stale sites
+    # and changes fold_events, so the pinned counts catch a reordering.
+    p = Presentation(("a", "b"), ((pos("abb"), pos("ba")), (pos("ab"), pos("bba"))))
+    g = fold(linear_graph(w("aabba^baaa^a^"))).final
+    result = close(g, p)
+    assert result.fold_events == 23
+    assert result.vertex_history == (9, 8, 12, 12)
+    assert_same_closure(result, naive_close(g, p, Budget()))
+
+
+def random_presentation(rng) -> Presentation:
+    relations = []
+    while len(relations) < rng.randint(1, 3):
+        lhs, rhs = (random_positive_word(rng, "ab", 4) for _ in range(2))
+        if lhs != rhs:
+            relations.append((lhs, rhs))
+    return Presentation(("a", "b"), tuple(relations))
+
+
+def test_frontier_scan_equals_full_scan_every_round():
+    frontier_sites = engine._frontier_sites
+    rounds = []
+
+    def checked(b, p):
+        sites = frontier_sites(b, p)
+        assert sites == find_expansions(b.freeze(), p)
+        rounds.append(len(sites))
+        return sites
+
+    rng = random.Random(2)
+    bbb = Presentation(("a", "b"), ((pos("b"), pos("bbb")), (pos("bb"), pos("aaa"))))
+    cascade = Presentation(("a", "b", "c"), ((pos("bc"), pos("bcc")),))
+    with mock.patch.object(engine, "_frontier_sites", checked):
+        # This round's fold cascades, and a site appears at a later merge
+        # survivor that no sewn chain reaches.
+        close(fold(linear_graph(w("babaa^cb^a^cac^a^"))).final, cascade)
+        for i in range(400):
+            p = (SUBWORD, bbb)[i % 2] if i % 4 == 0 else random_presentation(rng)
+            word = random_signed_word(rng, "ab", 12) if i % 3 else random_positive_word(rng, "ab", 8)
+            close(fold(linear_graph(word)).final, p, Budget(rng.randint(1, 12), 200))
+    assert len(rounds) > 500
+
+
+def test_divergent_closure_does_no_per_round_rebuild(monkeypatch):
+    # Counts, not timings: a per-round rescan or refreeze would make both
+    # counts grow with the vertex budget.
+    scans, graphs = [], []
+    scan, init = engine.find_expansions, BirootedGraph.__init__
+
+    def counted_scan(g, p):
+        scans.append(g)
+        return scan(g, p)
+
+    def counted_init(self, *args, **kwargs):
+        graphs.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "find_expansions", counted_scan)
+    monkeypatch.setattr(BirootedGraph, "__init__", counted_init)
+    counts = []
+    for max_vertices in (500, 2000):
+        scans.clear()
+        graphs.clear()
+        result = schutzenberger_automaton(pos("ab"), SUBWORD, Budget(10_000, max_vertices))
+        assert result.status is Status.BUDGET_EXCEEDED
+        assert len(result.graph.vertices) > max_vertices
+        counts.append((len(scans), len(graphs)))
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 1
+    assert counts[0][1] <= 3
