@@ -8,6 +8,7 @@ verdict so batch experiments need no output parsing: 0 yes/closed/ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,6 +19,7 @@ from .engine import Budget, Status, schutzenberger_automaton
 from .presentation import (
     CertificateBasis,
     Presentation,
+    Word,
     count_r_word_occurrences,
     classify_finiteness,
     is_adian,
@@ -33,26 +35,17 @@ EXIT_UNKNOWN = 3
 
 _ANSWER_EXIT = {Answer.YES: EXIT_OK, Answer.NO: EXIT_NO, Answer.UNKNOWN: EXIT_UNKNOWN}
 
-DEFAULT_MAX_ROUNDS = 64
-DEFAULT_MAX_VERTICES = 100_000
 ROUNDS_ENV_VAR = "STEPHEN_KIT_BUDGET_ROUNDS"
-
-
-def _load_presentation(path: str) -> Presentation:
-    return parse_presentation(Path(path).read_text(encoding="utf-8"))
 
 
 def _budget(args) -> Budget:
     rounds = args.max_rounds
     if rounds is None:
-        raw = os.environ.get(ROUNDS_ENV_VAR)
-        if raw is None:
-            rounds = DEFAULT_MAX_ROUNDS
-        else:
-            try:
-                rounds = int(raw)
-            except ValueError:
-                raise ValueError(f"{ROUNDS_ENV_VAR} must be an integer, got {raw!r}")
+        raw = os.environ.get(ROUNDS_ENV_VAR, str(Budget.max_rounds))
+        try:
+            rounds = int(raw)
+        except ValueError:
+            raise ValueError(f"{ROUNDS_ENV_VAR} must be an integer, got {raw!r}") from None
     return Budget(rounds, args.max_vertices)
 
 
@@ -67,8 +60,11 @@ def _finiteness_text(cert) -> str:
     return f"{cert.verdict.value} ({cert.basis.value.replace('-', ' ')})"
 
 
-def cmd_check(args) -> int:
-    p = _load_presentation(args.presentation)
+# Each handler writes its output files and returns the exit code and the
+# result line, which main prints only once every file is written.
+
+
+def cmd_check(args, p: Presentation) -> tuple[int, str]:
     adian = is_adian(p)
     parts = [f"adian: {'yes' if adian else 'no'}"]
     payload: dict = {"adian": adian, "case": None, "finiteness": None}
@@ -83,74 +79,33 @@ def cmd_check(args) -> int:
             "verdict": cert.verdict.value,
             "basis": None if cert.basis is CertificateBasis.NONE else cert.basis.value,
         }
-    print("; ".join(parts))
     _write_json(args.json, payload)
-    return EXIT_OK
+    return EXIT_OK, "; ".join(parts)
 
 
-def cmd_graph(args) -> int:
-    p = _load_presentation(args.presentation)
-    w = parse_word(args.word, p.alphabet)
+def cmd_graph(args, p: Presentation, w: Word) -> tuple[int, str]:
     result = schutzenberger_automaton(w, p, _budget(args))
     g = result.graph
-    print(
-        f"{result.status.value}; rounds={result.rounds}; "
-        f"vertices={len(g.vertices)}; edges={len(g.edges)}"
-    )
     if args.dot:
         Path(args.dot).write_text(g.to_dot(), encoding="utf-8")
     _write_json(args.json, {**result.to_json(), "graph": g.to_json()})
-    return EXIT_OK if result.status is Status.CLOSED else EXIT_UNKNOWN
+    line = (
+        f"{result.status.value}; rounds={result.rounds}; "
+        f"vertices={len(g.vertices)}; edges={len(g.edges)}"
+    )
+    return (EXIT_OK if result.status is Status.CLOSED else EXIT_UNKNOWN), line
 
 
-def _verdict_command(args, verdict) -> int:
-    print(verdict.answer.value)
+def cmd_verdict(decide, args, p: Presentation, *words: Word) -> tuple[int, str]:
+    verdict = decide(*words, p, _budget(args))
     _write_json(args.json, verdict.to_json())
-    return _ANSWER_EXIT[verdict.answer]
+    return _ANSWER_EXIT[verdict.answer], verdict.answer.value
 
 
-def cmd_eq(args) -> int:
-    p = _load_presentation(args.presentation)
-    u = parse_word(args.u, p.alphabet)
-    v = parse_word(args.v, p.alphabet)
-    return _verdict_command(args, decide_equal(u, v, p, _budget(args)))
-
-
-def cmd_leq(args) -> int:
-    p = _load_presentation(args.presentation)
-    lower = parse_word(args.lower, p.alphabet)
-    candidate = parse_word(args.candidate, p.alphabet)
-    return _verdict_command(args, decide_natural_leq(lower, candidate, p, _budget(args)))
-
-
-def cmd_idem(args) -> int:
-    p = _load_presentation(args.presentation)
-    w = parse_word(args.word, p.alphabet)
-    return _verdict_command(args, is_idempotent(w, p, _budget(args)))
-
-
-def cmd_count_r(args) -> int:
-    p = _load_presentation(args.presentation)
-    w = parse_word(args.word, p.alphabet)
+def cmd_count_r(args, p: Presentation, w: Word) -> tuple[int, str]:
     count = count_r_word_occurrences(w, p)
-    print(count)
     _write_json(args.json, {"word": str(w), "count": count})
-    return EXIT_OK
-
-
-def _add_budget_options(sp) -> None:
-    sp.add_argument(
-        "--max-rounds",
-        type=int,
-        default=None,
-        help=f"closure round budget (default {DEFAULT_MAX_ROUNDS}, or ${ROUNDS_ENV_VAR})",
-    )
-    sp.add_argument(
-        "--max-vertices",
-        type=int,
-        default=DEFAULT_MAX_VERTICES,
-        help=f"closure vertex budget (default {DEFAULT_MAX_VERTICES})",
-    )
+    return EXIT_OK, str(count)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,59 +115,61 @@ def build_parser() -> argparse.ArgumentParser:
         "for inverse semigroup presentations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="Adian property, overlap case, finiteness certificate")
-    check.add_argument("presentation", help="presentation file")
-    check.add_argument("--json", metavar="PATH")
-    check.set_defaults(func=cmd_check)
-
-    graph = sub.add_parser("graph", help="build the Schützenberger automaton of a word")
-    graph.add_argument("presentation")
-    graph.add_argument("word", help="query word; invert letters with a trailing ^")
-    _add_budget_options(graph)
-    graph.add_argument("--dot", metavar="PATH", help="write the automaton as DOT")
-    graph.add_argument("--json", metavar="PATH")
-    graph.set_defaults(func=cmd_graph)
-
-    eq = sub.add_parser("eq", help="decide u = v")
-    eq.add_argument("presentation")
-    eq.add_argument("u")
-    eq.add_argument("v")
-    _add_budget_options(eq)
-    eq.add_argument("--json", metavar="PATH")
-    eq.set_defaults(func=cmd_eq)
-
-    leq = sub.add_parser("leq", help="decide candidate >= lower in the natural order")
-    leq.add_argument("presentation")
-    leq.add_argument("lower")
-    leq.add_argument("candidate")
-    _add_budget_options(leq)
-    leq.add_argument("--json", metavar="PATH")
-    leq.set_defaults(func=cmd_leq)
-
-    idem = sub.add_parser("idem", help="decide whether a word is idempotent")
-    idem.add_argument("presentation")
-    idem.add_argument("word")
-    _add_budget_options(idem)
-    idem.add_argument("--json", metavar="PATH")
-    idem.set_defaults(func=cmd_idem)
-
-    count_r = sub.add_parser("count-r", help="count relation-side occurrences in a positive word")
-    count_r.add_argument("presentation")
-    count_r.add_argument("word")
-    count_r.add_argument("--json", metavar="PATH")
-    count_r.set_defaults(func=cmd_count_r)
-
+    # name, help, positionals with their help (the first is the presentation
+    # file, the rest are words), budget flags, extra PATH flags, handler
+    commands = (
+        ("check", "Adian property, overlap case, finiteness certificate",
+         {"presentation": "presentation file"}, False, {}, cmd_check),
+        ("graph", "build the Schützenberger automaton of a word",
+         {"presentation": None, "word": "query word; invert letters with a trailing ^"},
+         True, {"--dot": "write the automaton as DOT"}, cmd_graph),
+        ("eq", "decide u = v",
+         {"presentation": None, "u": None, "v": None},
+         True, {}, functools.partial(cmd_verdict, decide_equal)),
+        ("leq", "decide candidate >= lower in the natural order",
+         {"presentation": None, "lower": None, "candidate": None},
+         True, {}, functools.partial(cmd_verdict, decide_natural_leq)),
+        ("idem", "decide whether a word is idempotent",
+         {"presentation": None, "word": None},
+         True, {}, functools.partial(cmd_verdict, is_idempotent)),
+        ("count-r", "count relation-side occurrences in a positive word",
+         {"presentation": None, "word": None}, False, {}, cmd_count_r),
+    )
+    for name, help_text, positionals, budgeted, extra, run in commands:
+        sp = sub.add_parser(name, help=help_text)
+        for arg, arg_help in positionals.items():
+            sp.add_argument(arg, help=arg_help)
+        if budgeted:
+            sp.add_argument(
+                "--max-rounds",
+                type=int,
+                default=None,
+                help=f"closure round budget (default {Budget.max_rounds}, or ${ROUNDS_ENV_VAR})",
+            )
+            sp.add_argument(
+                "--max-vertices",
+                type=int,
+                default=Budget.max_vertices,
+                help=f"closure vertex budget (default {Budget.max_vertices})",
+            )
+        for flag, flag_help in extra.items():
+            sp.add_argument(flag, metavar="PATH", help=flag_help)
+        sp.add_argument("--json", metavar="PATH")
+        sp.set_defaults(run=run, words=tuple(positionals)[1:])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        p = parse_presentation(Path(args.presentation).read_text(encoding="utf-8"))
+        words = [parse_word(getattr(args, name), p.alphabet) for name in args.words]
+        code, line = args.run(args, p, *words)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Word-problem verdicts: equality, natural partial order, idempotency.
 
+By Stephen's theorem the automaton A(u) accepts v exactly when v >= u.
 Verdicts are three-valued.  A partial approximation accepts only words that
 are equal to or above its start word, so acceptance by an approximation is
 already conclusive; a rejection is conclusive only when the automaton is
 closed.  Budgets can therefore produce Unknown but never a wrong Yes/No.
+
+w is idempotent iff w <= 1, that is iff A(w) accepts the empty word (its
+roots coincide), so one automaton settles idempotency.
 """
 
 from __future__ import annotations
@@ -43,6 +47,23 @@ def _budget_info(budget: Budget) -> dict:
     return {"max_rounds": budget.max_rounds, "max_vertices": budget.max_vertices}
 
 
+def _answer(*checks: tuple[bool, ClosureResult]) -> Answer:
+    """Yes when every check accepted; No when a closed automaton rejected."""
+    if all(accepted for accepted, _ in checks):
+        return Answer.YES
+    if any(not accepted and r.status is Status.CLOSED for accepted, r in checks):
+        return Answer.NO
+    return Answer.UNKNOWN
+
+
+def _acceptance(start: Word, w: Word, p: Presentation, budget: Budget) -> tuple[Answer, dict]:
+    """Does A(start) accept w?  The verdict and the witness fields it rests on."""
+    result = schutzenberger_automaton(start, p, budget)
+    accepted = result.graph.accepts(w)
+    witness = {"accepted": accepted, "closure": _closure_stats(result), "budget": _budget_info(budget)}
+    return _answer((accepted, result)), witness
+
+
 def decide_equal(u: Word, v: Word, p: Presentation, budget: Budget = Budget()) -> Verdict:
     """Does u = v hold in the inverse monoid presented by p?
 
@@ -56,14 +77,6 @@ def decide_equal(u: Word, v: Word, p: Presentation, budget: Budget = Budget()) -
     right = schutzenberger_automaton(v, p, budget)
     u_in_v = right.graph.accepts(u)
     v_in_u = left.graph.accepts(v)
-    if u_in_v and v_in_u:
-        answer = Answer.YES
-    elif (right.status is Status.CLOSED and not u_in_v) or (
-        left.status is Status.CLOSED and not v_in_u
-    ):
-        answer = Answer.NO
-    else:
-        answer = Answer.UNKNOWN
     witness = {
         "u": str(u),
         "v": str(v),
@@ -73,7 +86,7 @@ def decide_equal(u: Word, v: Word, p: Presentation, budget: Budget = Budget()) -
         "v_closure": _closure_stats(right),
         "budget": _budget_info(budget),
     }
-    return Verdict(answer, witness)
+    return Verdict(_answer((u_in_v, right), (v_in_u, left)), witness)
 
 
 def decide_natural_leq(u: Word, w: Word, p: Presentation, budget: Budget = Budget()) -> Verdict:
@@ -84,26 +97,16 @@ def decide_natural_leq(u: Word, w: Word, p: Presentation, budget: Budget = Budge
     """
     p.check_word(u)
     p.check_word(w)
-    result = schutzenberger_automaton(u, p, budget)
-    accepted = result.graph.accepts(w)
-    if accepted:
-        answer = Answer.YES
-    elif result.status is Status.CLOSED:
-        answer = Answer.NO
-    else:
-        answer = Answer.UNKNOWN
-    witness = {
-        "lower": str(u),
-        "candidate": str(w),
-        "accepted": accepted,
-        "closure": _closure_stats(result),
-        "budget": _budget_info(budget),
-    }
-    return Verdict(answer, witness)
+    answer, witness = _acceptance(u, w, p, budget)
+    return Verdict(answer, {"lower": str(u), "candidate": str(w), **witness})
 
 
 def is_idempotent(w: Word, p: Presentation, budget: Budget = Budget()) -> Verdict:
-    """Is w an idempotent?  A word is idempotent iff it equals w w^-1."""
+    """Is w an idempotent?  Yes iff A(w) accepts the empty word.
+
+    The verdict equals that of w = w w^-1 at every budget: A(w w^-1) passes
+    through the same graphs as A(w) round by round, with beta moved to alpha.
+    """
     p.check_word(w)
-    inner = decide_equal(w, w + w.inverse(), p, budget)
-    return Verdict(inner.answer, {"word": str(w), "equality": inner.witness})
+    answer, witness = _acceptance(w, Word(), p, budget)
+    return Verdict(answer, {"word": str(w), **witness})

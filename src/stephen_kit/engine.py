@@ -206,20 +206,12 @@ def _sew_round(b: GraphBuilder, p: Presentation, sites: list[ExpansionSite]) -> 
     return b.fold()
 
 
-def full_p_expansion(
-    g: BirootedGraph, p: Presentation, site_order: str = "canonical"
-) -> BirootedGraph:
+def full_p_expansion(g: BirootedGraph, p: Presentation) -> BirootedGraph:
     """One full round: sew every site found at round start, then fold.
 
     Sites that only become available mid-round are left for the next round.
-    site_order ("canonical" or "reversed") picks the processing order; the
-    results agree up to isomorphism because folding is confluent.
     """
-    if site_order not in ("canonical", "reversed"):
-        raise ValueError(f"unknown site order {site_order!r}")
     sites = find_expansions(g, p)
-    if site_order == "reversed":
-        sites.reverse()
     b = GraphBuilder.from_graph(g)
     _sew_round(b, p, sites)
     return b.freeze()

@@ -112,6 +112,31 @@ def parse_word(text: str, alphabet: Iterable[Letter], *, line: int | None = None
     return Word(tuple(letters))
 
 
+def _check_alphabet(letters: tuple[Letter, ...], line: int | None = None) -> None:
+    if not letters:
+        raise PresentationError("alphabet declares no letters", line)
+    if len(set(letters)) != len(letters):
+        raise PresentationError("duplicate letter declaration", line)
+
+
+def _check_relation(lhs: Word, rhs: Word, known: set[Letter], line: int | None = None) -> None:
+    """Both sides non-empty, positive and over known letters, and distinct.
+
+    Presentation and parse_presentation share this and _check_alphabet; the
+    parser passes the line it read the relation from.
+    """
+    for side in (lhs, rhs):
+        if len(side) == 0:
+            raise PresentationError("empty relation side", line)
+        if not side.is_positive:
+            raise PresentationError(f"non-positive relation side '{side}'", line)
+        for x, _ in side:
+            if x not in known:
+                raise PresentationError(f"undeclared letter {x!r}", line)
+    if lhs == rhs:
+        raise PresentationError("relation sides are identical", line)
+
+
 @dataclass(frozen=True)
 class Presentation:
     """A positive presentation: an alphabet and relations between positive words."""
@@ -120,22 +145,10 @@ class Presentation:
     relations: tuple[tuple[Word, Word], ...] = ()
 
     def __post_init__(self):
-        if not self.alphabet:
-            raise ValueError("alphabet is empty")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("duplicate letters in alphabet")
+        _check_alphabet(self.alphabet)
         known = set(self.alphabet)
-        for i, (lhs, rhs) in enumerate(self.relations):
-            for side in (lhs, rhs):
-                if len(side) == 0:
-                    raise ValueError(f"relation {i}: empty side")
-                if not side.is_positive:
-                    raise ValueError(f"relation {i}: non-positive side '{side}'")
-                for x, _ in side:
-                    if x not in known:
-                        raise ValueError(f"relation {i}: undeclared letter {x!r}")
-            if lhs == rhs:
-                raise ValueError(f"relation {i}: sides are identical")
+        for lhs, rhs in self.relations:
+            _check_relation(lhs, rhs, known)
 
     def check_word(self, w: Word) -> None:
         """Raise ValueError if w uses a letter outside the alphabet."""
@@ -160,15 +173,11 @@ def parse_presentation(text: str) -> Presentation:
         if alphabet is None:
             if not line.startswith("X:"):
                 raise PresentationError("expected alphabet line 'X: ...'", lineno)
-            letters = line[2:].split()
-            if not letters:
-                raise PresentationError("alphabet declares no letters", lineno)
-            for letter in letters:
+            alphabet = tuple(line[2:].split())
+            for letter in alphabet:
                 if any(ch in RESERVED_CHARS for ch in letter):
                     raise PresentationError(f"letter {letter!r} uses a reserved character", lineno)
-            if len(set(letters)) != len(letters):
-                raise PresentationError("duplicate letter declaration", lineno)
-            alphabet = tuple(letters)
+            _check_alphabet(alphabet, lineno)
             continue
         if not line.startswith("R:"):
             raise PresentationError("expected relation line 'R: <word> = <word>'", lineno)
@@ -178,13 +187,7 @@ def parse_presentation(text: str) -> Presentation:
         left_text, right_text = body.split("=")
         lhs = parse_word(left_text, alphabet, line=lineno)
         rhs = parse_word(right_text, alphabet, line=lineno)
-        for side in (lhs, rhs):
-            if len(side) == 0:
-                raise PresentationError("empty relation side", lineno)
-            if not side.is_positive:
-                raise PresentationError(f"non-positive relation side '{side}'", lineno)
-        if lhs == rhs:
-            raise PresentationError("relation sides are identical", lineno)
+        _check_relation(lhs, rhs, set(alphabet), lineno)
         relations.append((lhs, rhs))
     if alphabet is None:
         raise PresentationError("no alphabet line")

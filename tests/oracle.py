@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import NamedTuple
 
-from .decision import Answer
-from .presentation import Presentation, Word
-from .word_graph import BirootedGraph
+from stephen_kit.decision import Answer
+from stephen_kit.presentation import Presentation, Word
+from stephen_kit.word_graph import BirootedGraph
 
 
 def munn_tree(w: Word) -> BirootedGraph:

@@ -19,9 +19,6 @@ from stephen_kit import (
     Presentation,
     Status,
     Word,
-    brute_force_accepts,
-    brute_force_closure,
-    brute_force_equal,
     decide_equal,
     decide_natural_leq,
     find_expansions,
@@ -31,11 +28,11 @@ from stephen_kit import (
     is_idempotent,
     isomorphic,
     linear_graph,
-    munn_tree,
     schutzenberger_automaton,
     side_graphs,
 )
 from stephen_kit.cli import main
+from oracle import brute_force_accepts, brute_force_closure, brute_force_equal, munn_tree
 from support import (
     CASE1,
     CASE2,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -176,3 +179,49 @@ def test_flag_overrides_env_var(sub, capsys, monkeypatch):
     assert main(["graph", sub, "ab", "--max-rounds", "2"]) == 3
     out = capsys.readouterr().out
     assert out.startswith("budget-exceeded; rounds=2;")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "{comm}", "ab", "--dot", "{missing}/g.dot"],
+        ["eq", "{comm}", "ab", "ba", "--json", "{missing}/eq.json"],
+        ["check", "{comm}", "--json", "{tmp}"],
+    ],
+    ids=["graph-dot-missing-dir", "eq-json-missing-dir", "check-json-is-dir"],
+)
+def test_output_file_error_prints_no_result(argv, comm, tmp_path, capsys):
+    # Output files are written before the result line, so a failed write
+    # leaves stdout empty.
+    paths = {"comm": comm, "missing": tmp_path / "absent", "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_import_loads_no_test_code():
+    probe = (
+        "import json, sys, stephen_kit.cli\n"
+        "modules = sorted(m for m in sys.modules if m.split('.')[0] == 'stephen_kit')\n"
+        "missing = [n for n in stephen_kit.__all__ if not hasattr(stephen_kit, n)]\n"
+        "print(json.dumps([modules, missing]))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    modules, missing = json.loads(out)
+    assert modules == [
+        "stephen_kit",
+        "stephen_kit.cli",
+        "stephen_kit.decision",
+        "stephen_kit.engine",
+        "stephen_kit.presentation",
+        "stephen_kit.word_graph",
+    ]
+    assert missing == []

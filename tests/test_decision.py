@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from stephen_kit import (
     Answer,
     Budget,
+    Presentation,
     Word,
     decide_equal,
     decide_natural_leq,
     is_idempotent,
     isomorphic,
-    munn_tree,
 )
+from oracle import munn_tree
 from support import CASE1, COMM, FACT1, FREE2, SUBWORD, all_signed_words, pos, w
 
 
@@ -140,7 +141,7 @@ def test_idempotent_examples():
 def test_idempotent_witness_names_word():
     verdict = is_idempotent(w("aa^"), COMM)
     assert verdict.witness["word"] == "aa^"
-    assert "equality" in verdict.witness
+    assert set(verdict.witness) == {"word", "accepted", "closure", "budget"}
 
 
 def test_uu_inverse_always_idempotent():
@@ -151,6 +152,48 @@ def test_uu_inverse_always_idempotent():
         )
         e = word + word.inverse()
         assert is_idempotent(e, COMM, Budget(8, 100000)).answer is Answer.YES
+
+
+_random_presentations = st.lists(
+    st.tuples(st.text("ab", min_size=1, max_size=4), st.text("ab", min_size=1, max_size=4)).filter(
+        lambda r: r[0] != r[1]
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda rels: Presentation(("a", "b"), tuple((pos(u), pos(v)) for u, v in rels)))
+
+_BBB = Presentation(("a", "b"), ((pos("b"), pos("bbb")), (pos("bb"), pos("aaa"))))
+
+
+@st.composite
+def _idempotency_queries(draw):
+    p = draw(st.one_of(st.sampled_from((COMM, CASE1, SUBWORD, _BBB)), _random_presentations))
+    letters = st.tuples(st.sampled_from(p.alphabet), st.sampled_from((1, -1)))
+
+    def word(max_size):
+        return Word(tuple(draw(st.lists(letters, max_size=max_size))))
+
+    shape = draw(st.sampled_from(("any", "any", "uu^", "uu^vv^")))
+    if shape == "any":
+        query = word(8)
+    elif shape == "uu^":
+        u = word(4)
+        query = u + u.inverse()
+    else:
+        u, v = word(2), word(2)
+        query = u + u.inverse() + v + v.inverse()
+    budget = Budget(draw(st.integers(1, 10)), draw(st.integers(20, 200)))
+    return query, p, budget
+
+
+@given(_idempotency_queries())
+@settings(max_examples=300)
+def test_idempotent_agrees_with_equality_to_w_w_inverse(query):
+    # One automaton A(w) gives the verdict that w = w w^-1 gives from two,
+    # at every budget.
+    word, p, budget = query
+    expected = decide_equal(word, word + word.inverse(), p, budget).answer
+    assert is_idempotent(word, p, budget).answer is expected, (str(word), str(p), budget)
 
 
 # --- verdict JSON ----------------------------------------------------------------

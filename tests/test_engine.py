@@ -24,6 +24,7 @@ from stephen_kit import (
     schutzenberger_automaton,
 )
 from stephen_kit import engine
+from stephen_kit.word_graph import GraphBuilder
 from support import (
     CASE1,
     CASE2,
@@ -154,11 +155,12 @@ def test_full_p_expansion_defers_new_sites():
 @given(positive_words)
 @settings(max_examples=40)
 def test_full_round_order_is_canonical_up_to_iso(word):
+    # Sewing a round's sites in reverse order folds to the same graph.
     for p in (COMM, CASE1):
         g = fold(linear_graph(word)).final
-        forward = full_p_expansion(g, p, site_order="canonical")
-        backward = full_p_expansion(g, p, site_order="reversed")
-        assert isomorphic(forward, backward)
+        backward = GraphBuilder.from_graph(g)
+        engine._sew_round(backward, p, find_expansions(g, p)[::-1])
+        assert isomorphic(full_p_expansion(g, p), backward.freeze())
 
 
 # --- closure -----------------------------------------------------------------

@@ -3,18 +3,8 @@ import random
 
 from hypothesis import given, strategies as st
 
-from stephen_kit import (
-    Answer,
-    Word,
-    brute_force_accepts,
-    brute_force_closure,
-    brute_force_equal,
-    decide_equal,
-    fold,
-    isomorphic,
-    linear_graph,
-    munn_tree,
-)
+from stephen_kit import Answer, Word, decide_equal, fold, isomorphic, linear_graph
+from oracle import brute_force_accepts, brute_force_closure, brute_force_equal, munn_tree
 from support import CASE1, COMM, pos, w
 
 

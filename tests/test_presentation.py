@@ -72,8 +72,11 @@ def test_parse_zero_relations_allowed():
     ],
 )
 def test_parse_errors(text, fragment):
-    with pytest.raises(PresentationError, match=fragment):
+    with pytest.raises(PresentationError, match=fragment) as excinfo:
         parse_presentation(text)
+    if text.startswith("X: a b\n"):
+        assert excinfo.value.line == 2
+        assert str(excinfo.value).startswith("line 2: ")
 
 
 def test_parse_error_reports_line():
@@ -105,7 +108,7 @@ def test_word_basics():
 
 
 def test_presentation_invariants():
-    with pytest.raises(ValueError, match="empty side"):
+    with pytest.raises(ValueError, match="empty relation side"):
         Presentation(("a",), ((Word(), pos("a")),))
     with pytest.raises(ValueError, match="non-positive"):
         Presentation(("a",), ((w("a^"), pos("a")),))
