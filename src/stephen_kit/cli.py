@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -51,6 +50,8 @@ def _budget(args) -> Budget:
 
 def _write_json(path: str | None, payload: dict) -> None:
     if path:
+        import json  # only here: most commands write no JSON and skip its import
+
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -88,7 +89,8 @@ def cmd_graph(args, p: Presentation, w: Word) -> tuple[int, str]:
     g = result.graph
     if args.dot:
         Path(args.dot).write_text(g.to_dot(), encoding="utf-8")
-    _write_json(args.json, {**result.to_json(), "graph": g.to_json()})
+    if args.json:
+        _write_json(args.json, {**result.to_json(), "graph": g.to_json()})
     line = (
         f"{result.status.value}; rounds={result.rounds}; "
         f"vertices={len(g.vertices)}; edges={len(g.edges)}"

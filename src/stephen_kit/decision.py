@@ -13,10 +13,9 @@ roots coincide), so one automaton settles idempotency.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .engine import Budget, ClosureResult, Status, schutzenberger_automaton
-from .presentation import Presentation, Word
+from .presentation import Presentation, Word, _MutableRecord
 
 
 class Answer(enum.Enum):
@@ -25,10 +24,12 @@ class Answer(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
-class Verdict:
-    answer: Answer
-    witness: dict
+class Verdict(_MutableRecord):
+    __match_args__ = ("answer", "witness")
+
+    def __init__(self, answer: Answer, witness: dict):
+        self.answer = answer
+        self.witness = witness
 
     def to_json(self) -> dict:
         return {"answer": self.answer.value, "witness": self.witness}

@@ -23,11 +23,9 @@ deduction stack of coset enumeration.
 from __future__ import annotations
 
 import enum
-import functools
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .presentation import Presentation, Word
+from .presentation import Presentation, Word, _MutableRecord, _Record, _set
 from .word_graph import BirootedGraph, GraphBuilder, fold, linear_graph
 
 
@@ -38,24 +36,32 @@ class Direction(enum.Enum):
     RHS_READ = "rhs-read"
 
 
-@dataclass(frozen=True)
-class ExpansionSite:
-    relation_index: int
-    direction: Direction
-    start: int
-    end: int
+class ExpansionSite(_Record):
+    __slots__ = __match_args__ = ("relation_index", "direction", "start", "end")
+
+    def __init__(self, relation_index: int, direction: Direction, start: int, end: int):
+        _set(self, "relation_index", relation_index)
+        _set(self, "direction", direction)
+        _set(self, "start", start)
+        _set(self, "end", end)
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Bounds on the closure iteration; both limits must be positive."""
+class Budget(_Record):
+    """Bounds on the closure iteration; both limits must be positive.
 
-    max_rounds: int = 64
-    max_vertices: int = 100_000
+    The class attributes are the defaults, which the CLI reads, so the
+    fields live in the instance dict rather than in slots.
+    """
 
-    def __post_init__(self):
-        if self.max_rounds < 1 or self.max_vertices < 1:
+    __match_args__ = ("max_rounds", "max_vertices")
+    max_rounds = 64
+    max_vertices = 100_000
+
+    def __init__(self, max_rounds: int = max_rounds, max_vertices: int = max_vertices):
+        if max_rounds < 1 or max_vertices < 1:
             raise ValueError("budget limits must be positive")
+        _set(self, "max_rounds", max_rounds)
+        _set(self, "max_vertices", max_vertices)
 
 
 class Status(enum.Enum):
@@ -63,8 +69,7 @@ class Status(enum.Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass
-class ClosureResult:
+class ClosureResult(_MutableRecord):
     """Outcome of a closure run with instrumentation.
 
     vertex_history holds the vertex count before round 1 and after every
@@ -73,11 +78,21 @@ class ClosureResult:
     input graph).
     """
 
-    status: Status
-    graph: BirootedGraph
-    rounds: int
-    fold_events: int
-    vertex_history: tuple[int, ...]
+    __match_args__ = ("status", "graph", "rounds", "fold_events", "vertex_history")
+
+    def __init__(
+        self,
+        status: Status,
+        graph: BirootedGraph,
+        rounds: int,
+        fold_events: int,
+        vertex_history: tuple[int, ...],
+    ):
+        self.status = status
+        self.graph = graph
+        self.rounds = rounds
+        self.fold_events = fold_events
+        self.vertex_history = vertex_history
 
     def to_json(self) -> dict:
         return {
@@ -99,21 +114,29 @@ def _sides(site: ExpansionSite, p: Presentation) -> tuple[Word, Word]:
     return rhs, lhs
 
 
-def _sites_from(
-    walk: Callable[[int, Word], int | None], starts: Iterable[int], p: Presentation
-) -> list[ExpansionSite]:
-    """The sites at each start in turn, by relation index, then direction.
+Letters = tuple[tuple[str, int], ...]
+Check = tuple[int, Direction, Letters, Letters]
 
-    walk is the deterministic path walk of the graph being scanned.
-    """
-    checks = [
-        (rel_index, direction, read, sew)
+
+def _checks(p: Presentation) -> list[Check]:
+    """(relation index, direction, read letters, sew letters) in site order."""
+    return [
+        (rel_index, direction, read.letters, sew.letters)
         for rel_index, (lhs, rhs) in enumerate(p.relations)
         for direction, read, sew in (
             (Direction.LHS_READ, lhs, rhs),
             (Direction.RHS_READ, rhs, lhs),
         )
     ]
+
+
+def _sites_from(
+    walk: Callable[[int, Letters], int | None], starts: Iterable[int], checks: list[Check]
+) -> list[ExpansionSite]:
+    """The sites at each start in turn, by relation index, then direction.
+
+    walk is the deterministic path walk of the graph being scanned.
+    """
     sites = []
     for start in starts:
         for rel_index, direction, read, sew in checks:
@@ -132,11 +155,10 @@ def find_expansions(g: BirootedGraph, p: Presentation) -> list[ExpansionSite]:
     """
     if not g.is_deterministic:
         raise ValueError("find_expansions() requires a deterministic graph")
-    return _sites_from(g.walk, g.bfs_order(), p)
+    return _sites_from(g.walk, g.bfs_order(), _checks(p))
 
 
-@functools.lru_cache(maxsize=64)
-def _back_prefixes(p: Presentation) -> frozenset[tuple[tuple[str, int], ...]]:
+def _back_prefixes(p: Presentation) -> frozenset[Letters]:
     """Inverses of every prefix of every relation side, the empty one included."""
     inverses = [
         tuple([(x, -1) for x, _ in side.letters[::-1]]) for pair in p.relations for side in pair
@@ -144,17 +166,20 @@ def _back_prefixes(p: Presentation) -> frozenset[tuple[tuple[str, int], ...]]:
     return frozenset(inverse[k:] for inverse in inverses for k in range(len(inverse) + 1))
 
 
-def _frontier_sites(b: GraphBuilder, p: Presentation) -> list[ExpansionSite]:
+def _frontier_sites(
+    b: GraphBuilder, checks: list[Check], backs: frozenset[Letters]
+) -> list[ExpansionSite]:
     """The sites of folded b whose read path meets b.touched, in canonical order.
 
     After a round these are all of b's sites (see the module docstring).
-    Only starts that carry a site are ranked, by a breadth-first search
-    that stops once it has numbered them all.
+    checks and backs are _checks(p) and _back_prefixes(p), which close
+    computes once.  Only starts that carry a site are ranked, by a
+    breadth-first search that stops once it has numbered them all.
     """
-    seeds, backs = {b.find(v) for v in b.touched}, _back_prefixes(p)
+    seeds = {b.find(v) for v in b.touched}
     starts = {b.walk(v, back) for v in seeds for back in backs}
     starts.discard(None)
-    sites = _sites_from(b.walk, starts, p)
+    sites = _sites_from(b.walk, starts, checks)
     carriers = {site.start for site in sites}
     if len(carriers) > 1:
         rank = b.bfs_rank(carriers)
@@ -229,6 +254,7 @@ def close(g: BirootedGraph, p: Presentation, budget: Budget = Budget()) -> Closu
     if not sites:
         return ClosureResult(Status.CLOSED, g, 0, 0, (len(g.vertices),))
     b = GraphBuilder.from_graph(g)
+    checks, backs = _checks(p), _back_prefixes(p)
     history = [len(g.vertices)]
     rounds = fold_events = 0
     status = Status.BUDGET_EXCEEDED
@@ -238,7 +264,7 @@ def close(g: BirootedGraph, p: Presentation, budget: Budget = Budget()) -> Closu
         history.append(b.vertex_count())
         if history[-1] > budget.max_vertices:
             break
-        sites = _frontier_sites(b, p)
+        sites = _frontier_sites(b, checks, backs)
         if not sites:
             status = Status.CLOSED
             break

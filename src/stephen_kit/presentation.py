@@ -19,7 +19,6 @@ words (not relation sides) may invert a letter with a trailing ``^``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable
 
 Letter = str
@@ -37,19 +36,70 @@ class PresentationError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Word:
+_set = object.__setattr__
+
+
+class _Record:
+    """Value semantics of a frozen dataclass, from the fields in __match_args__.
+
+    Records of the same class are equal when their fields are, the hash is
+    that of the field tuple, the repr names every field, and assignment
+    raises AttributeError.  A subclass lists its fields in __match_args__,
+    stores them in __slots__ of the same names where it can, and sets them
+    in __init__ with _set, which bypasses the frozen __setattr__.  Building
+    classes by hand keeps dataclasses, and the inspect module it imports,
+    off the import path of every command.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _MutableRecord(_Record):
+    """A _Record whose attributes may be assigned; unhashable, like a plain dataclass."""
+
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+
+class Word(_Record):
     """A word over X and the inverse letters, as (letter, sign) pairs.
 
     Signs are +1 or -1; a word is positive when every sign is +1.
     """
 
-    letters: tuple[tuple[Letter, int], ...] = ()
+    __slots__ = __match_args__ = ("letters",)
 
-    def __post_init__(self):
-        for item in self.letters:
+    def __init__(self, letters: tuple[tuple[Letter, int], ...] = ()):
+        for item in letters:
             if len(item) != 2 or not item[0] or item[1] not in (1, -1):
                 raise ValueError(f"bad signed letter {item!r}")
+        _set(self, "letters", letters)
 
     @property
     def is_positive(self) -> bool:
@@ -137,18 +187,20 @@ def _check_relation(lhs: Word, rhs: Word, known: set[Letter], line: int | None =
         raise PresentationError("relation sides are identical", line)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """A positive presentation: an alphabet and relations between positive words."""
 
-    alphabet: tuple[Letter, ...]
-    relations: tuple[tuple[Word, Word], ...] = ()
+    __slots__ = __match_args__ = ("alphabet", "relations")
 
-    def __post_init__(self):
-        _check_alphabet(self.alphabet)
-        known = set(self.alphabet)
-        for lhs, rhs in self.relations:
+    def __init__(
+        self, alphabet: tuple[Letter, ...], relations: tuple[tuple[Word, Word], ...] = ()
+    ):
+        _check_alphabet(alphabet)
+        known = set(alphabet)
+        for lhs, rhs in relations:
             _check_relation(lhs, rhs, known)
+        _set(self, "alphabet", alphabet)
+        _set(self, "relations", relations)
 
     def check_word(self, w: Word) -> None:
         """Raise ValueError if w uses a letter outside the alphabet."""
@@ -194,16 +246,18 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(alphabet, tuple(relations))
 
 
-@dataclass(frozen=True)
-class SideGraph:
+class SideGraph(_Record):
     """Undirected multigraph on the alphabet with one edge per relation.
 
     Self-loops (both sides of a relation start, or end, with the same
     letter) are recorded like any other edge.
     """
 
-    vertices: tuple[Letter, ...]
-    edges: tuple[tuple[Letter, Letter], ...]
+    __slots__ = __match_args__ = ("vertices", "edges")
+
+    def __init__(self, vertices: tuple[Letter, ...], edges: tuple[tuple[Letter, Letter], ...]):
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
 
 
 def side_graphs(p: Presentation) -> tuple[SideGraph, SideGraph]:
@@ -251,8 +305,7 @@ class OverlapCase(enum.Enum):
     SUBWORD = "Subword"
 
 
-@dataclass(frozen=True)
-class OverlapProfile:
+class OverlapProfile(_Record):
     """Self-borders and cross overlaps of the two sides of a relation.
 
     ``u_border_len`` is the largest k > 0 with 2k <= |u| such that the
@@ -261,13 +314,33 @@ class OverlapProfile:
     k < min(|u|, |v|).
     """
 
-    u_subword_of_v: bool
-    v_subword_of_u: bool
-    u_border_len: int
-    v_border_len: int
-    suffix_u_prefix_v_len: int
-    suffix_v_prefix_u_len: int
-    case_label: OverlapCase
+    __slots__ = __match_args__ = (
+        "u_subword_of_v",
+        "v_subword_of_u",
+        "u_border_len",
+        "v_border_len",
+        "suffix_u_prefix_v_len",
+        "suffix_v_prefix_u_len",
+        "case_label",
+    )
+
+    def __init__(
+        self,
+        u_subword_of_v: bool,
+        v_subword_of_u: bool,
+        u_border_len: int,
+        v_border_len: int,
+        suffix_u_prefix_v_len: int,
+        suffix_v_prefix_u_len: int,
+        case_label: OverlapCase,
+    ):
+        _set(self, "u_subword_of_v", u_subword_of_v)
+        _set(self, "v_subword_of_u", v_subword_of_u)
+        _set(self, "u_border_len", u_border_len)
+        _set(self, "v_border_len", v_border_len)
+        _set(self, "suffix_u_prefix_v_len", suffix_u_prefix_v_len)
+        _set(self, "suffix_v_prefix_u_len", suffix_v_prefix_u_len)
+        _set(self, "case_label", case_label)
 
 
 def _occurrences(needle: tuple[Letter, ...], haystack: tuple[Letter, ...]) -> int:
@@ -357,10 +430,12 @@ class CertificateBasis(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class FinitenessCertificate:
-    verdict: FinitenessVerdict
-    basis: CertificateBasis
+class FinitenessCertificate(_Record):
+    __slots__ = __match_args__ = ("verdict", "basis")
+
+    def __init__(self, verdict: FinitenessVerdict, basis: CertificateBasis):
+        _set(self, "verdict", verdict)
+        _set(self, "basis", basis)
 
 
 _CERTIFICATES = {

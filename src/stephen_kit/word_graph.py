@@ -15,10 +15,9 @@ mutated and is safe to share between readers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
-from .presentation import Word
+from .presentation import Word, _Record, _set
 
 Edge = tuple[int, str, int]
 
@@ -40,7 +39,7 @@ class BirootedGraph:
             vertices.add(t)
         self.vertices: frozenset[int] = frozenset(vertices)
         adj: dict[int, dict[tuple[str, int], list[int]]] = {v: {} for v in vertices}
-        for s, x, t in sorted(self.edges):
+        for s, x, t in self.edges:
             adj[s].setdefault((x, 1), []).append(t)
             adj[t].setdefault((x, -1), []).append(s)
         self._adj = {
@@ -162,10 +161,12 @@ def linear_graph(w: Word) -> BirootedGraph:
     return BirootedGraph(0, len(w), edges)
 
 
-@dataclass(frozen=True)
-class FoldReport:
-    merges: int
-    final: BirootedGraph
+class FoldReport(_Record):
+    __slots__ = __match_args__ = ("merges", "final")
+
+    def __init__(self, merges: int, final: BirootedGraph):
+        _set(self, "merges", merges)
+        _set(self, "final", final)
 
 
 class GraphBuilder:

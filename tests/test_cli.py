@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from stephen_kit import BirootedGraph
 from stephen_kit.cli import main
 
 
@@ -102,6 +103,15 @@ def test_graph_dot_and_json_outputs(comm, tmp_path, capsys):
     assert graph["alpha"] == 0
     assert len(graph["vertices"]) == 4
     assert len(graph["edges"]) == 4
+
+
+def test_graph_without_json_exports_no_graph(comm, monkeypatch, capsys):
+    def forbidden(self):
+        raise AssertionError("graph exported with no --json path")
+
+    monkeypatch.setattr(BirootedGraph, "to_json", forbidden)
+    assert main(["graph", comm, "ab"]) == 0
+    assert capsys.readouterr().out == "closed; rounds=1; vertices=4; edges=4\n"
 
 
 def test_graph_inverse_letters(comm, capsys):
@@ -202,11 +212,16 @@ def test_output_file_error_prints_no_result(argv, comm, tmp_path, capsys):
 
 
 def test_cli_import_loads_no_test_code():
+    # sys.modules is read before the probe imports json itself.  No command
+    # needs dataclasses, inspect or json on import, and each adds
+    # milliseconds to every start.
     probe = (
-        "import json, sys, stephen_kit.cli\n"
+        "import sys, stephen_kit.cli\n"
+        "heavy = [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
         "modules = sorted(m for m in sys.modules if m.split('.')[0] == 'stephen_kit')\n"
         "missing = [n for n in stephen_kit.__all__ if not hasattr(stephen_kit, n)]\n"
-        "print(json.dumps([modules, missing]))\n"
+        "import json\n"
+        "print(json.dumps([modules, missing, heavy]))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -215,7 +230,7 @@ def test_cli_import_loads_no_test_code():
         check=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
-    modules, missing = json.loads(out)
+    modules, missing, heavy = json.loads(out)
     assert modules == [
         "stephen_kit",
         "stephen_kit.cli",
@@ -225,3 +240,4 @@ def test_cli_import_loads_no_test_code():
         "stephen_kit.word_graph",
     ]
     assert missing == []
+    assert heavy == []

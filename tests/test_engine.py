@@ -371,12 +371,17 @@ def random_presentation(rng) -> Presentation:
 def test_frontier_scan_equals_full_scan_every_round():
     frontier_sites = engine._frontier_sites
     rounds = []
+    closing = []  # the presentation of the closure under way
 
-    def checked(b, p):
-        sites = frontier_sites(b, p)
-        assert sites == find_expansions(b.freeze(), p)
+    def checked(b, checks, backs):
+        sites = frontier_sites(b, checks, backs)
+        assert sites == find_expansions(b.freeze(), closing[-1])
         rounds.append(len(sites))
         return sites
+
+    def checked_close(g, p, budget=Budget()):
+        closing.append(p)
+        return close(g, p, budget)
 
     rng = random.Random(2)
     bbb = Presentation(("a", "b"), ((pos("b"), pos("bbb")), (pos("bb"), pos("aaa"))))
@@ -384,11 +389,11 @@ def test_frontier_scan_equals_full_scan_every_round():
     with mock.patch.object(engine, "_frontier_sites", checked):
         # This round's fold cascades, and a site appears at a later merge
         # survivor that no sewn chain reaches.
-        close(fold(linear_graph(w("babaa^cb^a^cac^a^"))).final, cascade)
+        checked_close(fold(linear_graph(w("babaa^cb^a^cac^a^"))).final, cascade)
         for i in range(400):
             p = (SUBWORD, bbb)[i % 2] if i % 4 == 0 else random_presentation(rng)
             word = random_signed_word(rng, "ab", 12) if i % 3 else random_positive_word(rng, "ab", 8)
-            close(fold(linear_graph(word)).final, p, Budget(rng.randint(1, 12), 200))
+            checked_close(fold(linear_graph(word)).final, p, Budget(rng.randint(1, 12), 200))
     assert len(rounds) > 500
 
 
