@@ -163,6 +163,14 @@ def parse_word(text: str, alphabet: Iterable[Letter], *, line: int | None = None
 
 
 def _check_alphabet(letters: tuple[Letter, ...], line: int | None = None) -> None:
+    """Letters non-empty, free of whitespace and reserved characters, and distinct."""
+    for letter in letters:
+        if not letter:
+            raise PresentationError("empty letter", line)
+        if any(ch.isspace() for ch in letter):
+            raise PresentationError(f"letter {letter!r} contains whitespace", line)
+        if any(ch in RESERVED_CHARS for ch in letter):
+            raise PresentationError(f"letter {letter!r} uses a reserved character", line)
     if not letters:
         raise PresentationError("alphabet declares no letters", line)
     if len(set(letters)) != len(letters):
@@ -226,9 +234,6 @@ def parse_presentation(text: str) -> Presentation:
             if not line.startswith("X:"):
                 raise PresentationError("expected alphabet line 'X: ...'", lineno)
             alphabet = tuple(line[2:].split())
-            for letter in alphabet:
-                if any(ch in RESERVED_CHARS for ch in letter):
-                    raise PresentationError(f"letter {letter!r} uses a reserved character", lineno)
             _check_alphabet(alphabet, lineno)
             continue
         if not line.startswith("R:"):

@@ -1,11 +1,15 @@
 """Birooted inverse word graphs.
 
-A graph stores only the positively labeled orientation of each edge;
-traversing an edge (p, x, q) backwards acts as the implicit edge labeled
-x^-1 from q to p.  Folding (determination) merges the endpoints of equally
-labeled edges leaving one vertex until the graph is deterministic; the
-result is a quotient of the input and, because folding is confluent, it is
-independent of the merge order up to root-respecting isomorphism.
+A graph lists each edge once, in its positively labeled orientation
+(p, x, q); traversing it backwards acts as the implicit edge labeled x^-1
+from q to p.  Both graph classes index edges the same way, by signed step:
+adj[p][(x, 1)] holds q and adj[q][(x, -1)] holds p, so a walk along a
+signed word looks each letter up directly, and one walk, one canonical
+breadth-first order and one renumbering serve both.  Folding
+(determination) merges the endpoints of equally labeled edges leaving one
+vertex until the graph is deterministic; the result is a quotient of the
+input and, because folding is confluent, it is independent of the merge
+order up to root-respecting isomorphism.
 
 Graphs are value-like: the mutable machinery lives in GraphBuilder, which
 fold and the expansion engine share; a constructed BirootedGraph is never
@@ -15,11 +19,43 @@ mutated and is safe to share between readers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .presentation import Word, _Record, _set
 
 Edge = tuple[int, str, int]
+Step = tuple[str, int]
+
+
+def _walk(graph, start: int, w: Iterable[Step]) -> int | None:
+    """Endpoint of the path labeled by w from start, or None; graph must be deterministic."""
+    adj = graph._adj
+    v = start
+    for step in w:
+        targets = adj[v].get(step)
+        if not targets:
+            return None
+        (v,) = targets
+    return v
+
+
+def _bfs(adj: dict[int, dict[Step, Iterable[int]]], alpha: int) -> Iterator[int]:
+    """Vertices in canonical breadth-first order from alpha.
+
+    Neighbors are explored by letter, positive orientation first, and each
+    step's targets in stored order; this fixes the canonical numbering.
+    """
+    yield alpha
+    seen = {alpha}
+    queue = deque([alpha])
+    while queue:
+        table = adj[queue.popleft()]
+        for step in sorted(table, key=lambda k: (k[0], -k[1])):
+            for t in table[step]:
+                if t not in seen:
+                    seen.add(t)
+                    queue.append(t)
+                    yield t
 
 
 class BirootedGraph:
@@ -38,80 +74,56 @@ class BirootedGraph:
             vertices.add(s)
             vertices.add(t)
         self.vertices: frozenset[int] = frozenset(vertices)
-        adj: dict[int, dict[tuple[str, int], list[int]]] = {v: {} for v in vertices}
+        adj: dict[int, dict[Step, list[int]]] = {v: {} for v in vertices}
         for s, x, t in self.edges:
             adj[s].setdefault((x, 1), []).append(t)
             adj[t].setdefault((x, -1), []).append(s)
         self._adj = {
-            v: {key: tuple(sorted(ts)) for key, ts in table.items()}
+            v: {step: tuple(sorted(ts)) for step, ts in table.items()}
             for v, table in adj.items()
         }
         self.is_deterministic = all(
             len(ts) == 1 for table in self._adj.values() for ts in table.values()
         )
-        self._bfs = tuple(self._bfs_order())
+        self._bfs = tuple(_bfs(self._adj, alpha))
         if len(self._bfs) != len(self.vertices):
             raise ValueError("graph is not connected from alpha")
-
-    def _bfs_order(self) -> list[int]:
-        # Neighbors explored by letter, positive orientation first; this
-        # fixes the canonical numbering used by serialization.
-        order = [self.alpha]
-        seen = {self.alpha}
-        queue = deque(order)
-        while queue:
-            v = queue.popleft()
-            for key in sorted(self._adj[v], key=lambda k: (k[0], -k[1])):
-                for t in self._adj[v][key]:
-                    if t not in seen:
-                        seen.add(t)
-                        order.append(t)
-                        queue.append(t)
-        return order
 
     def bfs_order(self) -> tuple[int, ...]:
         """Vertices in canonical breadth-first order from alpha."""
         return self._bfs
 
-    def step(self, v: int, letter: str, sign: int) -> int | None:
-        """Follow one signed letter from v; None when no edge matches."""
-        targets = self._adj[v].get((letter, sign))
-        return targets[0] if targets else None
-
-    def walk(self, start: int, w: Iterable[tuple[str, int]]) -> int | None:
+    def walk(self, start: int, w: Iterable[Step]) -> int | None:
         """Endpoint of the unique path labeled by w from start, or None.
 
         Only meaningful on deterministic graphs, where paths are unique.
         """
         if not self.is_deterministic:
             raise ValueError("walk() requires a deterministic graph")
-        v = start
-        for x, sign in w:
-            targets = self._adj[v].get((x, sign))
-            if not targets:
-                return None
-            v = targets[0]
-        return v
+        return _walk(self, start, w)
 
     def accepts(self, w: Word) -> bool:
         """True iff w labels a path from alpha to beta."""
         return self.walk(self.alpha, w) == self.beta
 
+    def _renumbered(self) -> tuple[dict[int, int], list[Edge]]:
+        """Canonical index of each vertex and the renumbered edges, sorted."""
+        index = {v: i for i, v in enumerate(self._bfs)}
+        return index, sorted((index[s], x, index[t]) for s, x, t in self.edges)
+
     def canonical_key(self):
         """Hashable form invariant under root-respecting isomorphism."""
-        index = {v: i for i, v in enumerate(self._bfs)}
-        edges = tuple(sorted((index[s], x, index[t]) for s, x, t in self.edges))
-        return (len(self._bfs), index[self.beta], edges)
+        index, edges = self._renumbered()
+        return (len(self._bfs), index[self.beta], tuple(edges))
 
     def to_json(self) -> dict:
         """Canonically renumbered export: alpha is always vertex 0."""
-        index = {v: i for i, v in enumerate(self._bfs)}
-        edges = sorted([index[s], x, index[t]] for s, x, t in self.edges)
+        index, edges = self._renumbered()
         return {
             "alpha": 0,
             "beta": index[self.beta],
             "vertices": list(range(len(self._bfs))),
-            "edges": edges,
+            "edges": [list(edge) for edge in edges],
         }
 
     def to_dot(self) -> str:
@@ -120,7 +132,7 @@ class BirootedGraph:
         alpha is drawn as a square, beta as a double circle; a combined
         root gets the doubly marked Msquare shape.
         """
-        index = {v: i for i, v in enumerate(self._bfs)}
+        index, edges = self._renumbered()
         lines = ["digraph birooted {", "  rankdir=LR;"]
         for v in range(len(self._bfs)):
             if v == index[self.alpha] and v == index[self.beta]:
@@ -132,7 +144,7 @@ class BirootedGraph:
             else:
                 shape = "circle"
             lines.append(f"  {v} [shape={shape}];")
-        for s, x, t in sorted((index[s], x, index[t]) for s, x, t in self.edges):
+        for s, x, t in edges:
             label = x.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {s} -> {t} [label="{label}"];')
         lines.append("}")
@@ -172,17 +184,18 @@ class FoldReport(_Record):
 class GraphBuilder:
     """Mutable multigraph with union-find vertex merging.
 
-    Backs both folding and the engine's sewing step.  Adjacency tables are
-    kept for representatives only and always reference live vertices, so a
-    merge has to relink exactly the edges incident to the vertex that goes
-    away.  touched collects every vertex given an edge since its owner last
-    cleared it; a deterministic graph can gain a clash only at such a
-    vertex, so fold looks for clashes there alone.
+    Backs both folding and the engine's sewing step.  It stores adjacency
+    as BirootedGraph does, adj[v][(letter, sign)] -> targets, with sets as
+    targets and an edge p -x-> q listed at p under (x, 1) and at q under
+    (x, -1).  Tables are kept for representatives only and always
+    reference live vertices, so a merge has to relink exactly the edges at
+    the vertex that goes away.  touched collects every vertex given an
+    edge since its owner last cleared it; a deterministic graph can gain a
+    clash only at such a vertex, so fold looks for clashes there alone.
     """
 
     def __init__(self):
-        self.out: dict[int, dict[str, set[int]]] = {}
-        self.inn: dict[int, dict[str, set[int]]] = {}
+        self._adj: dict[int, dict[Step, set[int]]] = {}
         self.parent: dict[int, int] = {}
         self.alpha: int = 0
         self.beta: int = 0
@@ -193,23 +206,18 @@ class GraphBuilder:
     @classmethod
     def from_graph(cls, g: BirootedGraph) -> "GraphBuilder":
         b = cls()
-        for v in g.vertices:
-            b._register(v)
+        b._adj = {v: {step: set(ts) for step, ts in table.items()} for v, table in g._adj.items()}
+        b.parent = {v: v for v in g.vertices}
+        b.touched = set(g.vertices)
         b._next = max(g.vertices) + 1
         b.alpha, b.beta = g.alpha, g.beta
-        for s, x, t in g.edges:
-            b.add_edge(s, x, t)
         return b
-
-    def _register(self, v: int) -> None:
-        self.parent[v] = v
-        self.out[v] = {}
-        self.inn[v] = {}
 
     def new_vertex(self) -> int:
         v = self._next
         self._next += 1
-        self._register(v)
+        self.parent[v] = v
+        self._adj[v] = {}
         return v
 
     def find(self, v: int) -> int:
@@ -218,151 +226,125 @@ class GraphBuilder:
             v = self.parent[v]
         return v
 
-    def add_edge(self, s: int, x: str, t: int) -> None:
-        s, t = self.find(s), self.find(t)
-        self.out[s].setdefault(x, set()).add(t)
-        self.inn[t].setdefault(x, set()).add(s)
+    def _link(self, s: int, step: Step, t: int) -> None:
+        x, sign = step
+        self._adj[s].setdefault(step, set()).add(t)
+        self._adj[t].setdefault((x, -sign), set()).add(s)
         self.touched.add(s)
         self.touched.add(t)
 
+    def add_edge(self, s: int, x: str, t: int) -> None:
+        self._link(self.find(s), (x, 1), self.find(t))
+
     def vertex_count(self) -> int:
-        return len(self.out)
+        return len(self._adj)
 
     def _degree(self, v: int) -> int:
-        return sum(len(ts) for ts in self.out[v].values()) + sum(
-            len(ss) for ss in self.inn[v].values()
-        )
+        return sum(len(ts) for ts in self._adj[v].values())
 
     def merge(self, a: int, b: int) -> int:
-        """Identify two vertices; returns the surviving representative."""
+        """Identify two vertices; returns the surviving representative.
+
+        A self-loop at b is listed under both signs and so relinked twice,
+        which the target sets absorb.
+        """
         a, b = self.find(a), self.find(b)
         if a == b:
             return a
         if self._degree(b) > self._degree(a):
             a, b = b, a
-        incident: list[tuple[str, int, bool]] = []
-        for x, ts in self.out[b].items():
-            for t in ts:
-                incident.append((x, t, True))
-                if t != b:
-                    self.inn[t][x].discard(b)
-        for x, ss in self.inn[b].items():
-            for s in ss:
-                if s != b:
-                    incident.append((x, s, False))
-                    self.out[s][x].discard(b)
-        del self.out[b]
-        del self.inn[b]
+        table = self._adj.pop(b)
         self.parent[b] = a
         self.merges += 1
-        for x, other, outgoing in incident:
-            if other == b:
-                other = a
-            if outgoing:
-                self.add_edge(a, x, other)
-            else:
-                self.add_edge(other, x, a)
+        for (x, sign), ts in table.items():
+            for t in ts:
+                if t == b:
+                    t = a
+                else:
+                    self._adj[t][(x, -sign)].discard(b)
+                self._link(a, (x, sign), t)
         return a
 
-    def _find_clash(self, v: int, reverse: bool) -> tuple[int, int] | None:
-        for table in (self.out[v], self.inn[v]):
-            for x in sorted(table, reverse=reverse):
-                targets = table[x]
-                if len(targets) > 1:
-                    pair = sorted(targets, reverse=reverse)
-                    return pair[0], pair[1]
-        return None
+    def _find_clash(self, v: int) -> tuple[int, int] | None:
+        """Least two targets of the first step of v with several; outgoing first, by letter."""
+        table = self._adj[v]
+        steps = [step for step, ts in table.items() if len(ts) > 1]
+        if not steps:
+            return None
+        return tuple(sorted(table[min(steps, key=lambda k: (-k[1], k[0]))])[:2])
 
-    def fold(self, order: str = "fifo") -> int:
+    def fold(self) -> int:
         """Merge until deterministic; returns the number of merges performed.
 
         The worklist starts from the touched vertices.  A merge can create
         new clashes only at the surviving vertex, so the worklist stays
-        sound while it re-enqueues just that vertex.  The
-        order parameter ("fifo" or "lifo") picks between two distinct
-        clash-selection orders; results agree up to isomorphism.
+        sound while it re-enqueues just that vertex.
         """
-        if order not in ("fifo", "lifo"):
-            raise ValueError(f"unknown fold order {order!r}")
-        reverse = order == "lifo"
         before = self.merges
         work = deque(sorted({self.find(v) for v in self.touched}))
         while work:
-            v = work.popleft() if order == "fifo" else work.pop()
-            v = self.find(v)
-            clash = self._find_clash(v, reverse)
+            v = self.find(work.popleft())
+            clash = self._find_clash(v)
             if clash is None:
                 continue
-            keep = self.merge(clash[0], clash[1])
+            keep = self.merge(*clash)
             work.append(self.find(v))
             work.append(keep)
         return self.merges - before
 
-    def readable_ends(self, start: int, w: Iterable[tuple[str, int]]) -> set[int]:
+    def readable_ends(self, start: int, w: Iterable[Step]) -> set[int]:
         """All endpoints of paths labeled by w from start (subset walk).
 
         Exact on non-deterministic graphs, which occur mid-round while
         sewing before the fold.
         """
         current = {self.find(start)}
-        for x, sign in w:
+        for step in w:
             nxt: set[int] = set()
-            table = self.out if sign == 1 else self.inn
             for v in current:
-                nxt |= table[v].get(x, set())
+                nxt.update(self._adj[v].get(step, ()))
             if not nxt:
                 return set()
             current = nxt
         return current
 
-    def walk(self, start: int, w: Iterable[tuple[str, int]]) -> int | None:
-        """Endpoint of the path labeled by w from representative start, or None; folded only."""
-        v = start
-        for x, sign in w:
-            targets = (self.out if sign == 1 else self.inn)[v].get(x)
-            if not targets:
-                return None
-            (v,) = targets
-        return v
+    # Endpoint of the path labeled by w from representative start, or None;
+    # folded graphs only.  Bound directly: the frontier scan calls it often.
+    walk = _walk
 
     def bfs_rank(self, targets: Iterable[int]) -> dict[int, int]:
         """Canonical breadth-first index of each target, as BirootedGraph.bfs_order.
 
         Needs a folded graph; the search stops once every target is numbered.
         """
-        alpha = self.find(self.alpha)
-        rank = {alpha: 0}
-        queue = deque([alpha])
-        missing = set(targets) - {alpha}
-        while missing:
-            v = queue.popleft()
-            out, inn = self.out[v], self.inn[v]
-            for x in sorted(out.keys() | inn.keys()):
-                for t in (*out.get(x, ()), *inn.get(x, ())):
-                    if t not in rank:
-                        rank[t] = len(rank)
-                        queue.append(t)
-                        missing.discard(t)
+        rank: dict[int, int] = {}
+        missing = set(targets)
+        for v in _bfs(self._adj, self.find(self.alpha)):
+            rank[v] = len(rank)
+            missing.discard(v)
+            if not missing:
+                break
         return rank
 
     def freeze(self) -> BirootedGraph:
         edges = [
             (s, x, t)
-            for s, table in self.out.items()
-            for x, ts in table.items()
+            for s, table in self._adj.items()
+            for (x, sign), ts in table.items()
+            if sign == 1
             for t in ts
         ]
         return BirootedGraph(self.find(self.alpha), self.find(self.beta), edges)
 
 
-def fold(g: BirootedGraph, order: str = "fifo") -> FoldReport:
+def fold(g: BirootedGraph) -> FoldReport:
     """Exhaustively determinize a graph.
 
     The report counts vertex identifications; merges is 0 exactly when the
     input was already deterministic.
     """
     b = GraphBuilder.from_graph(g)
-    merges = b.fold(order=order)
+    merges = b.fold()
     return FoldReport(merges, b.freeze())
 
 

@@ -41,6 +41,17 @@ SUBWORD = Presentation(("a", "b"), ((pos("aba"), pos("b")),))
 FREE2 = Presentation(("a", "b"), ())
 
 
+def reversed_ids(g: BirootedGraph) -> BirootedGraph:
+    """The same graph with vertex v renamed max - v.
+
+    Folding it visits clashes in another order, so comparing the two folds
+    checks confluence over two merge sequences.
+    """
+    top = max(g.vertices)
+    edges = [(top - s, x, top - t) for s, x, t in g.edges]
+    return BirootedGraph(top - g.alpha, top - g.beta, edges)
+
+
 def random_positive_word(rng, alphabet: str, max_len: int, min_len: int = 1) -> Word:
     n = rng.randint(min_len, max_len)
     return Word(tuple((rng.choice(alphabet), 1) for _ in range(n)))

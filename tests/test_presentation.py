@@ -118,6 +118,33 @@ def test_presentation_invariants():
         Presentation(("a", "b"), ((pos("ab"), pos("ab")),))
 
 
+@pytest.mark.parametrize(
+    "alphabet,message",
+    [
+        (("a^", "b"), "letter 'a^' uses a reserved character"),
+        (("a=",), "letter 'a=' uses a reserved character"),
+        (("a:",), "letter 'a:' uses a reserved character"),
+        (("#",), "letter '#' uses a reserved character"),
+        (("",), "empty letter"),
+        (("a b",), "letter 'a b' contains whitespace"),
+        (("a", "b\t"), "letter 'b\\t' contains whitespace"),
+    ],
+)
+def test_presentation_rejects_malformed_letters(alphabet, message):
+    # The parser never produces these letters; the constructor must refuse
+    # them too, or 'a^' would print like the inverse of 'a'.
+    with pytest.raises(PresentationError) as excinfo:
+        Presentation(alphabet)
+    assert str(excinfo.value) == message
+    assert excinfo.value.line is None
+
+
+def test_parse_reserved_letter_message():
+    with pytest.raises(PresentationError) as excinfo:
+        parse_presentation("# c\nX: a^ b\nR: b = bb")
+    assert str(excinfo.value) == "line 2: letter 'a^' uses a reserved character"
+
+
 def test_check_word():
     COMM.check_word(w("ab^"))
     with pytest.raises(ValueError, match="not in the alphabet"):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stephen_kit import BirootedGraph, Word, fold, isomorphic, linear_graph
-from support import pos, w
+from stephen_kit.word_graph import GraphBuilder
+from support import pos, reversed_ids, w
 
 
 # Independent fold-to-fixpoint oracle: rebuild the full adjacency index on
@@ -38,6 +39,19 @@ def naive_fold(g: BirootedGraph):
 
 signed_letters = st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1)))
 words = st.builds(lambda ls: Word(tuple(ls)), st.lists(signed_letters, max_size=12))
+
+
+@st.composite
+def multigraphs(draw):
+    """Connected graphs on up to six vertices, self-loops and parallel edges allowed."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    edges = []
+    for v in range(1, n):
+        u, x = draw(st.integers(0, v - 1)), draw(st.sampled_from("ab"))
+        edges.append((u, x, v) if draw(st.booleans()) else (v, x, u))
+    edges += draw(st.lists(st.tuples(vertex, st.sampled_from("ab"), vertex), max_size=8))
+    return BirootedGraph(0, draw(vertex), edges)
 
 
 # --- linear graphs -----------------------------------------------------------
@@ -110,6 +124,15 @@ def test_fold_matches_naive_oracle(word):
     assert len(report.final.vertices) == len(g.vertices) - report.merges
 
 
+@given(multigraphs())
+@settings(max_examples=300)
+def test_fold_multigraph_matches_naive_oracle(g):
+    report = fold(g)
+    assert isomorphic(report.final, naive_fold(g))
+    assert len(report.final.vertices) == len(g.vertices) - report.merges
+    assert isomorphic(fold(reversed_ids(g)).final, report.final)
+
+
 @given(words)
 def test_fold_idempotent(word):
     once = fold(linear_graph(word)).final
@@ -127,15 +150,10 @@ def test_fold_result_accepts_own_word(word):
 @settings(max_examples=60)
 def test_fold_confluence(word):
     g = linear_graph(word)
-    first = fold(g, order="fifo")
-    second = fold(g, order="lifo")
+    first = fold(g)
+    second = fold(reversed_ids(g))
     assert first.merges == second.merges
     assert isomorphic(first.final, second.final)
-
-
-def test_fold_rejects_unknown_order():
-    with pytest.raises(ValueError, match="fold order"):
-        fold(linear_graph(pos("a")), order="random")
 
 
 # --- acceptance --------------------------------------------------------------
@@ -185,8 +203,8 @@ def test_isomorphic_requires_deterministic():
 @settings(max_examples=60)
 def test_isomorphic_equivalence_relation(word):
     # Three independent routes to the same folded value.
-    a = fold(linear_graph(word), order="fifo").final
-    b = fold(linear_graph(word), order="lifo").final
+    a = fold(linear_graph(word)).final
+    b = fold(reversed_ids(linear_graph(word))).final
     c = naive_fold(linear_graph(word))
     assert isomorphic(a, a)
     assert isomorphic(a, b) == isomorphic(b, a)
@@ -204,6 +222,15 @@ def test_to_json_schema_and_stability():
     assert payload["vertices"] == list(range(len(g.vertices)))
     assert all(len(e) == 3 for e in payload["edges"])
     assert json.dumps(payload) == json.dumps(g.to_json())
+
+
+def test_canonical_order_by_letter_then_positive_first():
+    # Vertex 5 reaches 7 by a, 6 by a^-1 and 8 by b: letters in order, and
+    # for each letter the positive orientation before the inverse.
+    g = BirootedGraph(5, 8, [(5, "b", 8), (6, "a", 5), (5, "a", 7)])
+    assert g.bfs_order() == (5, 7, 6, 8)
+    assert g.to_json()["edges"] == [[0, "a", 1], [0, "b", 3], [2, "a", 0]]
+    assert GraphBuilder.from_graph(g).bfs_rank({6, 8}) == {5: 0, 7: 1, 6: 2, 8: 3}
 
 
 def test_to_json_canonical_across_vertex_names():
