@@ -8,12 +8,9 @@ from .engine import (
     ClosureResult,
     Direction,
     ExpansionSite,
-    StaleSiteError,
     Status,
     close,
-    elementary_expansion,
     find_expansions,
-    full_p_expansion,
     schutzenberger_automaton,
 )
 from .presentation import (
@@ -35,7 +32,7 @@ from .presentation import (
     parse_word,
     side_graphs,
 )
-from .word_graph import BirootedGraph, FoldReport, fold, isomorphic, linear_graph
+from .word_graph import BirootedGraph, FoldReport, fold, linear_graph
 
 __version__ = "0.1.0"
 
@@ -56,7 +53,6 @@ __all__ = [
     "Presentation",
     "PresentationError",
     "SideGraph",
-    "StaleSiteError",
     "Status",
     "Verdict",
     "Word",
@@ -65,13 +61,10 @@ __all__ = [
     "count_r_word_occurrences",
     "decide_equal",
     "decide_natural_leq",
-    "elementary_expansion",
     "find_expansions",
     "fold",
-    "full_p_expansion",
     "is_adian",
     "is_idempotent",
-    "isomorphic",
     "linear_graph",
     "overlap_profile",
     "parse_presentation",

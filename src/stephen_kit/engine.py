@@ -8,25 +8,28 @@ Iterating rounds to a fixpoint yields the Schützenberger automaton of the
 start word (any closed endpoint is the automaton); budgets bound the loop
 because the fixpoint can be an infinite graph.
 
-close keeps one GraphBuilder for the whole run and scans the full graph
-for sites only before round 1.  Later rounds scan the frontier: the start
+A closure runs on one GraphBuilder from the start word to the result:
+schutzenberger_automaton builds the word's chain in it and folds it
+there, and close freezes it once, at the end.  Round 0 scans every vertex
+for sites; ranked by the breadth-first index of their start, they come in
+find_expansions' order.  Later rounds scan the frontier: the start
 vertices reached by walking back along every prefix of every relation
 side from the vertices the last round touched (new chain vertices, chain
 endpoints, merge survivors, neighbours whose edges a merge moved).  That
 finds every site: sewing and folding map the old graph homomorphically
-into the new one, so a read path avoiding all touched vertices
-lifts to a path of the old graph, whose site the last round sewed or
-found stale; either way the other side is readable now.  This is the
-deduction stack of coset enumeration.
+into the new one, so a read path avoiding all touched vertices lifts to
+a path of the old graph, whose site the last round sewed or found stale;
+either way the other side is readable now.  This is the deduction stack
+of coset enumeration.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .presentation import Presentation, Word, _MutableRecord, _Record, _set
-from .word_graph import BirootedGraph, GraphBuilder, fold, linear_graph
+from .word_graph import BirootedGraph, GraphBuilder
 
 
 class Direction(enum.Enum):
@@ -103,10 +106,6 @@ class ClosureResult(_MutableRecord):
         }
 
 
-class StaleSiteError(RuntimeError):
-    """The site's missing side became readable; sewing it would be redundant."""
-
-
 def _sides(site: ExpansionSite, p: Presentation) -> tuple[Word, Word]:
     lhs, rhs = p.relations[site.relation_index]
     if site.direction is Direction.LHS_READ:
@@ -130,19 +129,32 @@ def _checks(p: Presentation) -> list[Check]:
     ]
 
 
-def _sites_from(
-    walk: Callable[[int, Letters], int | None], starts: Iterable[int], checks: list[Check]
-) -> list[ExpansionSite]:
+def _sites_from(adj: dict, starts: Iterable[int], checks: list[Check]) -> list[ExpansionSite]:
     """The sites at each start in turn, by relation index, then direction.
 
-    walk is the deterministic path walk of the graph being scanned.
+    adj is the step-keyed adjacency of the deterministic graph being
+    scanned; the walks are written out here because this is the inner loop
+    of every closure.
     """
     sites = []
     for start in starts:
         for rel_index, direction, read, sew in checks:
-            end = walk(start, read)
-            if end is not None and walk(start, sew) != end:
-                sites.append(ExpansionSite(rel_index, direction, start, end))
+            end = start
+            for step in read:
+                targets = adj[end].get(step)
+                if not targets:
+                    break
+                (end,) = targets
+            else:
+                v = start
+                for step in sew:
+                    targets = adj[v].get(step)
+                    if not targets:
+                        v = None
+                        break
+                    (v,) = targets
+                if v != end:
+                    sites.append(ExpansionSite(rel_index, direction, start, end))
     return sites
 
 
@@ -155,7 +167,7 @@ def find_expansions(g: BirootedGraph, p: Presentation) -> list[ExpansionSite]:
     """
     if not g.is_deterministic:
         raise ValueError("find_expansions() requires a deterministic graph")
-    return _sites_from(g.walk, g.bfs_order(), _checks(p))
+    return _sites_from(g._adj, g.bfs_order(), _checks(p))
 
 
 def _back_prefixes(p: Presentation) -> frozenset[Letters]:
@@ -166,25 +178,38 @@ def _back_prefixes(p: Presentation) -> frozenset[Letters]:
     return frozenset(inverse[k:] for inverse in inverses for k in range(len(inverse) + 1))
 
 
-def _frontier_sites(
-    b: GraphBuilder, checks: list[Check], backs: frozenset[Letters]
-) -> list[ExpansionSite]:
-    """The sites of folded b whose read path meets b.touched, in canonical order.
+def _ranked_sites(b: GraphBuilder, starts: Iterable[int], checks: list[Check]) -> list[ExpansionSite]:
+    """The sites of folded b at the given starts, in find_expansions' order.
 
-    After a round these are all of b's sites (see the module docstring).
-    checks and backs are _checks(p) and _back_prefixes(p), which close
-    computes once.  Only starts that carry a site are ranked, by a
-    breadth-first search that stops once it has numbered them all.
+    Only starts that carry a site are ranked, by a breadth-first search
+    that stops once it has numbered them all.
     """
-    seeds = {b.find(v) for v in b.touched}
-    starts = {b.walk(v, back) for v in seeds for back in backs}
-    starts.discard(None)
-    sites = _sites_from(b.walk, starts, checks)
+    sites = _sites_from(b._adj, starts, checks)
     carriers = {site.start for site in sites}
     if len(carriers) > 1:
         rank = b.bfs_rank(carriers)
         sites.sort(key=lambda site: rank[site.start])
     return sites
+
+
+def _frontier(b: GraphBuilder, backs: frozenset[Letters]) -> set[int]:
+    """The starts of every read path of folded b that meets b.touched.
+
+    After a round every site of b starts there (see the module docstring).
+    backs is _back_prefixes(p), which close computes once.
+    """
+    adj, starts = b._adj, set()
+    for seed in {b.find(v) for v in b.touched}:
+        for back in backs:
+            v = seed
+            for step in back:
+                targets = adj[v].get(step)
+                if not targets:
+                    break
+                (v,) = targets
+            else:
+                starts.add(v)
+    return starts
 
 
 def _sew(b: GraphBuilder, start: int, end: int, side: Word) -> None:
@@ -195,24 +220,6 @@ def _sew(b: GraphBuilder, start: int, end: int, side: Word) -> None:
         b.add_edge(prev, x, nv)
         prev = nv
     b.add_edge(prev, side.letters[-1][0], end)
-
-
-def elementary_expansion(g: BirootedGraph, site: ExpansionSite, p: Presentation) -> BirootedGraph:
-    """Sew the site's missing side between start and end; no folding.
-
-    The site is revalidated first: if the read side no longer labels a
-    start -> end path the site is invalid (ValueError); if the missing side
-    has become readable the site is stale (StaleSiteError) and the input
-    graph is unchanged.
-    """
-    read, sew = _sides(site, p)
-    b = GraphBuilder.from_graph(g)
-    if site.end not in b.readable_ends(site.start, read):
-        raise ValueError("invalid site: read side does not label a start -> end path")
-    if site.end in b.readable_ends(site.start, sew):
-        raise StaleSiteError("opposite side already readable between the site's roots")
-    _sew(b, site.start, site.end, sew)
-    return b.freeze()
 
 
 def _sew_round(b: GraphBuilder, p: Presentation, sites: list[ExpansionSite]) -> int:
@@ -231,43 +238,33 @@ def _sew_round(b: GraphBuilder, p: Presentation, sites: list[ExpansionSite]) -> 
     return b.fold()
 
 
-def full_p_expansion(g: BirootedGraph, p: Presentation) -> BirootedGraph:
-    """One full round: sew every site found at round start, then fold.
-
-    Sites that only become available mid-round are left for the next round.
-    """
-    sites = find_expansions(g, p)
-    b = GraphBuilder.from_graph(g)
-    _sew_round(b, p, sites)
-    return b.freeze()
-
-
-def close(g: BirootedGraph, p: Presentation, budget: Budget = Budget()) -> ClosureResult:
+def close(
+    g: BirootedGraph | GraphBuilder, p: Presentation, budget: Budget = Budget()
+) -> ClosureResult:
     """Iterate full rounds until no site remains or a budget limit trips.
 
-    On budget exhaustion the returned graph is the last completed round's
-    approximation; that is a status, not an error.
+    g is a deterministic graph, or a folded GraphBuilder, which close then
+    grows in place.  On budget exhaustion the returned graph is the last
+    completed round's approximation; that is a status, not an error.
     """
-    if not g.is_deterministic:
+    if isinstance(g, GraphBuilder):
+        b = g
+    elif g.is_deterministic:
+        b = GraphBuilder.from_graph(g)
+    else:
         raise ValueError("close() requires a deterministic graph")
-    sites = find_expansions(g, p)
-    if not sites:
-        return ClosureResult(Status.CLOSED, g, 0, 0, (len(g.vertices),))
-    b = GraphBuilder.from_graph(g)
     checks, backs = _checks(p), _back_prefixes(p)
-    history = [len(g.vertices)]
+    history = [b.vertex_count()]
     rounds = fold_events = 0
-    status = Status.BUDGET_EXCEEDED
-    while rounds < budget.max_rounds:
+    sites = _ranked_sites(b, list(b._adj), checks)
+    while sites and rounds < budget.max_rounds:
         fold_events += _sew_round(b, p, sites)
         rounds += 1
         history.append(b.vertex_count())
         if history[-1] > budget.max_vertices:
             break
-        sites = _frontier_sites(b, checks, backs)
-        if not sites:
-            status = Status.CLOSED
-            break
+        sites = _ranked_sites(b, _frontier(b, backs), checks)
+    status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
     return ClosureResult(status, b.freeze(), rounds, fold_events, tuple(history))
 
 
@@ -280,4 +277,6 @@ def schutzenberger_automaton(
     above w, so the closed result is the Schützenberger automaton of w.
     """
     p.check_word(w)
-    return close(fold(linear_graph(w)).final, p, budget)
+    b = GraphBuilder.from_word(w)
+    b.fold()
+    return close(b, p, budget)

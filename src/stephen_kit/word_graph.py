@@ -4,12 +4,14 @@ A graph lists each edge once, in its positively labeled orientation
 (p, x, q); traversing it backwards acts as the implicit edge labeled x^-1
 from q to p.  Both graph classes index edges the same way, by signed step:
 adj[p][(x, 1)] holds q and adj[q][(x, -1)] holds p, so a walk along a
-signed word looks each letter up directly, and one walk, one canonical
-breadth-first order and one renumbering serve both.  Folding
-(determination) merges the endpoints of equally labeled edges leaving one
-vertex until the graph is deterministic; the result is a quotient of the
-input and, because folding is confluent, it is independent of the merge
-order up to root-respecting isomorphism.
+signed word looks each letter up directly, and one canonical
+breadth-first order serves both.  GraphBuilder.freeze hands its table to
+the frozen graph, which copies it with tuples as targets and lists its
+edges only when they are first read.  Folding (determination) merges the
+endpoints of equally labeled edges leaving one vertex until the graph is
+deterministic; the result is a quotient of the input and, because folding
+is confluent, it is independent of the merge order up to root-respecting
+isomorphism.
 
 Graphs are value-like: the mutable machinery lives in GraphBuilder, which
 fold and the expansion engine share; a constructed BirootedGraph is never
@@ -19,24 +21,14 @@ mutated and is safe to share between readers.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .presentation import Word, _Record, _set
 
 Edge = tuple[int, str, int]
 Step = tuple[str, int]
-
-
-def _walk(graph, start: int, w: Iterable[Step]) -> int | None:
-    """Endpoint of the path labeled by w from start, or None; graph must be deterministic."""
-    adj = graph._adj
-    v = start
-    for step in w:
-        targets = adj[v].get(step)
-        if not targets:
-            return None
-        (v,) = targets
-    return v
+Adjacency = dict[int, dict[Step, set[int]]]
 
 
 def _bfs(adj: dict[int, dict[Step, Iterable[int]]], alpha: int) -> Iterator[int]:
@@ -65,29 +57,42 @@ class BirootedGraph:
     undirected edge set; this is validated on construction.
     """
 
-    def __init__(self, alpha: int, beta: int, edges: Iterable[Edge]):
+    def __init__(self, alpha: int, beta: int, edges: Iterable[Edge] | Adjacency):
+        """Build from (s, x, t) triples, or copy the step-keyed adjacency
+        table that GraphBuilder.freeze hands over; edges is then listed
+        only when first read.
+        """
         self.alpha = alpha
         self.beta = beta
-        self.edges: frozenset[Edge] = frozenset((s, x, t) for s, x, t in edges)
-        vertices = {alpha, beta}
-        for s, _, t in self.edges:
-            vertices.add(s)
-            vertices.add(t)
-        self.vertices: frozenset[int] = frozenset(vertices)
-        adj: dict[int, dict[Step, list[int]]] = {v: {} for v in vertices}
-        for s, x, t in self.edges:
-            adj[s].setdefault((x, 1), []).append(t)
-            adj[t].setdefault((x, -1), []).append(s)
-        self._adj = {
-            v: {step: tuple(sorted(ts)) for step, ts in table.items()}
+        if isinstance(edges, dict):
+            adj = edges
+        else:
+            self.edges = frozenset((s, x, t) for s, x, t in edges)
+            adj = {alpha: {}, beta: {}}
+            for s, x, t in self.edges:
+                adj.setdefault(s, {}).setdefault((x, 1), []).append(t)
+                adj.setdefault(t, {}).setdefault((x, -1), []).append(s)
+        self._adj: dict[int, dict[Step, tuple[int, ...]]] = {
+            v: {step: tuple(ts) if len(ts) == 1 else tuple(sorted(ts)) for step, ts in table.items()}
             for v, table in adj.items()
         }
+        self.vertices: frozenset[int] = frozenset(self._adj)
         self.is_deterministic = all(
             len(ts) == 1 for table in self._adj.values() for ts in table.values()
         )
         self._bfs = tuple(_bfs(self._adj, alpha))
         if len(self._bfs) != len(self.vertices):
             raise ValueError("graph is not connected from alpha")
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(
+            (s, x, t)
+            for s, table in self._adj.items()
+            for (x, sign), ts in table.items()
+            if sign == 1
+            for t in ts
+        )
 
     def bfs_order(self) -> tuple[int, ...]:
         """Vertices in canonical breadth-first order from alpha."""
@@ -100,7 +105,13 @@ class BirootedGraph:
         """
         if not self.is_deterministic:
             raise ValueError("walk() requires a deterministic graph")
-        return _walk(self, start, w)
+        v = start
+        for step in w:
+            targets = self._adj[v].get(step)
+            if not targets:
+                return None
+            (v,) = targets
+        return v
 
     def accepts(self, w: Word) -> bool:
         """True iff w labels a path from alpha to beta."""
@@ -164,13 +175,7 @@ def linear_graph(w: Word) -> BirootedGraph:
     empty word is admitted and yields the single-vertex graph with
     alpha = beta.
     """
-    edges = []
-    for i, (x, sign) in enumerate(w):
-        if sign == 1:
-            edges.append((i, x, i + 1))
-        else:
-            edges.append((i + 1, x, i))
-    return BirootedGraph(0, len(w), edges)
+    return GraphBuilder.from_word(w).freeze()
 
 
 class FoldReport(_Record):
@@ -211,6 +216,16 @@ class GraphBuilder:
         b.touched = set(g.vertices)
         b._next = max(g.vertices) + 1
         b.alpha, b.beta = g.alpha, g.beta
+        return b
+
+    @classmethod
+    def from_word(cls, w: Word) -> "GraphBuilder":
+        """The unfolded chain spelling w, vertices 0 to len(w), all touched."""
+        b = cls()
+        b.new_vertex()
+        for i, step in enumerate(w):
+            b._link(i, step, b.new_vertex())
+        b.beta = len(w)
         return b
 
     def new_vertex(self) -> int:
@@ -308,10 +323,6 @@ class GraphBuilder:
             current = nxt
         return current
 
-    # Endpoint of the path labeled by w from representative start, or None;
-    # folded graphs only.  Bound directly: the frontier scan calls it often.
-    walk = _walk
-
     def bfs_rank(self, targets: Iterable[int]) -> dict[int, int]:
         """Canonical breadth-first index of each target, as BirootedGraph.bfs_order.
 
@@ -327,14 +338,7 @@ class GraphBuilder:
         return rank
 
     def freeze(self) -> BirootedGraph:
-        edges = [
-            (s, x, t)
-            for s, table in self._adj.items()
-            for (x, sign), ts in table.items()
-            if sign == 1
-            for t in ts
-        ]
-        return BirootedGraph(self.find(self.alpha), self.find(self.beta), edges)
+        return BirootedGraph(self.find(self.alpha), self.find(self.beta), self._adj)
 
 
 def fold(g: BirootedGraph) -> FoldReport:
@@ -346,31 +350,3 @@ def fold(g: BirootedGraph) -> FoldReport:
     b = GraphBuilder.from_graph(g)
     merges = b.fold()
     return FoldReport(merges, b.freeze())
-
-
-def isomorphic(g1: BirootedGraph, g2: BirootedGraph) -> bool:
-    """Root-respecting automaton isomorphism, by parallel traversal.
-
-    Deterministic connected graphs admit at most one label-preserving map
-    extending alpha -> alpha; this checks that it exists, is total, and
-    sends beta to beta.
-    """
-    if not (g1.is_deterministic and g2.is_deterministic):
-        raise ValueError("isomorphic() requires deterministic graphs")
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    pairing = {g1.alpha: g2.alpha}
-    queue = deque([(g1.alpha, g2.alpha)])
-    while queue:
-        v1, v2 = queue.popleft()
-        if g1._adj[v1].keys() != g2._adj[v2].keys():
-            return False
-        for key, (t1,) in g1._adj[v1].items():
-            t2 = g2._adj[v2][key][0]
-            if t1 in pairing:
-                if pairing[t1] != t2:
-                    return False
-            else:
-                pairing[t1] = t2
-                queue.append((t1, t2))
-    return pairing[g1.beta] == g2.beta

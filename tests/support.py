@@ -1,17 +1,20 @@
 """Shared builders and fixture presentations for the test suite."""
 
 import itertools
+from collections import deque
 
 from stephen_kit import (
     BirootedGraph,
     Budget,
     ClosureResult,
     Direction,
+    ExpansionSite,
     Presentation,
     Status,
     Word,
     find_expansions,
 )
+from stephen_kit.engine import _sew, _sew_round, _sides
 from stephen_kit.word_graph import GraphBuilder
 
 
@@ -112,3 +115,65 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
             status = Status.BUDGET_EXCEEDED
             break
     return ClosureResult(status, g, rounds, fold_events, tuple(history))
+
+
+class StaleSiteError(RuntimeError):
+    """The site's missing side became readable; sewing it would be redundant."""
+
+
+def elementary_expansion(g: BirootedGraph, site: ExpansionSite, p: Presentation) -> BirootedGraph:
+    """Sew the site's missing side between start and end; no folding.
+
+    The site is revalidated first: if the read side no longer labels a
+    start -> end path the site is invalid (ValueError); if the missing side
+    has become readable the site is stale (StaleSiteError) and the input
+    graph is unchanged.
+    """
+    read, sew = _sides(site, p)
+    b = GraphBuilder.from_graph(g)
+    if site.end not in b.readable_ends(site.start, read):
+        raise ValueError("invalid site: read side does not label a start -> end path")
+    if site.end in b.readable_ends(site.start, sew):
+        raise StaleSiteError("opposite side already readable between the site's roots")
+    _sew(b, site.start, site.end, sew)
+    return b.freeze()
+
+
+def full_p_expansion(g: BirootedGraph, p: Presentation) -> BirootedGraph:
+    """One full round: sew every site found at round start, then fold.
+
+    Sites that only become available mid-round are left for the next round.
+    """
+    sites = find_expansions(g, p)
+    b = GraphBuilder.from_graph(g)
+    _sew_round(b, p, sites)
+    return b.freeze()
+
+
+def isomorphic(g1: BirootedGraph, g2: BirootedGraph) -> bool:
+    """Root-respecting automaton isomorphism, by parallel traversal.
+
+    Deterministic connected graphs admit at most one label-preserving map
+    extending alpha -> alpha; this checks that it exists, is total, and
+    sends beta to beta.  It shares no code with canonical_key, so tests
+    can check one against the other.
+    """
+    if not (g1.is_deterministic and g2.is_deterministic):
+        raise ValueError("isomorphic() requires deterministic graphs")
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return False
+    pairing = {g1.alpha: g2.alpha}
+    queue = deque([(g1.alpha, g2.alpha)])
+    while queue:
+        v1, v2 = queue.popleft()
+        if g1._adj[v1].keys() != g2._adj[v2].keys():
+            return False
+        for key, (t1,) in g1._adj[v1].items():
+            t2 = g2._adj[v2][key][0]
+            if t1 in pairing:
+                if pairing[t1] != t2:
+                    return False
+            else:
+                pairing[t1] = t2
+                queue.append((t1, t2))
+    return pairing[g1.beta] == g2.beta

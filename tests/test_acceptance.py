@@ -23,10 +23,8 @@ from stephen_kit import (
     decide_natural_leq,
     find_expansions,
     fold,
-    full_p_expansion,
     is_adian,
     is_idempotent,
-    isomorphic,
     linear_graph,
     schutzenberger_automaton,
     side_graphs,
@@ -42,6 +40,8 @@ from support import (
     SUBWORD,
     all_positive_words,
     all_signed_words,
+    full_p_expansion,
+    isomorphic,
     pos,
     random_positive_word,
     reversed_ids,

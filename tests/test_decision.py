@@ -12,10 +12,9 @@ from stephen_kit import (
     decide_equal,
     decide_natural_leq,
     is_idempotent,
-    isomorphic,
 )
 from oracle import munn_tree
-from support import CASE1, COMM, FACT1, FREE2, SUBWORD, all_signed_words, pos, w
+from support import CASE1, COMM, FACT1, FREE2, SUBWORD, all_signed_words, isomorphic, pos, w
 
 
 small_positive = st.builds(

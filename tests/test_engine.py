@@ -2,7 +2,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stephen_kit import (
     BirootedGraph,
@@ -10,16 +10,12 @@ from stephen_kit import (
     Direction,
     ExpansionSite,
     Presentation,
-    StaleSiteError,
     Status,
     Word,
     close,
     count_r_word_occurrences,
-    elementary_expansion,
     find_expansions,
     fold,
-    full_p_expansion,
-    isomorphic,
     linear_graph,
     schutzenberger_automaton,
 )
@@ -31,6 +27,10 @@ from support import (
     COMM,
     FACT1,
     SUBWORD,
+    StaleSiteError,
+    elementary_expansion,
+    full_p_expansion,
+    isomorphic,
     naive_close,
     pos,
     random_positive_word,
@@ -348,6 +348,22 @@ def test_close_matches_rebuilding_reference(p, word, budget):
     assert_same_closure(close(g, p, budget), naive_close(g, p, budget))
 
 
+@given(small_presentations, signed_words, small_budgets)
+@example(COMM, Word(), Budget(1, 1))
+@example(COMM, pos("aa"), Budget(1, 200))  # no site: closed at round 0
+@example(COMM, w("aa^ab"), Budget(1, 1))  # folds, then stops after round 1
+@example(SUBWORD, w("aa^a"), Budget(1, 200))
+@example(SUBWORD, w("b^aa^bab"), Budget(2, 200))
+@settings(max_examples=150)
+def test_automaton_matches_close_of_folded_linear_graph(p, word, budget):
+    # schutzenberger_automaton builds and folds the word on the closure's
+    # builder; merges of that fold count in neither fold_events nor rounds.
+    result = schutzenberger_automaton(word, p, budget)
+    reference = close(fold(linear_graph(word)).final, p, budget)
+    assert_same_closure(result, reference)
+    assert result.graph.to_json() == reference.graph.to_json()
+
+
 def test_close_keeps_canonical_site_order():
     # Sewing this word's sites in another order skips other stale sites
     # and changes fold_events, so the pinned counts catch a reordering.
@@ -368,13 +384,46 @@ def random_presentation(rng) -> Presentation:
     return Presentation(("a", "b"), tuple(relations))
 
 
+def assert_same_as_rebuilt(g: BirootedGraph) -> None:
+    rebuilt = BirootedGraph(g.alpha, g.beta, g.edges)
+    assert rebuilt.edges == g.edges
+    assert rebuilt.vertices == g.vertices
+    assert rebuilt.is_deterministic == g.is_deterministic
+    assert rebuilt.bfs_order() == g.bfs_order()
+    assert rebuilt.canonical_key() == g.canonical_key()
+    assert rebuilt.to_json() == g.to_json()
+    assert rebuilt.to_dot() == g.to_dot()
+
+
+def test_frozen_graphs_equal_graphs_rebuilt_from_their_edges():
+    # A frozen graph copies its builder's adjacency and lists its edges
+    # only when they are read; the public constructor starts from edges.
+    rng = random.Random(11)
+    nondeterministic = 0
+    for _ in range(300):
+        p = random_presentation(rng)
+        word = random_signed_word(rng, "ab", 10)
+        folded = fold(linear_graph(word)).final
+        graphs = [linear_graph(word), folded]
+        graphs.append(schutzenberger_automaton(word, p, Budget(rng.randint(1, 16), 200)).graph)
+        sites = find_expansions(folded, p)
+        if sites:
+            graphs.append(elementary_expansion(folded, rng.choice(sites), p))
+        for g in graphs:
+            assert_same_as_rebuilt(g)
+            nondeterministic += not g.is_deterministic
+    assert nondeterministic > 300
+
+
 def test_frontier_scan_equals_full_scan_every_round():
-    frontier_sites = engine._frontier_sites
+    # Round 0 scans every vertex of the builder, later rounds the frontier;
+    # both must find what find_expansions finds on the frozen graph.
+    ranked_sites = engine._ranked_sites
     rounds = []
     closing = []  # the presentation of the closure under way
 
-    def checked(b, checks, backs):
-        sites = frontier_sites(b, checks, backs)
+    def checked(b, starts, checks):
+        sites = ranked_sites(b, starts, checks)
         assert sites == find_expansions(b.freeze(), closing[-1])
         rounds.append(len(sites))
         return sites
@@ -386,7 +435,7 @@ def test_frontier_scan_equals_full_scan_every_round():
     rng = random.Random(2)
     bbb = Presentation(("a", "b"), ((pos("b"), pos("bbb")), (pos("bb"), pos("aaa"))))
     cascade = Presentation(("a", "b", "c"), ((pos("bc"), pos("bcc")),))
-    with mock.patch.object(engine, "_frontier_sites", checked):
+    with mock.patch.object(engine, "_ranked_sites", checked):
         # This round's fold cascades, and a site appears at a later merge
         # survivor that no sewn chain reaches.
         checked_close(fold(linear_graph(w("babaa^cb^a^cac^a^"))).final, cascade)
@@ -398,10 +447,12 @@ def test_frontier_scan_equals_full_scan_every_round():
 
 
 def test_divergent_closure_does_no_per_round_rebuild(monkeypatch):
-    # Counts, not timings: a per-round rescan or refreeze would make both
-    # counts grow with the vertex budget.
-    scans, graphs = [], []
-    scan, init = engine.find_expansions, BirootedGraph.__init__
+    # Counts, not timings: a per-round rescan, refreeze or copy would make
+    # the counts grow with the vertex budget.  The word is built and folded
+    # on the closure's own builder, every scan runs on that builder, and
+    # the graph is frozen once, at the end.
+    scans, graphs, copies = [], [], []
+    scan, init, copy = engine.find_expansions, BirootedGraph.__init__, GraphBuilder.from_graph
 
     def counted_scan(g, p):
         scans.append(g)
@@ -411,16 +462,19 @@ def test_divergent_closure_does_no_per_round_rebuild(monkeypatch):
         graphs.append(self)
         init(self, *args, **kwargs)
 
+    def counted_copy(g):
+        copies.append(g)
+        return copy(g)
+
     monkeypatch.setattr(engine, "find_expansions", counted_scan)
     monkeypatch.setattr(BirootedGraph, "__init__", counted_init)
-    counts = []
+    monkeypatch.setattr(GraphBuilder, "from_graph", counted_copy)
     for max_vertices in (500, 2000):
         scans.clear()
         graphs.clear()
+        copies.clear()
         result = schutzenberger_automaton(pos("ab"), SUBWORD, Budget(10_000, max_vertices))
         assert result.status is Status.BUDGET_EXCEEDED
         assert len(result.graph.vertices) > max_vertices
-        counts.append((len(scans), len(graphs)))
-    assert counts[0] == counts[1]
-    assert counts[0][0] == 1
-    assert counts[0][1] <= 3
+        assert (len(scans), len(graphs), len(copies)) == (0, 1, 0)
+        assert graphs == [result.graph]

@@ -3,9 +3,9 @@ import random
 
 from hypothesis import given, strategies as st
 
-from stephen_kit import Answer, Word, decide_equal, fold, isomorphic, linear_graph
+from stephen_kit import Answer, Word, decide_equal, fold, linear_graph
 from oracle import brute_force_accepts, brute_force_closure, brute_force_equal, munn_tree
-from support import CASE1, COMM, pos, w
+from support import CASE1, COMM, isomorphic, pos, w
 
 
 signed_words = st.builds(

@@ -5,9 +5,9 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stephen_kit import BirootedGraph, Word, fold, isomorphic, linear_graph
+from stephen_kit import BirootedGraph, Word, fold, linear_graph
 from stephen_kit.word_graph import GraphBuilder
-from support import pos, reversed_ids, w
+from support import isomorphic, pos, reversed_ids, w
 
 
 # Independent fold-to-fixpoint oracle: rebuild the full adjacency index on
@@ -89,6 +89,15 @@ def test_linear_graph_size(word):
 def test_disconnected_graph_rejected():
     with pytest.raises(ValueError, match="not connected"):
         BirootedGraph(0, 1, [(2, "a", 3)])
+    with pytest.raises(ValueError, match="not connected"):
+        BirootedGraph(0, 1, [(0, "a", 1), (2, "b", 3)])
+
+
+def test_disconnected_builder_rejected_on_freeze():
+    b = GraphBuilder.from_word(pos("ab"))
+    b.add_edge(b.new_vertex(), "a", b.new_vertex())
+    with pytest.raises(ValueError, match="not connected"):
+        b.freeze()
 
 
 # --- folding -----------------------------------------------------------------
