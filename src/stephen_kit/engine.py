@@ -199,7 +199,7 @@ def _frontier(b: GraphBuilder, backs: frozenset[Letters]) -> set[int]:
     backs is _back_prefixes(p), which close computes once.
     """
     adj, starts = b._adj, set()
-    for seed in {b.find(v) for v in b.touched}:
+    for seed in b.touched:
         for back in backs:
             v = seed
             for step in back:
@@ -210,16 +210,6 @@ def _frontier(b: GraphBuilder, backs: frozenset[Letters]) -> set[int]:
             else:
                 starts.add(v)
     return starts
-
-
-def _sew(b: GraphBuilder, start: int, end: int, side: Word) -> None:
-    # Relation sides are positive, so a sewn chain is all forward edges.
-    prev = start
-    for x, _ in side.letters[:-1]:
-        nv = b.new_vertex()
-        b.add_edge(prev, x, nv)
-        prev = nv
-    b.add_edge(prev, side.letters[-1][0], end)
 
 
 def _sew_round(b: GraphBuilder, p: Presentation, sites: list[ExpansionSite]) -> int:
@@ -234,7 +224,7 @@ def _sew_round(b: GraphBuilder, p: Presentation, sites: list[ExpansionSite]) -> 
         # Earlier sewing in this round may have saturated the site already.
         if site.end in b.readable_ends(site.start, sew):
             continue
-        _sew(b, site.start, site.end, sew)
+        b.spell(site.start, sew.letters, site.end)
     return b.fold()
 
 
@@ -243,7 +233,9 @@ def close(
 ) -> ClosureResult:
     """Iterate full rounds until no site remains or a budget limit trips.
 
-    g is a deterministic graph, or a folded GraphBuilder, which close then
+    The vertex limit is checked after each round's site scan, so a round
+    that leaves no site is closed even when it crosses the limit.  g is a
+    deterministic graph, or a folded GraphBuilder, which close then
     grows in place.  On budget exhaustion the returned graph is the last
     completed round's approximation; that is a status, not an error.
     """
@@ -261,9 +253,9 @@ def close(
         fold_events += _sew_round(b, p, sites)
         rounds += 1
         history.append(b.vertex_count())
+        sites = _ranked_sites(b, _frontier(b, backs), checks)
         if history[-1] > budget.max_vertices:
             break
-        sites = _ranked_sites(b, _frontier(b, backs), checks)
     status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
     return ClosureResult(status, b.freeze(), rounds, fold_events, tuple(history))
 

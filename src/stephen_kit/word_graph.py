@@ -15,14 +15,16 @@ isomorphism.
 
 Graphs are value-like: the mutable machinery lives in GraphBuilder, which
 fold and the expansion engine share; a constructed BirootedGraph is never
-mutated and is safe to share between readers.
+mutated and is safe to share between readers.  GraphBuilder does the two
+things Stephen's procedure does to a graph, spelling a chain and folding,
+on one adjacency table that is its only record of the graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .presentation import Word, _Record, _set
 
@@ -187,24 +189,23 @@ class FoldReport(_Record):
 
 
 class GraphBuilder:
-    """Mutable multigraph with union-find vertex merging.
+    """Mutable multigraph that folding and the engine's sewing share.
 
-    Backs both folding and the engine's sewing step.  It stores adjacency
-    as BirootedGraph does, adj[v][(letter, sign)] -> targets, with sets as
-    targets and an edge p -x-> q listed at p under (x, 1) and at q under
-    (x, -1).  Tables are kept for representatives only and always
-    reference live vertices, so a merge has to relink exactly the edges at
-    the vertex that goes away.  touched collects every vertex given an
-    edge since its owner last cleared it; a deterministic graph can gain a
-    clash only at such a vertex, so fold looks for clashes there alone.
+    It stores adjacency as BirootedGraph does, adj[v][(letter, sign)] ->
+    targets, with sets as targets and an edge p -x-> q listed at p under
+    (x, 1) and at q under (x, -1).  That table is the builder's only record
+    of the graph.  A vertex dies only in merge, which relinks its edges onto
+    the survivor and moves the roots and touched off it, so every vertex id
+    the builder holds is a key of the table.  touched collects every vertex
+    given an edge since its owner last cleared it; a deterministic graph can
+    gain a clash only at such a vertex, so fold looks for clashes there
+    alone.
     """
 
     def __init__(self):
-        self._adj: dict[int, dict[Step, set[int]]] = {}
-        self.parent: dict[int, int] = {}
+        self._adj: Adjacency = {}
         self.alpha: int = 0
         self.beta: int = 0
-        self.merges = 0
         self.touched: set[int] = set()
         self._next = 0
 
@@ -212,7 +213,6 @@ class GraphBuilder:
     def from_graph(cls, g: BirootedGraph) -> "GraphBuilder":
         b = cls()
         b._adj = {v: {step: set(ts) for step, ts in table.items()} for v, table in g._adj.items()}
-        b.parent = {v: v for v in g.vertices}
         b.touched = set(g.vertices)
         b._next = max(g.vertices) + 1
         b.alpha, b.beta = g.alpha, g.beta
@@ -222,34 +222,34 @@ class GraphBuilder:
     def from_word(cls, w: Word) -> "GraphBuilder":
         """The unfolded chain spelling w, vertices 0 to len(w), all touched."""
         b = cls()
-        b.new_vertex()
-        for i, step in enumerate(w):
-            b._link(i, step, b.new_vertex())
-        b.beta = len(w)
+        b.beta = b.spell(b.new_vertex(), w.letters)
         return b
 
     def new_vertex(self) -> int:
         v = self._next
         self._next += 1
-        self.parent[v] = v
         self._adj[v] = {}
         return v
 
-    def find(self, v: int) -> int:
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def _link(self, s: int, step: Step, t: int) -> None:
+    def link(self, s: int, step: Step, t: int) -> None:
+        """Add the edge from s along the signed step to t, listed at both ends."""
         x, sign = step
         self._adj[s].setdefault(step, set()).add(t)
         self._adj[t].setdefault((x, -sign), set()).add(s)
         self.touched.add(s)
         self.touched.add(t)
 
-    def add_edge(self, s: int, x: str, t: int) -> None:
-        self._link(self.find(s), (x, 1), self.find(t))
+    def spell(self, start: int, steps: Sequence[Step], end: int | None = None) -> int:
+        """Add a chain labeled by steps from start through fresh vertices.
+
+        The last step lands on end if one is given, else on a fresh vertex
+        too; returns the chain's last vertex.
+        """
+        for i, step in enumerate(steps, 1):
+            t = end if end is not None and i == len(steps) else self.new_vertex()
+            self.link(start, step, t)
+            start = t
+        return start
 
     def vertex_count(self) -> int:
         return len(self._adj)
@@ -258,26 +258,24 @@ class GraphBuilder:
         return sum(len(ts) for ts in self._adj[v].values())
 
     def merge(self, a: int, b: int) -> int:
-        """Identify two vertices; returns the surviving representative.
+        """Identify two distinct vertices; returns the survivor.
 
-        A self-loop at b is listed under both signs and so relinked twice,
-        which the target sets absorb.
+        A self-loop at the removed vertex is listed under both signs and so
+        relinked twice, which the target sets absorb.
         """
-        a, b = self.find(a), self.find(b)
-        if a == b:
-            return a
         if self._degree(b) > self._degree(a):
             a, b = b, a
         table = self._adj.pop(b)
-        self.parent[b] = a
-        self.merges += 1
         for (x, sign), ts in table.items():
             for t in ts:
                 if t == b:
                     t = a
                 else:
                     self._adj[t][(x, -sign)].discard(b)
-                self._link(a, (x, sign), t)
+                self.link(a, (x, sign), t)
+        self.touched.discard(b)
+        self.alpha = a if self.alpha == b else self.alpha
+        self.beta = a if self.beta == b else self.beta
         return a
 
     def _find_clash(self, v: int) -> tuple[int, int] | None:
@@ -291,21 +289,23 @@ class GraphBuilder:
     def fold(self) -> int:
         """Merge until deterministic; returns the number of merges performed.
 
+        Each merge deletes one table, so that is the drop in vertex count.
         The worklist starts from the touched vertices.  A merge can create
-        new clashes only at the surviving vertex, so the worklist stays
-        sound while it re-enqueues just that vertex.
+        clashes only at the survivor, which it queues, so an entry whose
+        vertex a merge removed is skipped.
         """
-        before = self.merges
-        work = deque(sorted({self.find(v) for v in self.touched}))
+        before = len(self._adj)
+        work = deque(sorted(self.touched))
         while work:
-            v = self.find(work.popleft())
+            v = work.popleft()
+            if v not in self._adj:
+                continue
             clash = self._find_clash(v)
             if clash is None:
                 continue
-            keep = self.merge(*clash)
-            work.append(self.find(v))
-            work.append(keep)
-        return self.merges - before
+            work.append(v)
+            work.append(self.merge(*clash))
+        return before - len(self._adj)
 
     def readable_ends(self, start: int, w: Iterable[Step]) -> set[int]:
         """All endpoints of paths labeled by w from start (subset walk).
@@ -313,7 +313,7 @@ class GraphBuilder:
         Exact on non-deterministic graphs, which occur mid-round while
         sewing before the fold.
         """
-        current = {self.find(start)}
+        current = {start}
         for step in w:
             nxt: set[int] = set()
             for v in current:
@@ -330,7 +330,7 @@ class GraphBuilder:
         """
         rank: dict[int, int] = {}
         missing = set(targets)
-        for v in _bfs(self._adj, self.find(self.alpha)):
+        for v in _bfs(self._adj, self.alpha):
             rank[v] = len(rank)
             missing.discard(v)
             if not missing:
@@ -338,7 +338,7 @@ class GraphBuilder:
         return rank
 
     def freeze(self) -> BirootedGraph:
-        return BirootedGraph(self.find(self.alpha), self.find(self.beta), self._adj)
+        return BirootedGraph(self.alpha, self.beta, self._adj)
 
 
 def fold(g: BirootedGraph) -> FoldReport:

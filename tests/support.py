@@ -14,7 +14,7 @@ from stephen_kit import (
     Word,
     find_expansions,
 )
-from stephen_kit.engine import _sew, _sew_round, _sides
+from stephen_kit.engine import _sew_round, _sides
 from stephen_kit.word_graph import GraphBuilder
 
 
@@ -92,7 +92,8 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
         if not sites:
             status = Status.CLOSED
             break
-        if rounds >= budget.max_rounds:
+        # The vertex limit applies from the end of round 1 on.
+        if rounds >= budget.max_rounds or (rounds and len(g.vertices) > budget.max_vertices):
             status = Status.BUDGET_EXCEEDED
             break
         b = GraphBuilder.from_graph(g)
@@ -102,19 +103,29 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
             if site.end in b.readable_ends(site.start, sew):
                 continue
             prev = site.start
-            for x, _ in sew.letters[:-1]:
+            for step in sew.letters[:-1]:
                 nv = b.new_vertex()
-                b.add_edge(prev, x, nv)
+                b.link(prev, step, nv)
                 prev = nv
-            b.add_edge(prev, sew.letters[-1][0], site.end)
+            b.link(prev, sew.letters[-1], site.end)
         fold_events += b.fold()
         g = b.freeze()
         rounds += 1
         history.append(len(g.vertices))
-        if len(g.vertices) > budget.max_vertices:
-            status = Status.BUDGET_EXCEEDED
-            break
     return ClosureResult(status, g, rounds, fold_events, tuple(history))
+
+
+def assert_builder_consistent(b: GraphBuilder) -> None:
+    """Every vertex id b holds is a key of its adjacency, and every edge is
+    listed at both ends under opposite signs."""
+    live = b._adj.keys()
+    assert b.alpha in live and b.beta in live
+    assert b.touched <= live
+    for v, table in b._adj.items():
+        for (x, sign), targets in table.items():
+            for t in targets:
+                assert t in live
+                assert v in b._adj[t].get((x, -sign), ())
 
 
 class StaleSiteError(RuntimeError):
@@ -135,7 +146,7 @@ def elementary_expansion(g: BirootedGraph, site: ExpansionSite, p: Presentation)
         raise ValueError("invalid site: read side does not label a start -> end path")
     if site.end in b.readable_ends(site.start, sew):
         raise StaleSiteError("opposite side already readable between the site's roots")
-    _sew(b, site.start, site.end, sew)
+    b.spell(site.start, sew.letters, site.end)
     return b.freeze()
 
 

@@ -73,6 +73,9 @@ def test_check_multi_relation_reports_adian_only(pres, capsys):
 def test_graph_closed(comm, capsys):
     assert main(["graph", comm, "ab"]) == 0
     assert capsys.readouterr().out == "closed; rounds=1; vertices=4; edges=4\n"
+    # The round that closes the automaton takes it past the vertex limit.
+    assert main(["graph", comm, "ab", "--max-vertices", "3"]) == 0
+    assert capsys.readouterr().out == "closed; rounds=1; vertices=4; edges=4\n"
 
 
 def test_graph_no_occurrence(comm, capsys):
@@ -136,6 +139,9 @@ def test_leq(comm, capsys):
     assert main(["leq", comm, "ab", "a b b^ a^ b a"]) == 0
     assert capsys.readouterr().out == "yes\n"
     assert main(["leq", comm, "ab", "a"]) == 1
+    capsys.readouterr()
+    assert main(["leq", comm, "ab", "a", "--max-vertices", "3"]) == 1
+    assert capsys.readouterr().out == "no\n"
 
 
 def test_idem(comm, capsys):

@@ -28,6 +28,7 @@ from support import (
     FACT1,
     SUBWORD,
     StaleSiteError,
+    assert_builder_consistent,
     elementary_expansion,
     full_p_expansion,
     isomorphic,
@@ -196,6 +197,18 @@ def test_close_vertex_budget():
     assert len(result.graph.vertices) > 10
 
 
+def test_close_round_that_closes_past_vertex_limit_is_closed():
+    # Round 1 completes the automaton and takes it from 3 to 4 vertices,
+    # past the limit; the scan after the round finds no site, so it closed.
+    for result in (
+        close(linear_graph(pos("ab")), COMM, Budget(64, 3)),
+        schutzenberger_automaton(pos("ab"), COMM, Budget(64, 3)),
+    ):
+        assert result.status is Status.CLOSED
+        assert result.rounds == 1
+        assert result.vertex_history == (3, 4)
+
+
 def test_close_requires_deterministic():
     with pytest.raises(ValueError, match="deterministic"):
         close(linear_graph(w("aa^")), COMM)
@@ -342,6 +355,8 @@ def assert_same_closure(result, reference):
 
 
 @given(small_presentations, signed_words, small_budgets)
+@example(COMM, pos("ab"), Budget(64, 3))  # closes in the round that crosses the limit
+@example(SUBWORD, pos("ab"), Budget(64, 1))  # over the limit before round 1
 @settings(max_examples=150)
 def test_close_matches_rebuilding_reference(p, word, budget):
     g = fold(linear_graph(word)).final
@@ -362,6 +377,20 @@ def test_automaton_matches_close_of_folded_linear_graph(p, word, budget):
     reference = close(fold(linear_graph(word)).final, p, budget)
     assert_same_closure(result, reference)
     assert result.graph.to_json() == reference.graph.to_json()
+
+
+@given(small_presentations, signed_words, small_budgets)
+@settings(max_examples=100)
+def test_builder_consistent_after_every_round(p, word, budget):
+    sew_round = engine._sew_round
+
+    def checked(b, p, sites):
+        merges = sew_round(b, p, sites)
+        assert_builder_consistent(b)
+        return merges
+
+    with mock.patch.object(engine, "_sew_round", checked):
+        schutzenberger_automaton(word, p, budget)
 
 
 def test_close_keeps_canonical_site_order():

@@ -1,10 +1,31 @@
 import itertools
 import random
 
-from hypothesis import given, strategies as st
+from collections import Counter
 
-from stephen_kit import Answer, Word, decide_equal, fold, linear_graph
-from oracle import brute_force_accepts, brute_force_closure, brute_force_equal, munn_tree
+from hypothesis import given, settings, strategies as st
+
+from stephen_kit import (
+    Answer,
+    BirootedGraph,
+    Budget,
+    Presentation,
+    Status,
+    Word,
+    decide_equal,
+    fold,
+    linear_graph,
+    schutzenberger_automaton,
+)
+from oracle import (
+    _flat_adjacency,
+    _flat_find_site,
+    _flat_walk,
+    brute_force_accepts,
+    brute_force_closure,
+    brute_force_equal,
+    munn_tree,
+)
 from support import CASE1, COMM, isomorphic, pos, w
 
 
@@ -90,3 +111,60 @@ def test_brute_force_agrees_with_engine_sampled():
             expected = brute_force_equal(u, v, p, 100)
             assert expected is not Answer.UNKNOWN
             assert decide_equal(u, v, p).answer is expected
+
+
+# --- engine against the brute-force closure on random presentations ----------
+
+
+@st.composite
+def presentations_and_words(draw):
+    """1-3 relations on 2-3 letters, and two signed words up to length 6."""
+    alphabet = "abc"[: draw(st.integers(2, 3))]
+    side = st.lists(st.sampled_from(alphabet), min_size=1, max_size=3).map(
+        lambda ls: Word(tuple((x, 1) for x in ls))
+    )
+    relations = draw(
+        st.lists(st.tuples(side, side).filter(lambda r: r[0] != r[1]), min_size=1, max_size=3)
+    )
+    word = st.lists(
+        st.tuples(st.sampled_from(alphabet), st.sampled_from((1, -1))), max_size=6
+    ).map(lambda ls: Word(tuple(ls)))
+    return Presentation(tuple(alphabet), tuple(relations)), draw(word), draw(word)
+
+
+DIFF_BUDGET = Budget(16, 200)
+DIFF_DEPTH = 40
+
+
+def assert_closed_graph_invariants(edges, alpha, beta, p, word):
+    """A closed result checked with the oracle's own code, not the engine's."""
+    assert not [k for k, n in Counter((s, x) for s, x, _ in edges).items() if n > 1]
+    assert not [k for k, n in Counter((t, x) for _, x, t in edges).items() if n > 1]
+    assert _flat_find_site(edges, alpha, beta, p) is None
+    assert _flat_walk(_flat_adjacency(edges), alpha, word) == beta
+
+
+@given(presentations_and_words())
+@settings(max_examples=150)
+def test_engine_matches_brute_force_on_random_presentations(case):
+    p, u, v = case
+    closed = True
+    for word in (u, v):
+        result = schutzenberger_automaton(word, p, DIFF_BUDGET)
+        brute = brute_force_closure(word, p, DIFF_DEPTH)
+        g = result.graph
+        if result.status is Status.CLOSED:
+            assert_closed_graph_invariants(g.edges, g.alpha, g.beta, p, word)
+        if brute.closed:
+            assert_closed_graph_invariants(brute.edges, brute.alpha, brute.beta, p, word)
+        if result.status is Status.CLOSED and brute.closed:
+            reference = BirootedGraph(brute.alpha, brute.beta, brute.edges)
+            assert g.canonical_key() == reference.canonical_key()
+        else:
+            closed = False
+    engine = decide_equal(u, v, p, DIFF_BUDGET).answer
+    brute = brute_force_equal(u, v, p, DIFF_DEPTH)
+    if closed:
+        assert Answer.UNKNOWN not in (engine, brute)
+    if Answer.UNKNOWN not in (engine, brute):
+        assert engine is brute

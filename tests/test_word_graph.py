@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stephen_kit import BirootedGraph, Word, fold, linear_graph
 from stephen_kit.word_graph import GraphBuilder
-from support import isomorphic, pos, reversed_ids, w
+from support import assert_builder_consistent, isomorphic, pos, reversed_ids, w
 
 
 # Independent fold-to-fixpoint oracle: rebuild the full adjacency index on
@@ -95,7 +95,7 @@ def test_disconnected_graph_rejected():
 
 def test_disconnected_builder_rejected_on_freeze():
     b = GraphBuilder.from_word(pos("ab"))
-    b.add_edge(b.new_vertex(), "a", b.new_vertex())
+    b.link(b.new_vertex(), ("a", 1), b.new_vertex())
     with pytest.raises(ValueError, match="not connected"):
         b.freeze()
 
@@ -140,6 +140,27 @@ def test_fold_multigraph_matches_naive_oracle(g):
     assert isomorphic(report.final, naive_fold(g))
     assert len(report.final.vertices) == len(g.vertices) - report.merges
     assert isomorphic(fold(reversed_ids(g)).final, report.final)
+
+
+@given(multigraphs())
+def test_fold_keeps_builder_consistent(g):
+    # The adjacency is the builder's only record, so after each merge the
+    # roots, touched and every target must be live, and fold's count must
+    # be the number of merges it made.
+    b = GraphBuilder.from_graph(g)
+    merges = []
+    merge = b.merge
+
+    def checked_merge(u, v):
+        keep = merge(u, v)
+        merges.append(keep)
+        assert_builder_consistent(b)
+        return keep
+
+    b.merge = checked_merge
+    assert b.fold() == len(merges) == len(g.vertices) - b.vertex_count()
+    assert_builder_consistent(b)
+    assert b.freeze().is_deterministic
 
 
 @given(words)
