@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -33,19 +32,6 @@ EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
 
 _ANSWER_EXIT = {Answer.YES: EXIT_OK, Answer.NO: EXIT_NO, Answer.UNKNOWN: EXIT_UNKNOWN}
-
-ROUNDS_ENV_VAR = "STEPHEN_KIT_BUDGET_ROUNDS"
-
-
-def _budget(args) -> Budget:
-    rounds = args.max_rounds
-    if rounds is None:
-        raw = os.environ.get(ROUNDS_ENV_VAR, str(Budget.max_rounds))
-        try:
-            rounds = int(raw)
-        except ValueError:
-            raise ValueError(f"{ROUNDS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return Budget(rounds, args.max_vertices)
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -85,7 +71,7 @@ def cmd_check(args, p: Presentation) -> tuple[int, str]:
 
 
 def cmd_graph(args, p: Presentation, w: Word) -> tuple[int, str]:
-    result = schutzenberger_automaton(w, p, _budget(args))
+    result = schutzenberger_automaton(w, p, Budget(args.max_rounds, args.max_vertices))
     g = result.graph
     if args.dot:
         Path(args.dot).write_text(g.to_dot(), encoding="utf-8")
@@ -99,7 +85,7 @@ def cmd_graph(args, p: Presentation, w: Word) -> tuple[int, str]:
 
 
 def cmd_verdict(decide, args, p: Presentation, *words: Word) -> tuple[int, str]:
-    verdict = decide(*words, p, _budget(args))
+    verdict = decide(*words, p, Budget(args.max_rounds, args.max_vertices))
     _write_json(args.json, verdict.to_json())
     return _ANSWER_EXIT[verdict.answer], verdict.answer.value
 
@@ -145,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--max-rounds",
                 type=int,
-                default=None,
-                help=f"closure round budget (default {Budget.max_rounds}, or ${ROUNDS_ENV_VAR})",
+                default=Budget.max_rounds,
+                help=f"closure round budget (default {Budget.max_rounds})",
             )
             sp.add_argument(
                 "--max-vertices",

@@ -11,16 +11,20 @@ because the fixpoint can be an infinite graph.
 A closure runs on one GraphBuilder from the start word to the result:
 schutzenberger_automaton builds the word's chain in it and folds it
 there, and close freezes it once, at the end.  Round 0 scans every vertex
-for sites; ranked by the breadth-first index of their start, they come in
-find_expansions' order.  Later rounds scan the frontier: the start
-vertices reached by walking back along every prefix of every relation
-side from the vertices the last round touched (new chain vertices, chain
-endpoints, merge survivors, neighbours whose edges a merge moved).  That
-finds every site: sewing and folding map the old graph homomorphically
-into the new one, so a read path avoiding all touched vertices lifts to
-a path of the old graph, whose site the last round sewed or found stale;
-either way the other side is readable now.  This is the deduction stack
-of coset enumeration.
+for sites.  Later rounds scan the frontier: the start vertices reached by
+walking back along every prefix of every relation side from the vertices
+the last round touched (new chain vertices, chain endpoints, merge
+survivors, neighbours whose edges a merge moved).  That finds every site:
+sewing and folding map the old graph homomorphically into the new one, so
+a read path avoiding all touched vertices lifts to a path of the old
+graph, whose site the last round sewed, so the other side is readable
+now.  This is the deduction stack of coset enumeration.
+
+A round sews every site found at its start.  Folding is confluent, and a
+chain sewn beside a path with the same label folds onto that path, so
+the order of the sites changes neither the folded graph nor its merge
+count, and a site that earlier sewing in the round made readable leaves
+the graph as it would be without that site.
 """
 
 from __future__ import annotations
@@ -77,8 +81,9 @@ class ClosureResult(_MutableRecord):
 
     vertex_history holds the vertex count before round 1 and after every
     completed round, so its length is rounds + 1.  fold_events counts the
-    vertex merges performed inside rounds (not any determinization of the
-    input graph).
+    vertex merges performed inside rounds, each after every site found at
+    the round's start was sewn (not any determinization of the input
+    graph); no order of the sites changes it.
     """
 
     __match_args__ = ("status", "graph", "rounds", "fold_events", "vertex_history")
@@ -178,20 +183,6 @@ def _back_prefixes(p: Presentation) -> frozenset[Letters]:
     return frozenset(inverse[k:] for inverse in inverses for k in range(len(inverse) + 1))
 
 
-def _ranked_sites(b: GraphBuilder, starts: Iterable[int], checks: list[Check]) -> list[ExpansionSite]:
-    """The sites of folded b at the given starts, in find_expansions' order.
-
-    Only starts that carry a site are ranked, by a breadth-first search
-    that stops once it has numbered them all.
-    """
-    sites = _sites_from(b._adj, starts, checks)
-    carriers = {site.start for site in sites}
-    if len(carriers) > 1:
-        rank = b.bfs_rank(carriers)
-        sites.sort(key=lambda site: rank[site.start])
-    return sites
-
-
 def _frontier(b: GraphBuilder, backs: frozenset[Letters]) -> set[int]:
     """The starts of every read path of folded b that meets b.touched.
 
@@ -213,7 +204,7 @@ def _frontier(b: GraphBuilder, backs: frozenset[Letters]) -> set[int]:
 
 
 def _sew_round(b: GraphBuilder, p: Presentation, sites: list[ExpansionSite]) -> int:
-    """Sew the given sites in order (skipping stale ones) and fold; returns the merges.
+    """Sew every given site and fold; returns the merges.
 
     Afterwards b.touched holds every vertex this round gave an edge, by
     sewing or by moving an edge in a merge.
@@ -221,9 +212,6 @@ def _sew_round(b: GraphBuilder, p: Presentation, sites: list[ExpansionSite]) -> 
     b.touched.clear()
     for site in sites:
         _, sew = _sides(site, p)
-        # Earlier sewing in this round may have saturated the site already.
-        if site.end in b.readable_ends(site.start, sew):
-            continue
         b.spell(site.start, sew.letters, site.end)
     return b.fold()
 
@@ -248,12 +236,12 @@ def close(
     checks, backs = _checks(p), _back_prefixes(p)
     history = [b.vertex_count()]
     rounds = fold_events = 0
-    sites = _ranked_sites(b, list(b._adj), checks)
+    sites = _sites_from(b._adj, list(b._adj), checks)
     while sites and rounds < budget.max_rounds:
         fold_events += _sew_round(b, p, sites)
         rounds += 1
         history.append(b.vertex_count())
-        sites = _ranked_sites(b, _frontier(b, backs), checks)
+        sites = _sites_from(b._adj, _frontier(b, backs), checks)
         if history[-1] > budget.max_vertices:
             break
     status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED

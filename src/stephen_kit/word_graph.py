@@ -4,14 +4,14 @@ A graph lists each edge once, in its positively labeled orientation
 (p, x, q); traversing it backwards acts as the implicit edge labeled x^-1
 from q to p.  Both graph classes index edges the same way, by signed step:
 adj[p][(x, 1)] holds q and adj[q][(x, -1)] holds p, so a walk along a
-signed word looks each letter up directly, and one canonical
-breadth-first order serves both.  GraphBuilder.freeze hands its table to
-the frozen graph, which copies it with tuples as targets and lists its
-edges only when they are first read.  Folding (determination) merges the
-endpoints of equally labeled edges leaving one vertex until the graph is
-deterministic; the result is a quotient of the input and, because folding
-is confluent, it is independent of the merge order up to root-respecting
-isomorphism.
+signed word looks each letter up directly in either.  GraphBuilder.freeze
+hands its table to the frozen graph, which copies it with tuples as
+targets, numbers its vertices in the canonical breadth-first order, and
+lists its edges only when they are first read.  Folding (determination)
+merges the endpoints of equally labeled edges leaving one vertex until the
+graph is deterministic; the result is a quotient of the input and,
+because folding is confluent, it is independent of the merge order up to
+root-respecting isomorphism.
 
 Graphs are value-like: the mutable machinery lives in GraphBuilder, which
 fold and the expansion engine share; a constructed BirootedGraph is never
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .presentation import Word, _Record, _set
 
@@ -33,23 +33,22 @@ Step = tuple[str, int]
 Adjacency = dict[int, dict[Step, set[int]]]
 
 
-def _bfs(adj: dict[int, dict[Step, Iterable[int]]], alpha: int) -> Iterator[int]:
+def _bfs(adj: dict[int, dict[Step, tuple[int, ...]]], alpha: int) -> tuple[int, ...]:
     """Vertices in canonical breadth-first order from alpha.
 
     Neighbors are explored by letter, positive orientation first, and each
     step's targets in stored order; this fixes the canonical numbering.
+    The order list doubles as the queue.
     """
-    yield alpha
-    seen = {alpha}
-    queue = deque([alpha])
-    while queue:
-        table = adj[queue.popleft()]
+    order, seen = [alpha], {alpha}
+    for v in order:
+        table = adj[v]
         for step in sorted(table, key=lambda k: (k[0], -k[1])):
             for t in table[step]:
                 if t not in seen:
                     seen.add(t)
-                    queue.append(t)
-                    yield t
+                    order.append(t)
+    return tuple(order)
 
 
 class BirootedGraph:
@@ -82,7 +81,7 @@ class BirootedGraph:
         self.is_deterministic = all(
             len(ts) == 1 for table in self._adj.values() for ts in table.values()
         )
-        self._bfs = tuple(_bfs(self._adj, alpha))
+        self._bfs = _bfs(self._adj, alpha)
         if len(self._bfs) != len(self.vertices):
             raise ValueError("graph is not connected from alpha")
 
@@ -306,36 +305,6 @@ class GraphBuilder:
             work.append(v)
             work.append(self.merge(*clash))
         return before - len(self._adj)
-
-    def readable_ends(self, start: int, w: Iterable[Step]) -> set[int]:
-        """All endpoints of paths labeled by w from start (subset walk).
-
-        Exact on non-deterministic graphs, which occur mid-round while
-        sewing before the fold.
-        """
-        current = {start}
-        for step in w:
-            nxt: set[int] = set()
-            for v in current:
-                nxt.update(self._adj[v].get(step, ()))
-            if not nxt:
-                return set()
-            current = nxt
-        return current
-
-    def bfs_rank(self, targets: Iterable[int]) -> dict[int, int]:
-        """Canonical breadth-first index of each target, as BirootedGraph.bfs_order.
-
-        Needs a folded graph; the search stops once every target is numbered.
-        """
-        rank: dict[int, int] = {}
-        missing = set(targets)
-        for v in _bfs(self._adj, self.alpha):
-            rank[v] = len(rank)
-            missing.discard(v)
-            if not missing:
-                break
-        return rank
 
     def freeze(self) -> BirootedGraph:
         return BirootedGraph(self.alpha, self.beta, self._adj)

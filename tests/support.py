@@ -81,9 +81,8 @@ def all_positive_words(alphabet: str, max_len: int, min_len: int = 1):
 def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureResult:
     """Reference closure that rebuilds, rescans and refreezes every round.
 
-    Each round takes every site of the frozen graph in canonical order,
-    sews the missing side unless earlier sewing in the round already made
-    it readable, folds the whole graph and freezes it again.
+    Each round sews the missing side of every site of the frozen graph,
+    folds the whole graph and freezes it again.
     """
     history = [len(g.vertices)]
     rounds = fold_events = 0
@@ -100,8 +99,6 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
         for site in sites:
             lhs, rhs = p.relations[site.relation_index]
             sew = rhs if site.direction is Direction.LHS_READ else lhs
-            if site.end in b.readable_ends(site.start, sew):
-                continue
             prev = site.start
             for step in sew.letters[:-1]:
                 nv = b.new_vertex()
@@ -128,6 +125,18 @@ def assert_builder_consistent(b: GraphBuilder) -> None:
                 assert v in b._adj[t].get((x, -sign), ())
 
 
+def readable_ends(g: BirootedGraph, start: int, w: Word) -> set[int]:
+    """All endpoints of paths labeled by w from start, by a subset walk.
+
+    Exact on graphs that are not deterministic, such as a sewn graph
+    before its fold.
+    """
+    ends = {start}
+    for step in w.letters:
+        ends = {t for v in ends for t in g._adj[v].get(step, ())}
+    return ends
+
+
 class StaleSiteError(RuntimeError):
     """The site's missing side became readable; sewing it would be redundant."""
 
@@ -141,11 +150,11 @@ def elementary_expansion(g: BirootedGraph, site: ExpansionSite, p: Presentation)
     graph is unchanged.
     """
     read, sew = _sides(site, p)
-    b = GraphBuilder.from_graph(g)
-    if site.end not in b.readable_ends(site.start, read):
+    if site.end not in readable_ends(g, site.start, read):
         raise ValueError("invalid site: read side does not label a start -> end path")
-    if site.end in b.readable_ends(site.start, sew):
+    if site.end in readable_ends(g, site.start, sew):
         raise StaleSiteError("opposite side already readable between the site's roots")
+    b = GraphBuilder.from_graph(g)
     b.spell(site.start, sew.letters, site.end)
     return b.freeze()
 

@@ -181,17 +181,7 @@ def test_word_outside_alphabet(comm, capsys):
     assert "undeclared" in capsys.readouterr().err
 
 
-def test_env_var_budget_override(sub, capsys, monkeypatch):
-    monkeypatch.setenv("STEPHEN_KIT_BUDGET_ROUNDS", "1")
-    assert main(["graph", sub, "ab"]) == 3
-    capsys.readouterr()
-    monkeypatch.setenv("STEPHEN_KIT_BUDGET_ROUNDS", "not-a-number")
-    assert main(["graph", sub, "ab"]) == 2
-    assert "STEPHEN_KIT_BUDGET_ROUNDS" in capsys.readouterr().err
-
-
-def test_flag_overrides_env_var(sub, capsys, monkeypatch):
-    monkeypatch.setenv("STEPHEN_KIT_BUDGET_ROUNDS", "500")
+def test_max_rounds_flag(sub, capsys):
     assert main(["graph", sub, "ab", "--max-rounds", "2"]) == 3
     out = capsys.readouterr().out
     assert out.startswith("budget-exceeded; rounds=2;")

@@ -393,15 +393,19 @@ def test_builder_consistent_after_every_round(p, word, budget):
         schutzenberger_automaton(word, p, budget)
 
 
-def test_close_keeps_canonical_site_order():
-    # Sewing this word's sites in another order skips other stale sites
-    # and changes fold_events, so the pinned counts catch a reordering.
-    p = Presentation(("a", "b"), ((pos("abb"), pos("ba")), (pos("ab"), pos("bba"))))
-    g = fold(linear_graph(w("aabba^baaa^a^"))).final
-    result = close(g, p)
-    assert result.fold_events == 23
-    assert result.vertex_history == (9, 8, 12, 12)
-    assert_same_closure(result, naive_close(g, p, Budget()))
+def test_close_sews_sites_that_earlier_sewing_made_readable():
+    # Round 2 finds two sites reading a from vertex 1 to 0.  Sewing b there
+    # makes aab readable from 1 to 0, yet the round still sews aab: its two
+    # new vertices fold onto the path and count as merges (2 of the 4).
+    p = Presentation(("a", "b"), ((pos("a"), pos("b")), (pos("a"), pos("aab"))))
+    result = schutzenberger_automaton(pos("a"), p)
+    assert result.to_json() == {
+        "status": "closed", "rounds": 2, "fold_events": 4, "vertex_history": [2, 2, 2]
+    }
+    assert result.graph.canonical_key() == (
+        2, 1, ((0, "a", 1), (0, "b", 1), (1, "a", 0), (1, "b", 0))
+    )
+    assert_same_closure(result, naive_close(linear_graph(pos("a")), p, Budget()))
 
 
 def random_presentation(rng) -> Presentation:
@@ -444,27 +448,61 @@ def test_frozen_graphs_equal_graphs_rebuilt_from_their_edges():
     assert nondeterministic > 300
 
 
+def test_round_site_order_does_not_change_closure():
+    # Folding is confluent and a chain sewn beside a path with its label
+    # folds onto that path, so a round may sew its sites in any order.
+    sew_round = engine._sew_round
+    rng = random.Random(5)
+    reorders = (lambda sites: sites[::-1], lambda sites: rng.sample(sites, len(sites)))
+    reordered_rounds = 0
+
+    def reordered(reorder):
+        def sew(b, p, sites):
+            nonlocal reordered_rounds
+            reordered_rounds += len(sites) > 1
+            return sew_round(b, p, reorder(sites))
+
+        return sew
+
+    for _ in range(300):
+        p = random_presentation(rng)
+        word = random_signed_word(rng, "ab", 6)
+        budget = Budget(rng.randint(1, 16), rng.randint(1, 300))
+        result = schutzenberger_automaton(word, p, budget)
+        for reorder in reorders:
+            with mock.patch.object(engine, "_sew_round", reordered(reorder)):
+                other = schutzenberger_automaton(word, p, budget)
+            assert other.to_json() == result.to_json()
+            assert other.graph.to_json() == result.graph.to_json()
+            assert other.graph.canonical_key() == result.graph.canonical_key()
+    assert reordered_rounds > 300
+
+
 def test_frontier_scan_equals_full_scan_every_round():
     # Round 0 scans every vertex of the builder, later rounds the frontier;
     # both must find what find_expansions finds on the frozen graph.
-    ranked_sites = engine._ranked_sites
+    sites_from = engine._sites_from
     rounds = []
-    closing = []  # the presentation of the closure under way
+    closing = []  # the builder and presentation of the closure under way
 
-    def checked(b, starts, checks):
-        sites = ranked_sites(b, starts, checks)
-        assert sites == find_expansions(b.freeze(), closing[-1])
-        rounds.append(len(sites))
+    def checked(adj, starts, checks):
+        sites = sites_from(adj, starts, checks)
+        b, p = closing[-1]
+        if adj is b._adj:  # a scan by close, not by find_expansions below
+            assert len(set(sites)) == len(sites)
+            assert set(sites) == set(find_expansions(b.freeze(), p))
+            rounds.append(len(sites))
         return sites
 
     def checked_close(g, p, budget=Budget()):
-        closing.append(p)
-        return close(g, p, budget)
+        b = GraphBuilder.from_graph(g)
+        closing.append((b, p))
+        return close(b, p, budget)
 
     rng = random.Random(2)
     bbb = Presentation(("a", "b"), ((pos("b"), pos("bbb")), (pos("bb"), pos("aaa"))))
     cascade = Presentation(("a", "b", "c"), ((pos("bc"), pos("bcc")),))
-    with mock.patch.object(engine, "_ranked_sites", checked):
+    with mock.patch.object(engine, "_sites_from", checked):
         # This round's fold cascades, and a site appears at a later merge
         # survivor that no sewn chain reaches.
         checked_close(fold(linear_graph(w("babaa^cb^a^cac^a^"))).final, cascade)
