@@ -32,7 +32,7 @@ from .presentation import (
     parse_word,
     side_graphs,
 )
-from .word_graph import BirootedGraph, FoldReport, fold, linear_graph
+from .word_graph import BirootedGraph, fold, linear_graph
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "ExpansionSite",
     "FinitenessCertificate",
     "FinitenessVerdict",
-    "FoldReport",
     "Letter",
     "OverlapCase",
     "OverlapProfile",

@@ -10,10 +10,12 @@ File format (UTF-8, line oriented, ``#`` starts a comment)::
     X: a b          # alphabet, whitespace separated letters
     R: ab = ba      # one relation per line, both sides positive
 
-Letters are maximal runs of non-space characters; ``=``, ``:`` and ``^``
-are reserved.  Words are written either as concatenated single-letter
-symbols (``ab``) or as space-separated multi-character letters.  Query
-words (not relation sides) may invert a letter with a trailing ``^``.
+Letters are maximal runs of non-space characters; ``=``, ``:``, ``^`` and
+``#`` are reserved.  Words are written either as concatenated single-letter
+symbols (``ab``) or as space-separated multi-character letters; a lone
+multi-character letter is written alone (``x1``) unless each of its
+characters is a declared letter.  Query words (not relation sides) may
+invert a letter with a trailing ``^``.
 """
 
 from __future__ import annotations
@@ -130,15 +132,17 @@ class Word(_Record):
 def parse_word(text: str, alphabet: Iterable[Letter], *, line: int | None = None) -> Word:
     """Parse a word against a declared alphabet.
 
-    With embedded whitespace the text is split into letter tokens; without,
-    every character is a single-letter symbol.  A trailing ``^`` on a token
-    (or character) inverts that letter.
+    With embedded whitespace the text is split into letter tokens; so is a
+    text that, less one trailing ``^``, is a declared letter whose characters
+    are not all letters; otherwise every character is a single-letter
+    symbol.  A trailing ``^`` on a token (or character) inverts that letter.
     """
     known = set(alphabet)
     text = text.strip()
     if not text:
         return Word()
-    if any(ch.isspace() for ch in text):
+    letter = text.removesuffix("^")
+    if any(ch.isspace() for ch in text) or (letter in known and not set(letter) <= known):
         tokens = text.split()
     else:
         tokens = []

@@ -5,9 +5,10 @@ A graph lists each edge once, in its positively labeled orientation
 from q to p.  Both graph classes index edges the same way, by signed step:
 adj[p][(x, 1)] holds q and adj[q][(x, -1)] holds p, so a walk along a
 signed word looks each letter up directly in either.  GraphBuilder.freeze
-hands its table to the frozen graph, which copies it with tuples as
-targets, numbers its vertices in the canonical breadth-first order, and
-lists its edges only when they are first read.  Folding (determination)
+hands its table to the frozen graph, and edge triples are put into a table
+of the same form; the frozen graph copies it with tuples as targets,
+numbers its vertices in the canonical breadth-first order, and lists its
+edges only when they are first read.  Folding (determination)
 merges the endpoints of equally labeled edges leaving one vertex until the
 graph is deterministic; the result is a quotient of the input and,
 because folding is confluent, it is independent of the merge order up to
@@ -22,11 +23,10 @@ on one adjacency table that is its only record of the graph.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .presentation import Word, _Record, _set
+from .presentation import Word
 
 Edge = tuple[int, str, int]
 Step = tuple[str, int]
@@ -59,20 +59,18 @@ class BirootedGraph:
     """
 
     def __init__(self, alpha: int, beta: int, edges: Iterable[Edge] | Adjacency):
-        """Build from (s, x, t) triples, or copy the step-keyed adjacency
-        table that GraphBuilder.freeze hands over; edges is then listed
-        only when first read.
+        """Build from (s, x, t) triples, put into a step-keyed table first (so
+        a repeated triple is one edge), or from the table GraphBuilder.freeze
+        hands over; the table is copied and edges listed when first read.
         """
         self.alpha = alpha
         self.beta = beta
-        if isinstance(edges, dict):
-            adj = edges
-        else:
-            self.edges = frozenset((s, x, t) for s, x, t in edges)
+        adj = edges
+        if not isinstance(adj, dict):
             adj = {alpha: {}, beta: {}}
-            for s, x, t in self.edges:
-                adj.setdefault(s, {}).setdefault((x, 1), []).append(t)
-                adj.setdefault(t, {}).setdefault((x, -1), []).append(s)
+            for s, x, t in edges:
+                adj.setdefault(s, {}).setdefault((x, 1), set()).add(t)
+                adj.setdefault(t, {}).setdefault((x, -1), set()).add(s)
         self._adj: dict[int, dict[Step, tuple[int, ...]]] = {
             v: {step: tuple(ts) if len(ts) == 1 else tuple(sorted(ts)) for step, ts in table.items()}
             for v, table in adj.items()
@@ -179,14 +177,6 @@ def linear_graph(w: Word) -> BirootedGraph:
     return GraphBuilder.from_word(w).freeze()
 
 
-class FoldReport(_Record):
-    __slots__ = __match_args__ = ("merges", "final")
-
-    def __init__(self, merges: int, final: BirootedGraph):
-        _set(self, "merges", merges)
-        _set(self, "final", final)
-
-
 class GraphBuilder:
     """Mutable multigraph that folding and the engine's sewing share.
 
@@ -277,45 +267,35 @@ class GraphBuilder:
         self.beta = a if self.beta == b else self.beta
         return a
 
-    def _find_clash(self, v: int) -> tuple[int, int] | None:
-        """Least two targets of the first step of v with several; outgoing first, by letter."""
-        table = self._adj[v]
-        steps = [step for step, ts in table.items() if len(ts) > 1]
-        if not steps:
-            return None
-        return tuple(sorted(table[min(steps, key=lambda k: (-k[1], k[0]))])[:2])
-
     def fold(self) -> int:
         """Merge until deterministic; returns the number of merges performed.
 
         Each merge deletes one table, so that is the drop in vertex count.
-        The worklist starts from the touched vertices.  A merge can create
-        clashes only at the survivor, which it queues, so an entry whose
-        vertex a merge removed is skipped.
+        The stack starts from the touched vertices, in no particular order:
+        folding is confluent, so the order decides only which ids survive.
+        The vertex on top stays until it has no clash.  A merge can create
+        a clash only at its survivor, so the survivor is pushed; a vertex
+        that a merge removed has no table left and is popped.
         """
         before = len(self._adj)
-        work = deque(sorted(self.touched))
-        while work:
-            v = work.popleft()
-            if v not in self._adj:
-                continue
-            clash = self._find_clash(v)
+        stack = list(self.touched)
+        while stack:
+            table = self._adj.get(stack[-1], {})
+            clash = next((ts for ts in table.values() if len(ts) > 1), None)
             if clash is None:
-                continue
-            work.append(v)
-            work.append(self.merge(*clash))
+                stack.pop()
+            else:
+                a, b, *_ = clash
+                stack.append(self.merge(a, b))
         return before - len(self._adj)
 
     def freeze(self) -> BirootedGraph:
         return BirootedGraph(self.alpha, self.beta, self._adj)
 
 
-def fold(g: BirootedGraph) -> FoldReport:
-    """Exhaustively determinize a graph.
-
-    The report counts vertex identifications; merges is 0 exactly when the
-    input was already deterministic.
-    """
+def fold(g: BirootedGraph) -> BirootedGraph:
+    """The deterministic quotient of g, unique up to root-respecting
+    isomorphism; each merge that makes it removes one vertex of g."""
     b = GraphBuilder.from_graph(g)
-    merges = b.fold()
-    return FoldReport(merges, b.freeze())
+    b.fold()
+    return b.freeze()

@@ -10,6 +10,7 @@ here.
 import json
 import random
 import time
+from unittest import mock
 
 import networkx as nx
 
@@ -30,6 +31,7 @@ from stephen_kit import (
     side_graphs,
 )
 from stephen_kit.cli import main
+from stephen_kit.word_graph import GraphBuilder
 from oracle import brute_force_accepts, brute_force_closure, brute_force_equal, munn_tree
 from support import (
     CASE1,
@@ -183,24 +185,45 @@ def test_criterion_05_certified_finite_classes_close():
 
 
 def test_criterion_06_folding_confluence():
+    # The copy with vertex v renamed top - v is folded in another merge
+    # order; merges are recorded in the original ids to show that it is.
     rng = random.Random(63)
-    for _ in range(100):
-        word = Word(
-            tuple(
-                (rng.choice("abc"), rng.choice((1, -1)))
-                for _ in range(rng.randint(0, 12))
+    merges, merge = [], GraphBuilder.merge
+
+    def recorded(b, u, v):
+        merges.append({u, v})
+        return merge(b, u, v)
+
+    merged = reordered = 0
+    with mock.patch.object(GraphBuilder, "merge", recorded):
+        for _ in range(100):
+            word = Word(
+                tuple(
+                    (rng.choice("abc"), rng.choice((1, -1)))
+                    for _ in range(rng.randint(0, 12))
+                )
             )
-        )
-        g = linear_graph(word)
-        first = fold(g)
-        second = fold(reversed_ids(g))
-        assert first.merges == second.merges
-        assert isomorphic(first.final, second.final)
-    _report(6, "100 random words fold identically under two merge orders")
+            g = linear_graph(word)
+            top = max(g.vertices)
+            first = fold(g)
+            order = merges[:]
+            merges.clear()
+            second = fold(reversed_ids(g))
+            assert isomorphic(first, second)
+            assert len(merges) == len(order)
+            merged += bool(order)
+            reordered += order != [{top - u for u in pair} for pair in merges]
+            merges.clear()
+    assert reordered > 0
+    _report(
+        6,
+        f"100 random words fold identically under two merge orders, "
+        f"which differ on {reordered} of the {merged} words that merge",
+    )
 
 
 def test_criterion_07_acceptance_monotonicity():
-    stages = [fold(linear_graph(pos("aab"))).final]
+    stages = [fold(linear_graph(pos("aab")))]
     while find_expansions(stages[-1], COMM):
         stages.append(full_p_expansion(stages[-1], COMM))
         assert len(stages) < 20

@@ -181,6 +181,14 @@ def test_word_outside_alphabet(comm, capsys):
     assert "undeclared" in capsys.readouterr().err
 
 
+def test_single_multichar_letter_word(pres, capsys):
+    path = pres("x.pres", "X: x1 x2\nR: x1 = x2 x2\n")
+    assert main(["eq", path, "x1", "x2 x2"]) == 0
+    assert capsys.readouterr().out == "yes\n"
+    assert main(["graph", path, "x1^"]) == 0
+    assert capsys.readouterr().out == "closed; rounds=1; vertices=3; edges=3\n"
+
+
 def test_max_rounds_flag(sub, capsys):
     assert main(["graph", sub, "ab", "--max-rounds", "2"]) == 3
     out = capsys.readouterr().out

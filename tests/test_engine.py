@@ -158,7 +158,7 @@ def test_full_p_expansion_defers_new_sites():
 def test_full_round_order_is_canonical_up_to_iso(word):
     # Sewing a round's sites in reverse order folds to the same graph.
     for p in (COMM, CASE1):
-        g = fold(linear_graph(word)).final
+        g = fold(linear_graph(word))
         backward = GraphBuilder.from_graph(g)
         engine._sew_round(backward, p, find_expansions(g, p)[::-1])
         assert isomorphic(full_p_expansion(g, p), backward.freeze())
@@ -312,7 +312,7 @@ def test_instrumentation_json():
 
 def test_acceptance_grows_monotonically():
     rng = random.Random(7)
-    g = fold(linear_graph(pos("aab"))).final
+    g = fold(linear_graph(pos("aab")))
     rounds = [g]
     while find_expansions(rounds[-1], COMM):
         rounds.append(full_p_expansion(rounds[-1], COMM))
@@ -359,7 +359,7 @@ def assert_same_closure(result, reference):
 @example(SUBWORD, pos("ab"), Budget(64, 1))  # over the limit before round 1
 @settings(max_examples=150)
 def test_close_matches_rebuilding_reference(p, word, budget):
-    g = fold(linear_graph(word)).final
+    g = fold(linear_graph(word))
     assert_same_closure(close(g, p, budget), naive_close(g, p, budget))
 
 
@@ -374,7 +374,7 @@ def test_automaton_matches_close_of_folded_linear_graph(p, word, budget):
     # schutzenberger_automaton builds and folds the word on the closure's
     # builder; merges of that fold count in neither fold_events nor rounds.
     result = schutzenberger_automaton(word, p, budget)
-    reference = close(fold(linear_graph(word)).final, p, budget)
+    reference = close(fold(linear_graph(word)), p, budget)
     assert_same_closure(result, reference)
     assert result.graph.to_json() == reference.graph.to_json()
 
@@ -418,25 +418,30 @@ def random_presentation(rng) -> Presentation:
 
 
 def assert_same_as_rebuilt(g: BirootedGraph) -> None:
-    rebuilt = BirootedGraph(g.alpha, g.beta, g.edges)
-    assert rebuilt.edges == g.edges
-    assert rebuilt.vertices == g.vertices
-    assert rebuilt.is_deterministic == g.is_deterministic
-    assert rebuilt.bfs_order() == g.bfs_order()
-    assert rebuilt.canonical_key() == g.canonical_key()
-    assert rebuilt.to_json() == g.to_json()
-    assert rebuilt.to_dot() == g.to_dot()
+    # The triples' order is not read, and a repeated triple is one edge.
+    edges = list(g.edges)
+    for triples in (edges, edges[::-1] + edges[:1]):
+        rebuilt = BirootedGraph(g.alpha, g.beta, triples)
+        assert "edges" not in vars(rebuilt)
+        assert rebuilt.edges == g.edges
+        assert rebuilt.vertices == g.vertices
+        assert rebuilt.is_deterministic == g.is_deterministic
+        assert rebuilt.bfs_order() == g.bfs_order()
+        assert rebuilt.canonical_key() == g.canonical_key()
+        assert rebuilt.to_json() == g.to_json()
+        assert rebuilt.to_dot() == g.to_dot()
 
 
 def test_frozen_graphs_equal_graphs_rebuilt_from_their_edges():
-    # A frozen graph copies its builder's adjacency and lists its edges
-    # only when they are read; the public constructor starts from edges.
+    # A frozen graph copies its builder's adjacency, the public constructor
+    # puts edge triples into a table of that form, and either lists its
+    # edges only when they are read.
     rng = random.Random(11)
     nondeterministic = 0
     for _ in range(300):
         p = random_presentation(rng)
         word = random_signed_word(rng, "ab", 10)
-        folded = fold(linear_graph(word)).final
+        folded = fold(linear_graph(word))
         graphs = [linear_graph(word), folded]
         graphs.append(schutzenberger_automaton(word, p, Budget(rng.randint(1, 16), 200)).graph)
         sites = find_expansions(folded, p)
@@ -505,12 +510,42 @@ def test_frontier_scan_equals_full_scan_every_round():
     with mock.patch.object(engine, "_sites_from", checked):
         # This round's fold cascades, and a site appears at a later merge
         # survivor that no sewn chain reaches.
-        checked_close(fold(linear_graph(w("babaa^cb^a^cac^a^"))).final, cascade)
+        checked_close(fold(linear_graph(w("babaa^cb^a^cac^a^"))), cascade)
         for i in range(400):
             p = (SUBWORD, bbb)[i % 2] if i % 4 == 0 else random_presentation(rng)
             word = random_signed_word(rng, "ab", 12) if i % 3 else random_positive_word(rng, "ab", 8)
-            checked_close(fold(linear_graph(word)).final, p, Budget(rng.randint(1, 12), 200))
+            checked_close(fold(linear_graph(word)), p, Budget(rng.randint(1, 12), 200))
     assert len(rounds) > 500
+
+
+def test_round_changes_edges_only_at_touched_vertices():
+    # The frontier scan rests on this: an edge of the graph after a round
+    # with an end outside b.touched was an edge before it, under the same ids.
+    sew_round = engine._sew_round
+    checked_edges = 0
+
+    def edge_set(b):
+        return {
+            (s, step, t) for s, table in b._adj.items() for step, ts in table.items() for t in ts
+        }
+
+    def checked(b, p, sites):
+        nonlocal checked_edges
+        before = edge_set(b)
+        merges = sew_round(b, p, sites)
+        for s, step, t in edge_set(b):
+            if s not in b.touched or t not in b.touched:
+                assert (s, step, t) in before
+                checked_edges += 1
+        return merges
+
+    rng = random.Random(17)
+    with mock.patch.object(engine, "_sew_round", checked):
+        for _ in range(300):
+            p = random_presentation(rng)
+            word = random_signed_word(rng, "ab", 10)
+            schutzenberger_automaton(word, p, Budget(rng.randint(1, 12), rng.randint(1, 200)))
+    assert checked_edges > 1000
 
 
 def test_divergent_closure_does_no_per_round_rebuild(monkeypatch):

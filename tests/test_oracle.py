@@ -1,7 +1,8 @@
 import itertools
 import random
 
-from collections import Counter
+from collections import Counter, defaultdict
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -66,7 +67,7 @@ def test_munn_tree_is_tree(word):
 @given(signed_words)
 def test_munn_tree_matches_folded_linear_graph(word):
     # Two independent routes to the free-case normal form.
-    assert isomorphic(munn_tree(word), fold(linear_graph(word)).final)
+    assert isomorphic(munn_tree(word), fold(linear_graph(word)))
 
 
 @given(signed_words)
@@ -168,3 +169,64 @@ def test_engine_matches_brute_force_on_random_presentations(case):
         assert Answer.UNKNOWN not in (engine, brute)
     if Answer.UNKNOWN not in (engine, brute):
         assert engine is brute
+
+
+# --- the abelian image: Z^X / span(lhs - rhs) --------------------------------
+
+
+def _reduce(vector, basis):
+    """vector less its part in the span of basis, rows with a unit pivot
+    and zeros at the pivots of the rows before them."""
+    for pivot, row in basis:
+        factor = vector[pivot]
+        if factor:
+            vector = [a - factor * b for a, b in zip(vector, row)]
+    return vector
+
+
+def assert_abelian_image(g, p, word):
+    """Every cycle of g counts its letters, with sign, as a rational
+    combination of the vectors lhs - rhs, and so does the difference of an
+    alpha -> beta path and word: sewing closes cycles lhs - rhs and folding
+    merges vertices at equal letter counts."""
+    index = {x: i for i, x in enumerate(p.alphabet)}
+
+    def count(letters):
+        vector = [0] * len(index)
+        for x, sign in letters:
+            vector[index[x]] += sign
+        return vector
+
+    basis = []
+    for lhs, rhs in p.relations:
+        vector = _reduce([a - b for a, b in zip(count(lhs), count(rhs))], basis)
+        pivot = next((i for i, a in enumerate(vector) if a), None)
+        if pivot is not None:
+            basis.append((pivot, [Fraction(a, vector[pivot]) for a in vector]))
+    steps = defaultdict(list)
+    for s, x, t in g.edges:
+        steps[s].append((x, 1, t))
+        steps[t].append((x, -1, s))
+    counts = {g.alpha: [0] * len(index)}  # of a path from alpha to each vertex
+    queue = [g.alpha]
+    for v in queue:
+        for x, sign, t in steps[v]:
+            if t not in counts:
+                counts[t] = counts[v][:]
+                counts[t][index[x]] += sign
+                queue.append(t)
+    for s, x, t in g.edges:
+        cycle = [a - b for a, b in zip(counts[s], counts[t])]
+        cycle[index[x]] += 1
+        assert not any(_reduce(cycle, basis))
+    path = [a - b for a, b in zip(counts[g.beta], count(word))]
+    assert not any(_reduce(path, basis))
+
+
+@given(presentations_and_words(), st.integers(1, 16), st.integers(1, 200))
+@settings(max_examples=300)
+def test_closures_respect_the_abelian_image(case, rounds, vertices):
+    p, u, v = case
+    for word in (u, v):
+        result = schutzenberger_automaton(word, p, Budget(rounds, vertices))
+        assert_abelian_image(result.graph, p, word)

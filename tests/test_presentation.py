@@ -52,6 +52,38 @@ def test_parse_multichar_letters_space_separated():
     assert rhs.symbols() == ("c", "ab1")
 
 
+def test_parse_single_multichar_letter():
+    # A word of one multi-character letter is that letter, unless every
+    # character of it is a declared letter; texts that parsed before parse
+    # the same.
+    p = parse_presentation("X: x1 x2\nR: x1 = x2 x2")
+    assert p.relations == ((Word((("x1", 1),)), Word((("x2", 1), ("x2", 1)))),)
+    assert parse_word("x1", p.alphabet) == Word((("x1", 1),))
+    assert parse_word(" x1^ ", p.alphabet) == Word((("x1", -1),))
+    assert parse_word("ab", ("a", "b", "ab")) == pos("ab")
+    assert parse_word("ab^", ("a", "b", "ab")) == w("ab^")
+    assert parse_word("a", ("a", "ab1")) == pos("a")
+    with pytest.raises(PresentationError, match="undeclared letter 'x'"):
+        parse_word("x1x2", p.alphabet)
+    with pytest.raises(PresentationError, match="undeclared letter 'x'"):
+        parse_word("x1^^", p.alphabet)
+
+
+# Alphabets in which no multi-character letter is spelled by declared
+# letters, the one case where a one-letter word's text reads otherwise.
+alphabets = st.lists(
+    st.text("abx1", min_size=1, max_size=3), min_size=1, max_size=4, unique=True
+).filter(lambda xs: not any(len(x) > 1 and set(x) <= set(xs) for x in xs))
+
+
+@given(st.data())
+def test_parse_word_reads_str_back(data):
+    alphabet = data.draw(alphabets)
+    letter = st.tuples(st.sampled_from(alphabet), st.sampled_from((1, -1)))
+    word = Word(tuple(data.draw(st.lists(letter, max_size=5))))
+    assert parse_word(str(word), alphabet) == word
+
+
 def test_parse_zero_relations_allowed():
     p = parse_presentation("X: a b\n")
     assert p.relations == ()

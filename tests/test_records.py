@@ -22,7 +22,6 @@ from stephen_kit import (
     ExpansionSite,
     FinitenessCertificate,
     FinitenessVerdict,
-    FoldReport,
     OverlapCase,
     OverlapProfile,
     Presentation,
@@ -67,7 +66,6 @@ RECORDS = [
         (0, Direction.RHS_READ, 3, 4),
     ),
     (Budget, ("max_rounds", "max_vertices"), (8, 200), (8, 201)),
-    (FoldReport, ("merges", "final"), (2, G), (3, G)),
     (
         ClosureResult,
         ("status", "graph", "rounds", "fold_events", "vertex_history"),

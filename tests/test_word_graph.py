@@ -104,42 +104,36 @@ def test_disconnected_builder_rejected_on_freeze():
 
 
 def test_fold_cancelling_pair():
-    report = fold(linear_graph(w("aa^")))
-    assert report.merges == 1
-    assert len(report.final.vertices) == 2
-    assert report.final.alpha == report.final.beta
-    assert len(report.final.edges) == 1
+    folded = fold(linear_graph(w("aa^")))
+    assert len(folded.vertices) == 2
+    assert folded.alpha == folded.beta
+    assert len(folded.edges) == 1
 
 
 def test_fold_deterministic_input_untouched():
-    report = fold(linear_graph(pos("ab")))
-    assert report.merges == 0
-    assert isomorphic(report.final, linear_graph(pos("ab")))
+    folded = fold(linear_graph(pos("ab")))
+    assert len(folded.vertices) == 3
+    assert isomorphic(folded, linear_graph(pos("ab")))
 
 
 def test_fold_retrace():
-    report = fold(linear_graph(w("aa^a")))
-    assert report.merges == 2
-    assert len(report.final.vertices) == 2
-    assert isomorphic(report.final, linear_graph(pos("a")))
+    folded = fold(linear_graph(w("aa^a")))
+    assert len(folded.vertices) == 2
+    assert isomorphic(folded, linear_graph(pos("a")))
 
 
 @given(words)
 def test_fold_matches_naive_oracle(word):
     g = linear_graph(word)
-    report = fold(g)
-    expected = naive_fold(g)
-    assert isomorphic(report.final, expected)
-    assert len(report.final.vertices) == len(g.vertices) - report.merges
+    assert isomorphic(fold(g), naive_fold(g))
 
 
 @given(multigraphs())
 @settings(max_examples=300)
 def test_fold_multigraph_matches_naive_oracle(g):
-    report = fold(g)
-    assert isomorphic(report.final, naive_fold(g))
-    assert len(report.final.vertices) == len(g.vertices) - report.merges
-    assert isomorphic(fold(reversed_ids(g)).final, report.final)
+    folded = fold(g)
+    assert isomorphic(folded, naive_fold(g))
+    assert isomorphic(fold(reversed_ids(g)), folded)
 
 
 @given(multigraphs())
@@ -165,32 +159,27 @@ def test_fold_keeps_builder_consistent(g):
 
 @given(words)
 def test_fold_idempotent(word):
-    once = fold(linear_graph(word)).final
-    again = fold(once)
-    assert again.merges == 0
-    assert isomorphic(again.final, once)
+    once = fold(linear_graph(word))
+    assert isomorphic(fold(once), once)
 
 
 @given(words)
 def test_fold_result_accepts_own_word(word):
-    assert fold(linear_graph(word)).final.accepts(word)
+    assert fold(linear_graph(word)).accepts(word)
 
 
 @given(words)
 @settings(max_examples=60)
 def test_fold_confluence(word):
     g = linear_graph(word)
-    first = fold(g)
-    second = fold(reversed_ids(g))
-    assert first.merges == second.merges
-    assert isomorphic(first.final, second.final)
+    assert isomorphic(fold(g), fold(reversed_ids(g)))
 
 
 # --- acceptance --------------------------------------------------------------
 
 
 def test_accepts_rejects_wrong_word():
-    g = fold(linear_graph(pos("ab"))).final
+    g = fold(linear_graph(pos("ab")))
     assert g.accepts(pos("ab"))
     assert not g.accepts(pos("ba"))
     assert not g.accepts(pos("a"))
@@ -220,7 +209,7 @@ def test_isomorphic_identity_and_labels():
 
 def test_isomorphic_respects_beta():
     chain2 = linear_graph(pos("aa"))
-    looped = fold(linear_graph(w("aa^"))).final
+    looped = fold(linear_graph(w("aa^")))
     assert not isomorphic(chain2, looped)
 
 
@@ -233,8 +222,8 @@ def test_isomorphic_requires_deterministic():
 @settings(max_examples=60)
 def test_isomorphic_equivalence_relation(word):
     # Three independent routes to the same folded value.
-    a = fold(linear_graph(word)).final
-    b = fold(reversed_ids(linear_graph(word))).final
+    a = fold(linear_graph(word))
+    b = fold(reversed_ids(linear_graph(word)))
     c = naive_fold(linear_graph(word))
     assert isomorphic(a, a)
     assert isomorphic(a, b) == isomorphic(b, a)
@@ -245,7 +234,7 @@ def test_isomorphic_equivalence_relation(word):
 
 
 def test_to_json_schema_and_stability():
-    g = fold(linear_graph(w("aa^b"))).final
+    g = fold(linear_graph(w("aa^b")))
     payload = g.to_json()
     assert set(payload) == {"alpha", "beta", "vertices", "edges"}
     assert payload["alpha"] == 0
@@ -285,6 +274,6 @@ def test_to_dot_empty_word_doubly_marked():
 
 
 def test_canonical_key_distinguishes_roots():
-    g1 = fold(linear_graph(w("aa^"))).final   # alpha == beta
+    g1 = fold(linear_graph(w("aa^")))   # alpha == beta
     g2 = linear_graph(pos("a"))               # alpha != beta
     assert g1.canonical_key() != g2.canonical_key()
