@@ -9,16 +9,18 @@ start word (any closed endpoint is the automaton); budgets bound the loop
 because the fixpoint can be an infinite graph.
 
 A closure runs on one GraphBuilder from the start word to the result:
-schutzenberger_automaton builds the word's chain in it and folds it
-there, and close freezes it once, at the end.  Round 0 scans every vertex
+schutzenberger_automaton builds the word's chain in it, and close folds
+it there and freezes it once, at the end.  Round 0 scans every vertex
 for sites.  Later rounds scan the frontier: the start vertices reached by
-walking back along every prefix of every relation side from the vertices
-the last round touched (new chain vertices, chain endpoints, merge
-survivors, neighbours whose edges a merge moved).  That finds every site:
-sewing and folding map the old graph homomorphically into the new one, so
-a read path avoiding all touched vertices lifts to a path of the old
-graph, whose site the last round sewed, so the other side is readable
-now.  This is the deduction stack of coset enumeration.
+walking back along every even-length prefix of every relation side from
+the vertices the last round touched (new chain vertices, chain endpoints,
+merge survivors, neighbours whose edges a merge moved).  That finds every
+site.  A round gives new edges only to touched vertices and keeps the ids
+of the vertices that survive, so a read path of only old edges was one a
+round earlier, that round sewed its site, and the other side is readable
+now.  Any other read path holds a new edge, whose ends are consecutive
+touched vertices on it, and one of them sits at an even offset from the
+path's start.  This is the deduction stack of coset enumeration.
 
 A round sews every site found at its start.  Folding is confluent, and a
 chain sewn beside a path with the same label folds onto that path, so
@@ -111,15 +113,9 @@ class ClosureResult(_MutableRecord):
         }
 
 
-def _sides(site: ExpansionSite, p: Presentation) -> tuple[Word, Word]:
-    lhs, rhs = p.relations[site.relation_index]
-    if site.direction is Direction.LHS_READ:
-        return lhs, rhs
-    return rhs, lhs
-
-
 Letters = tuple[tuple[str, int], ...]
 Check = tuple[int, Direction, Letters, Letters]
+Site = tuple[int, int, Check]
 
 
 def _checks(p: Presentation) -> list[Check]:
@@ -134,8 +130,8 @@ def _checks(p: Presentation) -> list[Check]:
     ]
 
 
-def _sites_from(adj: dict, starts: Iterable[int], checks: list[Check]) -> list[ExpansionSite]:
-    """The sites at each start in turn, by relation index, then direction.
+def _sites_from(adj: dict, starts: Iterable[int], checks: list[Check]) -> list[Site]:
+    """The (start, end, check) sites at each start in turn, in check order.
 
     adj is the step-keyed adjacency of the deterministic graph being
     scanned; the walks are written out here because this is the inner loop
@@ -143,7 +139,8 @@ def _sites_from(adj: dict, starts: Iterable[int], checks: list[Check]) -> list[E
     """
     sites = []
     for start in starts:
-        for rel_index, direction, read, sew in checks:
+        for check in checks:
+            _, _, read, sew = check
             end = start
             for step in read:
                 targets = adj[end].get(step)
@@ -159,7 +156,7 @@ def _sites_from(adj: dict, starts: Iterable[int], checks: list[Check]) -> list[E
                         break
                     (v,) = targets
                 if v != end:
-                    sites.append(ExpansionSite(rel_index, direction, start, end))
+                    sites.append((start, end, check))
     return sites
 
 
@@ -172,19 +169,23 @@ def find_expansions(g: BirootedGraph, p: Presentation) -> list[ExpansionSite]:
     """
     if not g.is_deterministic:
         raise ValueError("find_expansions() requires a deterministic graph")
-    return _sites_from(g._adj, g.bfs_order(), _checks(p))
+    sites = _sites_from(g._adj, g.bfs_order(), _checks(p))
+    return [ExpansionSite(rel, direction, start, end) for start, end, (rel, direction, _, _) in sites]
 
 
 def _back_prefixes(p: Presentation) -> frozenset[Letters]:
-    """Inverses of every prefix of every relation side, the empty one included."""
+    """Inverses of every even-length prefix of every relation side, the empty
+    one included; the module docstring says why the odd-length ones are not
+    needed."""
     inverses = [
         tuple([(x, -1) for x, _ in side.letters[::-1]]) for pair in p.relations for side in pair
     ]
-    return frozenset(inverse[k:] for inverse in inverses for k in range(len(inverse) + 1))
+    return frozenset(inverse[k:] for inverse in inverses for k in range(len(inverse), -1, -2))
 
 
 def _frontier(b: GraphBuilder, backs: frozenset[Letters]) -> set[int]:
-    """The starts of every read path of folded b that meets b.touched.
+    """The starts of every read path of folded b with a touched vertex at an
+    even offset.
 
     After a round every site of b starts there (see the module docstring).
     backs is _back_prefixes(p), which close computes once.
@@ -203,16 +204,15 @@ def _frontier(b: GraphBuilder, backs: frozenset[Letters]) -> set[int]:
     return starts
 
 
-def _sew_round(b: GraphBuilder, p: Presentation, sites: list[ExpansionSite]) -> int:
+def _sew_round(b: GraphBuilder, sites: list[Site]) -> int:
     """Sew every given site and fold; returns the merges.
 
     Afterwards b.touched holds every vertex this round gave an edge, by
     sewing or by moving an edge in a merge.
     """
     b.touched.clear()
-    for site in sites:
-        _, sew = _sides(site, p)
-        b.spell(site.start, sew.letters, site.end)
+    for start, end, (_, _, _, sew) in sites:
+        b.spell(start, sew, end)
     return b.fold()
 
 
@@ -223,12 +223,14 @@ def close(
 
     The vertex limit is checked after each round's site scan, so a round
     that leaves no site is closed even when it crosses the limit.  g is a
-    deterministic graph, or a folded GraphBuilder, which close then
-    grows in place.  On budget exhaustion the returned graph is the last
-    completed round's approximation; that is a status, not an error.
+    deterministic graph, or a GraphBuilder, which close folds (merges that
+    count in neither fold_events nor rounds) and then grows in place.  On
+    budget exhaustion the returned graph is the last completed round's
+    approximation; that is a status, not an error.
     """
     if isinstance(g, GraphBuilder):
         b = g
+        b.fold()
     elif g.is_deterministic:
         b = GraphBuilder.from_graph(g)
     else:
@@ -238,7 +240,7 @@ def close(
     rounds = fold_events = 0
     sites = _sites_from(b._adj, list(b._adj), checks)
     while sites and rounds < budget.max_rounds:
-        fold_events += _sew_round(b, p, sites)
+        fold_events += _sew_round(b, sites)
         rounds += 1
         history.append(b.vertex_count())
         sites = _sites_from(b._adj, _frontier(b, backs), checks)
@@ -257,6 +259,4 @@ def schutzenberger_automaton(
     above w, so the closed result is the Schützenberger automaton of w.
     """
     p.check_word(w)
-    b = GraphBuilder.from_word(w)
-    b.fold()
-    return close(b, p, budget)
+    return close(GraphBuilder.from_word(w), p, budget)

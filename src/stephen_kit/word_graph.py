@@ -6,13 +6,13 @@ from q to p.  Both graph classes index edges the same way, by signed step:
 adj[p][(x, 1)] holds q and adj[q][(x, -1)] holds p, so a walk along a
 signed word looks each letter up directly in either.  GraphBuilder.freeze
 hands its table to the frozen graph, and edge triples are put into a table
-of the same form; the frozen graph copies it with tuples as targets,
-numbers its vertices in the canonical breadth-first order, and lists its
-edges only when they are first read.  Folding (determination)
-merges the endpoints of equally labeled edges leaving one vertex until the
-graph is deterministic; the result is a quotient of the input and,
-because folding is confluent, it is independent of the merge order up to
-root-respecting isomorphism.
+of the same form; the frozen graph copies it with tuples as targets and
+checks that alpha reaches every vertex, and it numbers its vertices in
+the canonical breadth-first order or lists its edges only when first
+asked.  Folding (determination) merges the endpoints of equally labeled
+edges leaving one vertex until the graph is deterministic; the result is
+a quotient of the input and, because folding is confluent, it is
+independent of the merge order up to root-respecting isomorphism.
 
 Graphs are value-like: the mutable machinery lives in GraphBuilder, which
 fold and the expansion engine share; a constructed BirootedGraph is never
@@ -79,9 +79,19 @@ class BirootedGraph:
         self.is_deterministic = all(
             len(ts) == 1 for table in self._adj.values() for ts in table.values()
         )
-        self._bfs = _bfs(self._adj, alpha)
-        if len(self._bfs) != len(self.vertices):
+        seen, stack = {alpha}, [alpha]
+        while stack:
+            for ts in self._adj[stack.pop()].values():
+                for t in ts:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+        if len(seen) != len(self.vertices):
             raise ValueError("graph is not connected from alpha")
+
+    @cached_property
+    def _order(self) -> tuple[int, ...]:
+        return _bfs(self._adj, self.alpha)
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -95,7 +105,7 @@ class BirootedGraph:
 
     def bfs_order(self) -> tuple[int, ...]:
         """Vertices in canonical breadth-first order from alpha."""
-        return self._bfs
+        return self._order
 
     def walk(self, start: int, w: Iterable[Step]) -> int | None:
         """Endpoint of the unique path labeled by w from start, or None.
@@ -118,13 +128,13 @@ class BirootedGraph:
 
     def _renumbered(self) -> tuple[dict[int, int], list[Edge]]:
         """Canonical index of each vertex and the renumbered edges, sorted."""
-        index = {v: i for i, v in enumerate(self._bfs)}
+        index = {v: i for i, v in enumerate(self._order)}
         return index, sorted((index[s], x, index[t]) for s, x, t in self.edges)
 
     def canonical_key(self):
         """Hashable form invariant under root-respecting isomorphism."""
         index, edges = self._renumbered()
-        return (len(self._bfs), index[self.beta], tuple(edges))
+        return (len(self.vertices), index[self.beta], tuple(edges))
 
     def to_json(self) -> dict:
         """Canonically renumbered export: alpha is always vertex 0."""
@@ -132,7 +142,7 @@ class BirootedGraph:
         return {
             "alpha": 0,
             "beta": index[self.beta],
-            "vertices": list(range(len(self._bfs))),
+            "vertices": list(range(len(self.vertices))),
             "edges": [list(edge) for edge in edges],
         }
 
@@ -144,7 +154,7 @@ class BirootedGraph:
         """
         index, edges = self._renumbered()
         lines = ["digraph birooted {", "  rankdir=LR;"]
-        for v in range(len(self._bfs)):
+        for v in range(len(self.vertices)):
             if v == index[self.alpha] and v == index[self.beta]:
                 shape = "Msquare"
             elif v == index[self.alpha]:
@@ -280,13 +290,13 @@ class GraphBuilder:
         before = len(self._adj)
         stack = list(self.touched)
         while stack:
-            table = self._adj.get(stack[-1], {})
-            clash = next((ts for ts in table.values() if len(ts) > 1), None)
-            if clash is None:
-                stack.pop()
+            for ts in self._adj.get(stack[-1], {}).values():
+                if len(ts) > 1:
+                    a, b, *_ = ts
+                    stack.append(self.merge(a, b))
+                    break
             else:
-                a, b, *_ = clash
-                stack.append(self.merge(a, b))
+                stack.pop()
         return before - len(self._adj)
 
     def freeze(self) -> BirootedGraph:

@@ -14,7 +14,7 @@ from stephen_kit import (
     Word,
     find_expansions,
 )
-from stephen_kit.engine import _sew_round, _sides
+from stephen_kit.engine import _checks, _sew_round, _sites_from
 from stephen_kit.word_graph import GraphBuilder
 
 
@@ -78,6 +78,21 @@ def all_positive_words(alphabet: str, max_len: int, min_len: int = 1):
             yield Word(tuple((x, 1) for x in combo))
 
 
+def round_sites(g: BirootedGraph, p: Presentation) -> list:
+    """The sites of g as the (start, end, check) tuples close sews, in the
+    canonical order of find_expansions."""
+    return _sites_from(g._adj, g.bfs_order(), _checks(p))
+
+
+def site_records(sites: list) -> set[ExpansionSite]:
+    """(start, end, check) site tuples as the ExpansionSites find_expansions
+    reports."""
+    return {
+        ExpansionSite(rel_index, direction, start, end)
+        for start, end, (rel_index, direction, _, _) in sites
+    }
+
+
 def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureResult:
     """Reference closure that rebuilds, rescans and refreezes every round.
 
@@ -137,6 +152,14 @@ def readable_ends(g: BirootedGraph, start: int, w: Word) -> set[int]:
     return ends
 
 
+def _sides(site: ExpansionSite, p: Presentation) -> tuple[Word, Word]:
+    """The site's read side and the side sewing it adds."""
+    lhs, rhs = p.relations[site.relation_index]
+    if site.direction is Direction.LHS_READ:
+        return lhs, rhs
+    return rhs, lhs
+
+
 class StaleSiteError(RuntimeError):
     """The site's missing side became readable; sewing it would be redundant."""
 
@@ -164,9 +187,9 @@ def full_p_expansion(g: BirootedGraph, p: Presentation) -> BirootedGraph:
 
     Sites that only become available mid-round are left for the next round.
     """
-    sites = find_expansions(g, p)
+    sites = round_sites(g, p)
     b = GraphBuilder.from_graph(g)
-    _sew_round(b, p, sites)
+    _sew_round(b, sites)
     return b.freeze()
 
 

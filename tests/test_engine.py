@@ -14,12 +14,13 @@ from stephen_kit import (
     Word,
     close,
     count_r_word_occurrences,
+    decide_equal,
     find_expansions,
     fold,
     linear_graph,
     schutzenberger_automaton,
 )
-from stephen_kit import engine
+from stephen_kit import engine, word_graph
 from stephen_kit.word_graph import GraphBuilder
 from support import (
     CASE1,
@@ -36,6 +37,8 @@ from support import (
     pos,
     random_positive_word,
     random_signed_word,
+    round_sites,
+    site_records,
     w,
 )
 
@@ -160,7 +163,7 @@ def test_full_round_order_is_canonical_up_to_iso(word):
     for p in (COMM, CASE1):
         g = fold(linear_graph(word))
         backward = GraphBuilder.from_graph(g)
-        engine._sew_round(backward, p, find_expansions(g, p)[::-1])
+        engine._sew_round(backward, round_sites(g, p)[::-1])
         assert isomorphic(full_p_expansion(g, p), backward.freeze())
 
 
@@ -379,13 +382,22 @@ def test_automaton_matches_close_of_folded_linear_graph(p, word, budget):
     assert result.graph.to_json() == reference.graph.to_json()
 
 
+def test_close_folds_a_handed_builder_first():
+    # aa^ spells a chain with a clash at its middle vertex; close folds it
+    # before round 0, and those merges count in neither fold_events nor rounds.
+    result = close(GraphBuilder.from_word(w("aa^")), COMM)
+    reference = schutzenberger_automaton(w("aa^"), COMM)
+    assert result.to_json() == reference.to_json()
+    assert result.graph.canonical_key() == reference.graph.canonical_key()
+
+
 @given(small_presentations, signed_words, small_budgets)
 @settings(max_examples=100)
 def test_builder_consistent_after_every_round(p, word, budget):
     sew_round = engine._sew_round
 
-    def checked(b, p, sites):
-        merges = sew_round(b, p, sites)
+    def checked(b, sites):
+        merges = sew_round(b, sites)
         assert_builder_consistent(b)
         return merges
 
@@ -462,10 +474,10 @@ def test_round_site_order_does_not_change_closure():
     reordered_rounds = 0
 
     def reordered(reorder):
-        def sew(b, p, sites):
+        def sew(b, sites):
             nonlocal reordered_rounds
             reordered_rounds += len(sites) > 1
-            return sew_round(b, p, reorder(sites))
+            return sew_round(b, reorder(sites))
 
         return sew
 
@@ -495,7 +507,7 @@ def test_frontier_scan_equals_full_scan_every_round():
         b, p = closing[-1]
         if adj is b._adj:  # a scan by close, not by find_expansions below
             assert len(set(sites)) == len(sites)
-            assert set(sites) == set(find_expansions(b.freeze(), p))
+            assert site_records(sites) == set(find_expansions(b.freeze(), p))
             rounds.append(len(sites))
         return sites
 
@@ -529,10 +541,10 @@ def test_round_changes_edges_only_at_touched_vertices():
             (s, step, t) for s, table in b._adj.items() for step, ts in table.items() for t in ts
         }
 
-    def checked(b, p, sites):
+    def checked(b, sites):
         nonlocal checked_edges
         before = edge_set(b)
-        merges = sew_round(b, p, sites)
+        merges = sew_round(b, sites)
         for s, step, t in edge_set(b):
             if s not in b.touched or t not in b.touched:
                 assert (s, step, t) in before
@@ -552,9 +564,11 @@ def test_divergent_closure_does_no_per_round_rebuild(monkeypatch):
     # Counts, not timings: a per-round rescan, refreeze or copy would make
     # the counts grow with the vertex budget.  The word is built and folded
     # on the closure's own builder, every scan runs on that builder, and
-    # the graph is frozen once, at the end.
-    scans, graphs, copies = [], [], []
+    # the graph is frozen once, at the end.  No closure or verdict reads the
+    # canonical breadth-first order; exports compute it once, when first asked.
+    scans, graphs, copies, orders = [], [], [], []
     scan, init, copy = engine.find_expansions, BirootedGraph.__init__, GraphBuilder.from_graph
+    bfs = word_graph._bfs
 
     def counted_scan(g, p):
         scans.append(g)
@@ -568,15 +582,27 @@ def test_divergent_closure_does_no_per_round_rebuild(monkeypatch):
         copies.append(g)
         return copy(g)
 
+    def counted_bfs(adj, alpha):
+        orders.append(alpha)
+        return bfs(adj, alpha)
+
     monkeypatch.setattr(engine, "find_expansions", counted_scan)
     monkeypatch.setattr(BirootedGraph, "__init__", counted_init)
     monkeypatch.setattr(GraphBuilder, "from_graph", counted_copy)
+    monkeypatch.setattr(word_graph, "_bfs", counted_bfs)
     for max_vertices in (500, 2000):
         scans.clear()
         graphs.clear()
         copies.clear()
-        result = schutzenberger_automaton(pos("ab"), SUBWORD, Budget(10_000, max_vertices))
+        orders.clear()
+        budget = Budget(10_000, max_vertices)
+        result = schutzenberger_automaton(pos("ab"), SUBWORD, budget)
         assert result.status is Status.BUDGET_EXCEEDED
         assert len(result.graph.vertices) > max_vertices
         assert (len(scans), len(graphs), len(copies)) == (0, 1, 0)
         assert graphs == [result.graph]
+        decide_equal(pos("ab"), pos("b"), SUBWORD, budget)
+        assert orders == []
+        result.graph.to_json()
+        result.graph.canonical_key()
+        assert orders == [result.graph.alpha]
