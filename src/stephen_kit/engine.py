@@ -10,7 +10,8 @@ because the fixpoint can be an infinite graph.
 
 A closure runs on one GraphBuilder from the start word to the result:
 schutzenberger_automaton builds the word's chain in it, and close folds
-it there and freezes it once, at the end.  Round 0 scans every vertex
+it there and, at the end, hands the builder's table to the result graph
+without a copy, which spends the builder.  Round 0 scans every vertex
 for sites.  Later rounds scan the frontier: the start vertices reached by
 walking back along every even-length prefix of every relation side from
 the vertices the last round touched (new chain vertices, chain endpoints,
@@ -224,9 +225,10 @@ def close(
     The vertex limit is checked after each round's site scan, so a round
     that leaves no site is closed even when it crosses the limit.  g is a
     deterministic graph, or a GraphBuilder, which close folds (merges that
-    count in neither fold_events nor rounds) and then grows in place.  On
-    budget exhaustion the returned graph is the last completed round's
-    approximation; that is a status, not an error.
+    count in neither fold_events nor rounds) and then grows in place.  The
+    result graph takes over the builder's table, so a handed builder is
+    spent.  On budget exhaustion the returned graph is the last completed
+    round's approximation; that is a status, not an error.
     """
     if isinstance(g, GraphBuilder):
         b = g
@@ -247,7 +249,8 @@ def close(
         if history[-1] > budget.max_vertices:
             break
     status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
-    return ClosureResult(status, b.freeze(), rounds, fold_events, tuple(history))
+    graph = BirootedGraph(b.alpha, b.beta, b)
+    return ClosureResult(status, graph, rounds, fold_events, tuple(history))
 
 
 def schutzenberger_automaton(

@@ -11,11 +11,12 @@ File format (UTF-8, line oriented, ``#`` starts a comment)::
     R: ab = ba      # one relation per line, both sides positive
 
 Letters are maximal runs of non-space characters; ``=``, ``:``, ``^`` and
-``#`` are reserved.  Words are written either as concatenated single-letter
-symbols (``ab``) or as space-separated multi-character letters; a lone
-multi-character letter is written alone (``x1``) unless each of its
-characters is a declared letter.  Query words (not relation sides) may
-invert a letter with a trailing ``^``.
+``#`` are reserved, and no multi-character letter may be spelled by
+declared letters (``X: a b ab`` is rejected).  Words are written either as
+concatenated single-letter symbols (``ab``) or as space-separated
+multi-character letters; a lone multi-character letter is written alone
+(``x1``).  Query words (not relation sides) may invert a letter with a
+trailing ``^``.
 """
 
 from __future__ import annotations
@@ -167,7 +168,10 @@ def parse_word(text: str, alphabet: Iterable[Letter], *, line: int | None = None
 
 
 def _check_alphabet(letters: tuple[Letter, ...], line: int | None = None) -> None:
-    """Letters non-empty, free of whitespace and reserved characters, and distinct."""
+    """Letters non-empty, free of whitespace and reserved characters, and
+    distinct, and no multi-character letter spelled by declared letters:
+    over ``a b ab`` the text ``ab`` could mean either word."""
+    known = set(letters)
     for letter in letters:
         if not letter:
             raise PresentationError("empty letter", line)
@@ -175,9 +179,11 @@ def _check_alphabet(letters: tuple[Letter, ...], line: int | None = None) -> Non
             raise PresentationError(f"letter {letter!r} contains whitespace", line)
         if any(ch in RESERVED_CHARS for ch in letter):
             raise PresentationError(f"letter {letter!r} uses a reserved character", line)
+        if len(letter) > 1 and set(letter) <= known:
+            raise PresentationError(f"letter {letter!r} is spelled by declared letters", line)
     if not letters:
         raise PresentationError("alphabet declares no letters", line)
-    if len(set(letters)) != len(letters):
+    if len(known) != len(letters):
         raise PresentationError("duplicate letter declaration", line)
 
 

@@ -4,36 +4,48 @@ A graph lists each edge once, in its positively labeled orientation
 (p, x, q); traversing it backwards acts as the implicit edge labeled x^-1
 from q to p.  Both graph classes index edges the same way, by signed step:
 adj[p][(x, 1)] holds q and adj[q][(x, -1)] holds p, so a walk along a
-signed word looks each letter up directly in either.  GraphBuilder.freeze
-hands its table to the frozen graph, and edge triples are put into a table
-of the same form; the frozen graph copies it with tuples as targets and
-checks that alpha reaches every vertex, and it numbers its vertices in
-the canonical breadth-first order or lists its edges only when first
-asked.  Folding (determination) merges the endpoints of equally labeled
-edges leaving one vertex until the graph is deterministic; the result is
-a quotient of the input and, because folding is confluent, it is
-independent of the merge order up to root-respecting isomorphism.
+signed word looks each letter up directly in either.  A frozen graph
+numbers its vertices in the canonical breadth-first order, and lists its
+edges, only when first asked.  Folding (determination) merges the
+endpoints of equally labeled edges leaving one vertex until the graph is
+deterministic; the result is a quotient of the input and, because
+folding is confluent, it is independent of the merge order up to
+root-respecting isomorphism.
 
 Graphs are value-like: the mutable machinery lives in GraphBuilder, which
 fold and the expansion engine share; a constructed BirootedGraph is never
 mutated and is safe to share between readers.  GraphBuilder does the two
 things Stephen's procedure does to a graph, spelling a chain and folding,
 on one adjacency table that is its only record of the graph.
+
+A graph is made in one of two ways.  Edge triples, a raw table and
+GraphBuilder.freeze() of a builder that goes on growing are copied, with
+tuples as targets, and checked: the copy records whether the graph is
+deterministic, and a traversal from alpha must reach every vertex.
+close and fold(g) end on a folded builder and hand it over instead: the
+graph adopts the builder's table, singleton sets as targets, and the
+builder is spent, with no table left that a later link or spell could
+change.  Such a table needs neither check, because the builder keeps
+both properties by construction: from_word spells a connected chain,
+from_graph copies a graph that was checked when it was built, spell
+starts at an existing vertex, merge keeps the graph connected, and fold
+leaves no clash.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .presentation import Word
 
 Edge = tuple[int, str, int]
 Step = tuple[str, int]
 Adjacency = dict[int, dict[Step, set[int]]]
+FrozenAdjacency = dict[int, dict[Step, Collection[int]]]
 
 
-def _bfs(adj: dict[int, dict[Step, tuple[int, ...]]], alpha: int) -> tuple[int, ...]:
+def _bfs(adj: FrozenAdjacency, alpha: int) -> tuple[int, ...]:
     """Vertices in canonical breadth-first order from alpha.
 
     Neighbors are explored by letter, positive orientation first, and each
@@ -55,30 +67,42 @@ class BirootedGraph:
     """A finite birooted inverse word graph with roots alpha and beta.
 
     Every vertex must be reachable from alpha through the underlying
-    undirected edge set; this is validated on construction.
+    undirected edge set; this is validated when the graph is copied, and
+    a handed-over builder guarantees it.
     """
 
-    def __init__(self, alpha: int, beta: int, edges: Iterable[Edge] | Adjacency):
+    def __init__(self, alpha: int, beta: int, edges: Iterable[Edge] | Adjacency | GraphBuilder):
         """Build from (s, x, t) triples, put into a step-keyed table first (so
-        a repeated triple is one edge), or from the table GraphBuilder.freeze
-        hands over; the table is copied and edges listed when first read.
+        a repeated triple is one edge), or from such a table, which is
+        copied and checked.  A folded GraphBuilder is handed over instead:
+        its table is adopted unchecked and the builder is spent (see the
+        module docstring).  Edges are listed when first read.
         """
         self.alpha = alpha
         self.beta = beta
+        if isinstance(edges, GraphBuilder):
+            self._adj: FrozenAdjacency = edges._adj
+            edges._adj = None
+            self.vertices: frozenset[int] = frozenset(self._adj)
+            self.is_deterministic = True
+            return
         adj = edges
         if not isinstance(adj, dict):
             adj = {alpha: {}, beta: {}}
             for s, x, t in edges:
                 adj.setdefault(s, {}).setdefault((x, 1), set()).add(t)
                 adj.setdefault(t, {}).setdefault((x, -1), set()).add(s)
-        self._adj: dict[int, dict[Step, tuple[int, ...]]] = {
-            v: {step: tuple(ts) if len(ts) == 1 else tuple(sorted(ts)) for step, ts in table.items()}
-            for v, table in adj.items()
-        }
-        self.vertices: frozenset[int] = frozenset(self._adj)
-        self.is_deterministic = all(
-            len(ts) == 1 for table in self._adj.values() for ts in table.values()
-        )
+        self._adj = {}
+        self.is_deterministic = True
+        for v, table in adj.items():
+            row = self._adj[v] = {}
+            for step, ts in table.items():
+                if len(ts) == 1:
+                    row[step] = tuple(ts)
+                else:
+                    row[step] = tuple(sorted(ts))
+                    self.is_deterministic = False
+        self.vertices = frozenset(self._adj)
         seen, stack = {alpha}, [alpha]
         while stack:
             for ts in self._adj[stack.pop()].values():
@@ -198,7 +222,8 @@ class GraphBuilder:
     the builder holds is a key of the table.  touched collects every vertex
     given an edge since its owner last cleared it; a deterministic graph can
     gain a clash only at such a vertex, so fold looks for clashes there
-    alone.
+    alone.  Handing a folded builder to BirootedGraph spends it: the graph
+    takes the table, and the builder keeps none.
     """
 
     def __init__(self):
@@ -300,12 +325,15 @@ class GraphBuilder:
         return before - len(self._adj)
 
     def freeze(self) -> BirootedGraph:
+        """A checked copy of the graph; the builder stays usable, and what it
+        does next does not reach the copy."""
         return BirootedGraph(self.alpha, self.beta, self._adj)
 
 
 def fold(g: BirootedGraph) -> BirootedGraph:
     """The deterministic quotient of g, unique up to root-respecting
-    isomorphism; each merge that makes it removes one vertex of g."""
+    isomorphism; each merge that makes it removes one vertex of g.  The
+    folded builder is handed over, not copied."""
     b = GraphBuilder.from_graph(g)
     b.fold()
-    return b.freeze()
+    return BirootedGraph(b.alpha, b.beta, b)

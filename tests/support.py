@@ -3,6 +3,8 @@
 import itertools
 from collections import deque
 
+from hypothesis import strategies as st
+
 from stephen_kit import (
     BirootedGraph,
     Budget,
@@ -53,6 +55,19 @@ def reversed_ids(g: BirootedGraph) -> BirootedGraph:
     top = max(g.vertices)
     edges = [(top - s, x, top - t) for s, x, t in g.edges]
     return BirootedGraph(top - g.alpha, top - g.beta, edges)
+
+
+@st.composite
+def multigraphs(draw):
+    """Connected graphs on up to six vertices, self-loops and parallel edges allowed."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    edges = []
+    for v in range(1, n):
+        u, x = draw(st.integers(0, v - 1)), draw(st.sampled_from("ab"))
+        edges.append((u, x, v) if draw(st.booleans()) else (v, x, u))
+    edges += draw(st.lists(st.tuples(vertex, st.sampled_from("ab"), vertex), max_size=8))
+    return BirootedGraph(0, draw(vertex), edges)
 
 
 def random_positive_word(rng, alphabet: str, max_len: int, min_len: int = 1) -> Word:
@@ -212,7 +227,7 @@ def isomorphic(g1: BirootedGraph, g2: BirootedGraph) -> bool:
         if g1._adj[v1].keys() != g2._adj[v2].keys():
             return False
         for key, (t1,) in g1._adj[v1].items():
-            t2 = g2._adj[v2][key][0]
+            (t2,) = g2._adj[v2][key]
             if t1 in pairing:
                 if pairing[t1] != t2:
                     return False

@@ -171,6 +171,14 @@ def test_parse_error_exit_code(pres, capsys):
     assert "undeclared letter" in capsys.readouterr().err
 
 
+def test_ambiguous_alphabet_exit_code(pres, capsys):
+    path = pres("ambiguous.pres", "X: a b ab\nR: ab = ba\n")
+    assert main(["graph", path, "ab"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: letter 'ab' is spelled by declared letters\n"
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.pres")]) == 2
     assert "error:" in capsys.readouterr().err

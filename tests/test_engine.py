@@ -33,6 +33,7 @@ from support import (
     elementary_expansion,
     full_p_expansion,
     isomorphic,
+    multigraphs,
     naive_close,
     pos,
     random_positive_word,
@@ -463,6 +464,54 @@ def test_frozen_graphs_equal_graphs_rebuilt_from_their_edges():
             assert_same_as_rebuilt(g)
             nondeterministic += not g.is_deterministic
     assert nondeterministic > 300
+
+
+@given(multigraphs())
+def test_folded_multigraphs_equal_graphs_rebuilt_from_their_edges(g):
+    # The same check for fold(g), which hands its folded builder's table
+    # over, on inputs with self-loops and parallel edges.
+    assert_same_as_rebuilt(g)
+    assert_same_as_rebuilt(fold(g))
+
+
+def test_spent_builder_cannot_reach_its_graph(monkeypatch):
+    # close and fold(g) hand their builder's table to the graph they
+    # return.  Growing that builder afterwards must fail or leave the graph
+    # as an untouched closure or fold gives it.
+    builders = []
+    from_graph = GraphBuilder.from_graph
+
+    def kept(g):
+        builders.append(from_graph(g))
+        return builders[-1]
+
+    monkeypatch.setattr(GraphBuilder, "from_graph", kept)
+
+    def closed():
+        b = GraphBuilder.from_word(pos("ab"))
+        return b, close(b, COMM).graph
+
+    def folded():
+        g = fold(linear_graph(w("aa^b")))
+        return builders[-1], g
+
+    grow = (
+        lambda b, g: b.link(g.alpha, ("b", 1), g.beta),
+        lambda b, g: b.spell(g.beta, w("ab^a").letters),
+        lambda b, g: b.spell(g.alpha, pos("bb").letters, g.beta),
+    )
+    for spend in (closed, folded):
+        _, reference = spend()
+        for attempt in grow:
+            b, graph = spend()
+            try:
+                attempt(b, graph)
+            except TypeError:  # a spent builder has no table
+                pass
+            assert graph.edges == reference.edges
+            assert graph.vertices == reference.vertices
+            assert graph.to_json() == reference.to_json()
+            assert graph.canonical_key() == reference.canonical_key()
 
 
 def test_round_site_order_does_not_change_closure():

@@ -69,11 +69,18 @@ def test_parse_single_multichar_letter():
         parse_word("x1^^", p.alphabet)
 
 
-# Alphabets in which no multi-character letter is spelled by declared
-# letters, the one case where a one-letter word's text reads otherwise.
+def _declarable(letters) -> bool:
+    try:
+        Presentation(tuple(letters))
+    except PresentationError:
+        return False
+    return True
+
+
+# Alphabets a presentation accepts.
 alphabets = st.lists(
     st.text("abx1", min_size=1, max_size=3), min_size=1, max_size=4, unique=True
-).filter(lambda xs: not any(len(x) > 1 and set(x) <= set(xs) for x in xs))
+).filter(_declarable)
 
 
 @given(st.data())
@@ -100,6 +107,7 @@ def test_parse_zero_relations_allowed():
         ("X: a b\nR: ab = ab", "identical"),
         ("X: a a\nR: aa = a", "duplicate"),
         ("X: a=b\nR: aa = a", "reserved"),
+        ("X: a b ab\nR: a = b", "'ab' is spelled by declared letters"),
         ("", "no alphabet"),
     ],
 )

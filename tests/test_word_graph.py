@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stephen_kit import BirootedGraph, Word, fold, linear_graph
 from stephen_kit.word_graph import GraphBuilder
-from support import assert_builder_consistent, isomorphic, pos, reversed_ids, w
+from support import assert_builder_consistent, isomorphic, multigraphs, pos, reversed_ids, w
 
 
 # Independent fold-to-fixpoint oracle: rebuild the full adjacency index on
@@ -39,19 +39,6 @@ def naive_fold(g: BirootedGraph):
 
 signed_letters = st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1)))
 words = st.builds(lambda ls: Word(tuple(ls)), st.lists(signed_letters, max_size=12))
-
-
-@st.composite
-def multigraphs(draw):
-    """Connected graphs on up to six vertices, self-loops and parallel edges allowed."""
-    n = draw(st.integers(1, 6))
-    vertex = st.integers(0, n - 1)
-    edges = []
-    for v in range(1, n):
-        u, x = draw(st.integers(0, v - 1)), draw(st.sampled_from("ab"))
-        edges.append((u, x, v) if draw(st.booleans()) else (v, x, u))
-    edges += draw(st.lists(st.tuples(vertex, st.sampled_from("ab"), vertex), max_size=8))
-    return BirootedGraph(0, draw(vertex), edges)
 
 
 # --- linear graphs -----------------------------------------------------------
