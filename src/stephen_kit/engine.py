@@ -6,7 +6,9 @@ fresh chain labeled by the missing side between v1 and v2; a full round
 sews every site visible at the start of the round and then folds.
 Iterating rounds to a fixpoint yields the Schützenberger automaton of the
 start word (any closed endpoint is the automaton); budgets bound the loop
-because the fixpoint can be an infinite graph.
+because the fixpoint can be an infinite graph.  A site is the tuple
+(v1, v2, (read, sew)) of the two vertices and the signed letters of the
+side read and of the side sewn; find_expansions reports what close sews.
 
 A closure runs on one GraphBuilder from the start word to the result:
 schutzenberger_automaton builds the word's chain in it, and close folds
@@ -37,23 +39,6 @@ from typing import Iterable
 
 from .presentation import Presentation, Word, _MutableRecord, _Record, _set
 from .word_graph import BirootedGraph, GraphBuilder
-
-
-class Direction(enum.Enum):
-    """Which relation side was read at the site; the other side gets sewn."""
-
-    LHS_READ = "lhs-read"
-    RHS_READ = "rhs-read"
-
-
-class ExpansionSite(_Record):
-    __slots__ = __match_args__ = ("relation_index", "direction", "start", "end")
-
-    def __init__(self, relation_index: int, direction: Direction, start: int, end: int):
-        _set(self, "relation_index", relation_index)
-        _set(self, "direction", direction)
-        _set(self, "start", start)
-        _set(self, "end", end)
 
 
 class Budget(_Record):
@@ -115,24 +100,23 @@ class ClosureResult(_MutableRecord):
 
 
 Letters = tuple[tuple[str, int], ...]
-Check = tuple[int, Direction, Letters, Letters]
+Check = tuple[Letters, Letters]
 Site = tuple[int, int, Check]
 
 
 def _checks(p: Presentation) -> list[Check]:
-    """(relation index, direction, read letters, sew letters) in site order."""
+    """(read letters, sew letters) in site order: for each relation, the
+    lhs read first, then the rhs read."""
     return [
-        (rel_index, direction, read.letters, sew.letters)
-        for rel_index, (lhs, rhs) in enumerate(p.relations)
-        for direction, read, sew in (
-            (Direction.LHS_READ, lhs, rhs),
-            (Direction.RHS_READ, rhs, lhs),
-        )
+        check
+        for lhs, rhs in p.relations
+        for check in ((lhs.letters, rhs.letters), (rhs.letters, lhs.letters))
     ]
 
 
 def _sites_from(adj: dict, starts: Iterable[int], checks: list[Check]) -> list[Site]:
-    """The (start, end, check) sites at each start in turn, in check order.
+    """The (start, end, (read, sew)) sites at each start in turn, in check
+    order.
 
     adj is the step-keyed adjacency of the deterministic graph being
     scanned; the walks are written out here because this is the inner loop
@@ -141,7 +125,7 @@ def _sites_from(adj: dict, starts: Iterable[int], checks: list[Check]) -> list[S
     sites = []
     for start in starts:
         for check in checks:
-            _, _, read, sew = check
+            read, sew = check
             end = start
             for step in read:
                 targets = adj[end].get(step)
@@ -161,17 +145,17 @@ def _sites_from(adj: dict, starts: Iterable[int], checks: list[Check]) -> list[S
     return sites
 
 
-def find_expansions(g: BirootedGraph, p: Presentation) -> list[ExpansionSite]:
-    """All expansion sites of g, in canonical order.
+def find_expansions(g: BirootedGraph, p: Presentation) -> list[Site]:
+    """All expansion sites of g as the (start, end, (read, sew)) tuples
+    close sews, in canonical order.
 
     Determinism makes the read path unique per start vertex, so the scan is
-    start-vertex driven; sites are ordered by (start vertex BFS index,
-    relation index, direction).
+    start-vertex driven; sites are ordered by start vertex BFS index, then
+    by relation, the lhs read before the rhs read.
     """
     if not g.is_deterministic:
         raise ValueError("find_expansions() requires a deterministic graph")
-    sites = _sites_from(g._adj, g.bfs_order(), _checks(p))
-    return [ExpansionSite(rel, direction, start, end) for start, end, (rel, direction, _, _) in sites]
+    return _sites_from(g._adj, g.bfs_order(), _checks(p))
 
 
 def _back_prefixes(p: Presentation) -> frozenset[Letters]:
@@ -212,31 +196,24 @@ def _sew_round(b: GraphBuilder, sites: list[Site]) -> int:
     sewing or by moving an edge in a merge.
     """
     b.touched.clear()
-    for start, end, (_, _, _, sew) in sites:
+    for start, end, (_, sew) in sites:
         b.spell(start, sew, end)
     return b.fold()
 
 
-def close(
-    g: BirootedGraph | GraphBuilder, p: Presentation, budget: Budget = Budget()
-) -> ClosureResult:
-    """Iterate full rounds until no site remains or a budget limit trips.
+def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> ClosureResult:
+    """Fold b, then iterate full rounds on it until no site remains or a
+    budget limit trips.
 
+    The merges of the first fold count in neither fold_events nor rounds.
     The vertex limit is checked after each round's site scan, so a round
-    that leaves no site is closed even when it crosses the limit.  g is a
-    deterministic graph, or a GraphBuilder, which close folds (merges that
-    count in neither fold_events nor rounds) and then grows in place.  The
-    result graph takes over the builder's table, so a handed builder is
-    spent.  On budget exhaustion the returned graph is the last completed
-    round's approximation; that is a status, not an error.
+    that leaves no site is closed even when it crosses the limit.  The
+    result graph takes over the builder's table, so b is spent; a caller
+    that holds a graph passes GraphBuilder.from_graph(g).  On budget
+    exhaustion the returned graph is the last completed round's
+    approximation; that is a status, not an error.
     """
-    if isinstance(g, GraphBuilder):
-        b = g
-        b.fold()
-    elif g.is_deterministic:
-        b = GraphBuilder.from_graph(g)
-    else:
-        raise ValueError("close() requires a deterministic graph")
+    b.fold()
     checks, backs = _checks(p), _back_prefixes(p)
     history = [b.vertex_count()]
     rounds = fold_events = 0

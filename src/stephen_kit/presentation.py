@@ -1,7 +1,8 @@
 """Positive presentations of inverse semigroups.
 
-Parsing and validation of presentation files, the left/right side graphs,
-the Adian (cycle-free) property, overlap analysis of the two sides of a
+Parsing and validation of presentation files, the edges of the left and
+right side graphs (whose vertices are the alphabet), the Adian
+(cycle-free) property, overlap analysis of the two sides of a
 one-relation presentation, and the finiteness certificate that the overlap
 case determines.
 
@@ -134,16 +135,15 @@ def parse_word(text: str, alphabet: Iterable[Letter], *, line: int | None = None
     """Parse a word against a declared alphabet.
 
     With embedded whitespace the text is split into letter tokens; so is a
-    text that, less one trailing ``^``, is a declared letter whose characters
-    are not all letters; otherwise every character is a single-letter
-    symbol.  A trailing ``^`` on a token (or character) inverts that letter.
+    text that, less one trailing ``^``, is a declared letter; otherwise
+    every character is a single-letter symbol.  A trailing ``^`` on a token
+    (or character) inverts that letter.
     """
     known = set(alphabet)
     text = text.strip()
     if not text:
         return Word()
-    letter = text.removesuffix("^")
-    if any(ch.isspace() for ch in text) or (letter in known and not set(letter) <= known):
+    if any(ch.isspace() for ch in text) or text.removesuffix("^") in known:
         tokens = text.split()
     else:
         tokens = []
@@ -261,31 +261,23 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(alphabet, tuple(relations))
 
 
-class SideGraph(_Record):
-    """Undirected multigraph on the alphabet with one edge per relation.
-
-    Self-loops (both sides of a relation start, or end, with the same
-    letter) are recorded like any other edge.
-    """
-
-    __slots__ = __match_args__ = ("vertices", "edges")
-
-    def __init__(self, vertices: tuple[Letter, ...], edges: tuple[tuple[Letter, Letter], ...]):
-        _set(self, "vertices", vertices)
-        _set(self, "edges", edges)
+SideEdges = tuple[tuple[Letter, Letter], ...]
 
 
-def side_graphs(p: Presentation) -> tuple[SideGraph, SideGraph]:
-    """The left graph (joining first letters) and right graph (joining last letters)."""
+def side_graphs(p: Presentation) -> tuple[SideEdges, SideEdges]:
+    """The edges of the left graph (joining first letters) and of the right
+    graph (joining last letters), one per relation; both graphs have the
+    alphabet as vertices, and a relation whose sides start, or end, with
+    the same letter gives a self-loop."""
     left = tuple((u.letters[0][0], v.letters[0][0]) for u, v in p.relations)
     right = tuple((u.letters[-1][0], v.letters[-1][0]) for u, v in p.relations)
-    return SideGraph(p.alphabet, left), SideGraph(p.alphabet, right)
+    return left, right
 
 
-def _cycle_free(g: SideGraph) -> bool:
+def _cycle_free(vertices: Iterable[Letter], edges: SideEdges) -> bool:
     # A multigraph is cycle-free iff every edge joins two previously
     # disconnected vertices; self-loops and parallel edges fail at once.
-    parent = {x: x for x in g.vertices}
+    parent = {x: x for x in vertices}
 
     def find(x: Letter) -> Letter:
         while parent[x] != x:
@@ -293,7 +285,7 @@ def _cycle_free(g: SideGraph) -> bool:
             x = parent[x]
         return x
 
-    for a, b in g.edges:
+    for a, b in edges:
         ra, rb = find(a), find(b)
         if ra == rb:
             return False
@@ -307,8 +299,7 @@ def is_adian(p: Presentation) -> bool:
     Closed paths include self-loops and parallel edges, so this is exactly
     the condition that both side graphs are simple forests.
     """
-    left, right = side_graphs(p)
-    return _cycle_free(left) and _cycle_free(right)
+    return all(_cycle_free(p.alphabet, edges) for edges in side_graphs(p))
 
 
 class OverlapCase(enum.Enum):

@@ -18,24 +18,24 @@ mutated and is safe to share between readers.  GraphBuilder does the two
 things Stephen's procedure does to a graph, spelling a chain and folding,
 on one adjacency table that is its only record of the graph.
 
-A graph is made in one of two ways.  Edge triples, a raw table and
-GraphBuilder.freeze() of a builder that goes on growing are copied, with
-tuples as targets, and checked: the copy records whether the graph is
-deterministic, and a traversal from alpha must reach every vertex.
-close and fold(g) end on a folded builder and hand it over instead: the
-graph adopts the builder's table, singleton sets as targets, and the
-builder is spent, with no table left that a later link or spell could
-change.  Such a table needs neither check, because the builder keeps
-both properties by construction: from_word spells a connected chain,
-from_graph copies a graph that was checked when it was built, spell
-starts at an existing vertex, merge keeps the graph connected, and fold
-leaves no clash.
+A graph is made in one of two ways.  Edge triples, from a caller or from
+GraphBuilder.freeze() of a builder that goes on growing, are put into a
+new table, with tuples as targets, and checked: the copy records whether
+the graph is deterministic, and a traversal from alpha must reach every
+vertex.  close and fold(g) end on a folded builder and hand it over
+instead: the graph adopts the builder's table, singleton sets as
+targets, and the builder is spent, with no table left that a later link
+or spell could change.  Such a table needs neither check, because the
+builder keeps both properties by construction: from_word spells a
+connected chain, from_graph copies a graph that was checked when it was
+built, spell starts at an existing vertex, merge keeps the graph
+connected, and fold leaves no clash.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .presentation import Word
 
@@ -43,6 +43,17 @@ Edge = tuple[int, str, int]
 Step = tuple[str, int]
 Adjacency = dict[int, dict[Step, set[int]]]
 FrozenAdjacency = dict[int, dict[Step, Collection[int]]]
+
+
+def _edges(adj: FrozenAdjacency) -> Iterator[Edge]:
+    """The (s, x, t) triples of a step-keyed table, positive orientation only."""
+    return (
+        (s, x, t)
+        for s, table in adj.items()
+        for (x, sign), ts in table.items()
+        if sign == 1
+        for t in ts
+    )
 
 
 def _bfs(adj: FrozenAdjacency, alpha: int) -> tuple[int, ...]:
@@ -71,12 +82,12 @@ class BirootedGraph:
     a handed-over builder guarantees it.
     """
 
-    def __init__(self, alpha: int, beta: int, edges: Iterable[Edge] | Adjacency | GraphBuilder):
-        """Build from (s, x, t) triples, put into a step-keyed table first (so
-        a repeated triple is one edge), or from such a table, which is
-        copied and checked.  A folded GraphBuilder is handed over instead:
-        its table is adopted unchecked and the builder is spent (see the
-        module docstring).  Edges are listed when first read.
+    def __init__(self, alpha: int, beta: int, edges: Iterable[Edge] | GraphBuilder):
+        """Build from (s, x, t) triples, which are copied into a step-keyed
+        table (so a repeated triple is one edge) and checked, or from a
+        folded GraphBuilder, which is handed over: its table is adopted
+        unchecked and the builder is spent (see the module docstring).
+        Edges are listed when first read.
         """
         self.alpha = alpha
         self.beta = beta
@@ -86,22 +97,14 @@ class BirootedGraph:
             self.vertices: frozenset[int] = frozenset(self._adj)
             self.is_deterministic = True
             return
-        adj = edges
-        if not isinstance(adj, dict):
-            adj = {alpha: {}, beta: {}}
-            for s, x, t in edges:
-                adj.setdefault(s, {}).setdefault((x, 1), set()).add(t)
-                adj.setdefault(t, {}).setdefault((x, -1), set()).add(s)
-        self._adj = {}
-        self.is_deterministic = True
-        for v, table in adj.items():
-            row = self._adj[v] = {}
-            for step, ts in table.items():
-                if len(ts) == 1:
-                    row[step] = tuple(ts)
-                else:
-                    row[step] = tuple(sorted(ts))
-                    self.is_deterministic = False
+        adj: Adjacency = {alpha: {}, beta: {}}
+        for s, x, t in edges:
+            adj.setdefault(s, {}).setdefault((x, 1), set()).add(t)
+            adj.setdefault(t, {}).setdefault((x, -1), set()).add(s)
+        self._adj = {
+            v: {step: tuple(sorted(ts)) for step, ts in table.items()} for v, table in adj.items()
+        }
+        self.is_deterministic = all(len(ts) == 1 for table in adj.values() for ts in table.values())
         self.vertices = frozenset(self._adj)
         seen, stack = {alpha}, [alpha]
         while stack:
@@ -119,13 +122,7 @@ class BirootedGraph:
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
-        return frozenset(
-            (s, x, t)
-            for s, table in self._adj.items()
-            for (x, sign), ts in table.items()
-            if sign == 1
-            for t in ts
-        )
+        return frozenset(_edges(self._adj))
 
     def bfs_order(self) -> tuple[int, ...]:
         """Vertices in canonical breadth-first order from alpha."""
@@ -325,9 +322,9 @@ class GraphBuilder:
         return before - len(self._adj)
 
     def freeze(self) -> BirootedGraph:
-        """A checked copy of the graph; the builder stays usable, and what it
-        does next does not reach the copy."""
-        return BirootedGraph(self.alpha, self.beta, self._adj)
+        """A checked graph built from the builder's edge triples; the builder
+        stays usable, and what it does next does not reach the graph."""
+        return BirootedGraph(self.alpha, self.beta, _edges(self._adj))
 
 
 def fold(g: BirootedGraph) -> BirootedGraph:

@@ -5,18 +5,8 @@ from collections import deque
 
 from hypothesis import strategies as st
 
-from stephen_kit import (
-    BirootedGraph,
-    Budget,
-    ClosureResult,
-    Direction,
-    ExpansionSite,
-    Presentation,
-    Status,
-    Word,
-    find_expansions,
-)
-from stephen_kit.engine import _checks, _sew_round, _sites_from
+from stephen_kit import BirootedGraph, Budget, ClosureResult, Presentation, Status, Word
+from stephen_kit.engine import _sew_round, find_expansions
 from stephen_kit.word_graph import GraphBuilder
 
 
@@ -93,21 +83,6 @@ def all_positive_words(alphabet: str, max_len: int, min_len: int = 1):
             yield Word(tuple((x, 1) for x in combo))
 
 
-def round_sites(g: BirootedGraph, p: Presentation) -> list:
-    """The sites of g as the (start, end, check) tuples close sews, in the
-    canonical order of find_expansions."""
-    return _sites_from(g._adj, g.bfs_order(), _checks(p))
-
-
-def site_records(sites: list) -> set[ExpansionSite]:
-    """(start, end, check) site tuples as the ExpansionSites find_expansions
-    reports."""
-    return {
-        ExpansionSite(rel_index, direction, start, end)
-        for start, end, (rel_index, direction, _, _) in sites
-    }
-
-
 def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureResult:
     """Reference closure that rebuilds, rescans and refreezes every round.
 
@@ -126,15 +101,13 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
             status = Status.BUDGET_EXCEEDED
             break
         b = GraphBuilder.from_graph(g)
-        for site in sites:
-            lhs, rhs = p.relations[site.relation_index]
-            sew = rhs if site.direction is Direction.LHS_READ else lhs
-            prev = site.start
-            for step in sew.letters[:-1]:
+        for start, end, (_, sew) in sites:
+            prev = start
+            for step in sew[:-1]:
                 nv = b.new_vertex()
                 b.link(prev, step, nv)
                 prev = nv
-            b.link(prev, sew.letters[-1], site.end)
+            b.link(prev, sew[-1], end)
         fold_events += b.fold()
         g = b.freeze()
         rounds += 1
@@ -155,31 +128,24 @@ def assert_builder_consistent(b: GraphBuilder) -> None:
                 assert v in b._adj[t].get((x, -sign), ())
 
 
-def readable_ends(g: BirootedGraph, start: int, w: Word) -> set[int]:
-    """All endpoints of paths labeled by w from start, by a subset walk.
+def readable_ends(g: BirootedGraph, start: int, steps) -> set[int]:
+    """All endpoints of paths labeled by the signed steps from start, by a
+    subset walk.
 
     Exact on graphs that are not deterministic, such as a sewn graph
     before its fold.
     """
     ends = {start}
-    for step in w.letters:
+    for step in steps:
         ends = {t for v in ends for t in g._adj[v].get(step, ())}
     return ends
-
-
-def _sides(site: ExpansionSite, p: Presentation) -> tuple[Word, Word]:
-    """The site's read side and the side sewing it adds."""
-    lhs, rhs = p.relations[site.relation_index]
-    if site.direction is Direction.LHS_READ:
-        return lhs, rhs
-    return rhs, lhs
 
 
 class StaleSiteError(RuntimeError):
     """The site's missing side became readable; sewing it would be redundant."""
 
 
-def elementary_expansion(g: BirootedGraph, site: ExpansionSite, p: Presentation) -> BirootedGraph:
+def elementary_expansion(g: BirootedGraph, site: tuple) -> BirootedGraph:
     """Sew the site's missing side between start and end; no folding.
 
     The site is revalidated first: if the read side no longer labels a
@@ -187,13 +153,13 @@ def elementary_expansion(g: BirootedGraph, site: ExpansionSite, p: Presentation)
     has become readable the site is stale (StaleSiteError) and the input
     graph is unchanged.
     """
-    read, sew = _sides(site, p)
-    if site.end not in readable_ends(g, site.start, read):
+    start, end, (read, sew) = site
+    if end not in readable_ends(g, start, read):
         raise ValueError("invalid site: read side does not label a start -> end path")
-    if site.end in readable_ends(g, site.start, sew):
+    if end in readable_ends(g, start, sew):
         raise StaleSiteError("opposite side already readable between the site's roots")
     b = GraphBuilder.from_graph(g)
-    b.spell(site.start, sew.letters, site.end)
+    b.spell(start, sew, end)
     return b.freeze()
 
 
@@ -202,9 +168,8 @@ def full_p_expansion(g: BirootedGraph, p: Presentation) -> BirootedGraph:
 
     Sites that only become available mid-round are left for the next round.
     """
-    sites = round_sites(g, p)
     b = GraphBuilder.from_graph(g)
-    _sew_round(b, sites)
+    _sew_round(b, find_expansions(g, p))
     return b.freeze()
 
 

@@ -6,8 +6,10 @@ vertices, and prints closure JSON, canonical keys, graph JSON and DOT,
 site lists, eq/leq/idem verdict JSON and, for every fifth case, CLI
 result lines with their exit codes.  Raw vertex ids are never printed,
 so two versions of the package that differ only in how they number
-vertices print the same lines.  It uses only the public API, so the same
-script runs against an older checkout of the package:
+vertices print the same lines.  Sites print as (read side, sewn side,
+start index, end index).  It uses the public API and four functions of
+the package's modules (close, find_expansions, fold, linear_graph), so the
+same script runs against another checkout that has them:
 
     PYTHONPATH=src python tests/sweep.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python tests/sweep.py > old.txt
@@ -29,16 +31,14 @@ from stephen_kit import (
     Budget,
     Presentation,
     Word,
-    close,
     decide_equal,
     decide_natural_leq,
-    find_expansions,
-    fold,
     is_idempotent,
-    linear_graph,
     schutzenberger_automaton,
 )
 from stephen_kit.cli import main as cli_main
+from stephen_kit.engine import close, find_expansions
+from stephen_kit.word_graph import GraphBuilder, fold, linear_graph
 
 # A multi-character letter some CLI cases add to the alphabet line: "ab"
 # and "ba" are spelled by declared letters, "x1" and "cd" are not.
@@ -128,11 +128,11 @@ def case_lines(seed: int, case: int) -> list[str]:
     lines += _graph_lines("folded", folded)
     index = {v: i for i, v in enumerate(folded.bfs_order())}  # raw id -> canonical
     sites = [
-        (s.relation_index, s.direction.value, index[s.start], index[s.end])
-        for s in find_expansions(folded, p)
+        (str(Word(read)), str(Word(sew)), index[start], index[end])
+        for start, end, (read, sew) in find_expansions(folded, p)
     ]
     lines.append(f"folded sites {sites!r}")
-    closed = close(folded, p, budget)
+    closed = close(GraphBuilder.from_graph(folded), p, budget)
     lines.append(f"folded closure {_dump(closed.to_json())}")
     lines += _graph_lines("folded closure graph", closed.graph)
 

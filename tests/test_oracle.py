@@ -14,10 +14,9 @@ from stephen_kit import (
     Status,
     Word,
     decide_equal,
-    fold,
-    linear_graph,
     schutzenberger_automaton,
 )
+from stephen_kit.word_graph import fold, linear_graph
 from oracle import (
     _flat_adjacency,
     _flat_find_site,

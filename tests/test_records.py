@@ -18,14 +18,11 @@ from stephen_kit import (
     Budget,
     CertificateBasis,
     ClosureResult,
-    Direction,
-    ExpansionSite,
     FinitenessCertificate,
     FinitenessVerdict,
     OverlapCase,
     OverlapProfile,
     Presentation,
-    SideGraph,
     Status,
     Verdict,
     Word,
@@ -38,7 +35,6 @@ G = BirootedGraph(0, 1, [(0, "a", 1)])
 RECORDS = [
     (Word, ("letters",), ((("a", 1),),), ((("a", -1),),)),
     (Presentation, ("alphabet", "relations"), (("a", "b"), COMM.relations), (("a", "b"), SUBWORD.relations)),
-    (SideGraph, ("vertices", "edges"), (("a", "b"), (("a", "b"),)), (("a", "b"), ())),
     (
         OverlapProfile,
         (
@@ -58,12 +54,6 @@ RECORDS = [
         ("verdict", "basis"),
         (FinitenessVerdict.UNKNOWN, CertificateBasis.NONE),
         (FinitenessVerdict.CERTIFIED_FINITE, CertificateBasis.NONE),
-    ),
-    (
-        ExpansionSite,
-        ("relation_index", "direction", "start", "end"),
-        (0, Direction.LHS_READ, 3, 4),
-        (0, Direction.RHS_READ, 3, 4),
     ),
     (Budget, ("max_rounds", "max_vertices"), (8, 200), (8, 201)),
     (

@@ -22,7 +22,7 @@ def load_spans():
 
 
 def test_tracer_counts_every_layer():
-    originals = (stephen_kit.fold, engine.close, word_graph.GraphBuilder.fold)
+    originals = (word_graph.fold, engine.close, word_graph.GraphBuilder.fold)
     tracer = load_spans().Tracer()
     c = tracer.counts
     tracer.install()
@@ -31,7 +31,7 @@ def test_tracer_counts_every_layer():
         result = stephen_kit.schutzenberger_automaton(pos("ab"), COMM)
         assert (c["engine.closures"], c["engine.rounds"]) == (1, result.rounds) == (1, 1)
         assert (c["word_graph.freeze_calls"], c["word_graph.freeze_vertices"]) == (1, 4)
-        stephen_kit.fold(stephen_kit.linear_graph(w("aa^")))
+        word_graph.fold(word_graph.linear_graph(w("aa^")))
         assert c["word_graph.fold_merges"] == result.fold_events + 1
         assert c["word_graph.from_graph_vertices"] == 3
         verdict = stephen_kit.decide_equal(pos("ab"), pos("ba"), COMM)
@@ -39,7 +39,7 @@ def test_tracer_counts_every_layer():
         assert (c["decision.queries"], c["decision.closures"]) == (1, 2)
         assert tracer.decided["eq"]["yes"] == 1
         assert c["word_graph.accept_calls"] == 2
-        sites = stephen_kit.find_expansions(stephen_kit.linear_graph(pos("ab")), COMM)
+        sites = engine.find_expansions(word_graph.linear_graph(pos("ab")), COMM)
         assert (c["engine.sites_found"], c["engine.scan_vertices"]) == (len(sites), 3) == (1, 3)
     finally:
         tracer.uninstall()
@@ -52,4 +52,4 @@ def test_tracer_counts_every_layer():
         "word_graph.freeze",
         "word_graph.from_graph",
     }
-    assert (stephen_kit.fold, engine.close, word_graph.GraphBuilder.fold) == originals
+    assert (word_graph.fold, engine.close, word_graph.GraphBuilder.fold) == originals

@@ -5,8 +5,8 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stephen_kit import BirootedGraph, Word, fold, linear_graph
-from stephen_kit.word_graph import GraphBuilder
+from stephen_kit import BirootedGraph, Word
+from stephen_kit.word_graph import GraphBuilder, fold, linear_graph
 from support import assert_builder_consistent, isomorphic, multigraphs, pos, reversed_ids, w
 
 
@@ -78,6 +78,21 @@ def test_disconnected_graph_rejected():
         BirootedGraph(0, 1, [(2, "a", 3)])
     with pytest.raises(ValueError, match="not connected"):
         BirootedGraph(0, 1, [(0, "a", 1), (2, "b", 3)])
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        {0: {("a", 1): {1}}, 1: {}},  # the edge is not listed at 1
+        {0: {("a", 1): {1}}},  # 1 has no row
+    ],
+    ids=["lacking-back-edge", "dangling-target"],
+)
+def test_adjacency_table_refused(table):
+    # A graph is built from edge triples or a folded builder only; a raw
+    # table could name an edge at one end alone or a vertex it lacks.
+    with pytest.raises(TypeError):
+        BirootedGraph(0, 1, table)
 
 
 def test_disconnected_builder_rejected_on_freeze():
