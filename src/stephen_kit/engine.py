@@ -7,23 +7,30 @@ sews every site visible at the start of the round and then folds.
 Iterating rounds to a fixpoint yields the Schützenberger automaton of the
 start word (any closed endpoint is the automaton); budgets bound the loop
 because the fixpoint can be an infinite graph.  A site is the tuple
-(v1, v2, (read, sew)) of the two vertices and the signed letters of the
-side read and of the side sewn; find_expansions reports what close sews.
+(v1, v2, (read, sew)) of the two vertices and the side read and the side
+sewn; find_expansions reports the sites of a graph with the sides as
+signed letters, close carries them as step codes.
 
-A closure runs on one GraphBuilder from the start word to the result:
-schutzenberger_automaton builds the word's chain in it, and close folds
-it there and, at the end, hands the builder's table to the result graph
-without a copy, which spends the builder.  Round 0 scans every vertex
-for sites.  Later rounds scan the frontier: the start vertices reached by
-walking back along every even-length prefix of every relation side from
-the vertices the last round touched (new chain vertices, chain endpoints,
-merge survivors, neighbours whose edges a merge moved).  That finds every
-site.  A round gives new edges only to touched vertices and keeps the ids
-of the vertices that survive, so a read path of only old edges was one a
-round earlier, that round sewed its site, and the other side is readable
-now.  Any other read path holds a new edge, whose ends are consecutive
-touched vertices on it, and one of them sits at an even offset from the
-path's start.  This is the deduction stack of coset enumeration.
+A presentation is compiled once, on its first closure, and the result is
+kept on it: the relation checks and the even-length back prefixes as
+step codes over the sorted alphabet, letter i as step 2i and its inverse
+as 2i + 1 (see word_graph).  A closure runs on one GraphBuilder from the
+start word to the result: schutzenberger_automaton spells the word's
+chain in it over those codes, and close folds it there and, at the end,
+hands the builder's rows to the result graph without a copy, which
+spends the builder.  Every walk of the loop reads one list slot a step.
+
+Round 0 scans every vertex for sites.  Later rounds scan the frontier:
+the start vertices reached by walking back along every even-length
+prefix of every relation side from the vertices the last round touched
+(new chain vertices, chain endpoints, merge survivors, neighbours whose
+edges a merge moved).  That finds every site.  A round gives new edges
+only to touched vertices and keeps the ids of the vertices that survive,
+so a read path of only old edges was one a round earlier, that round
+sewed its site, and the other side is readable now.  Any other read path
+holds a new edge, whose ends are consecutive touched vertices on it, and
+one of them sits at an even offset from the path's start.  This is the
+deduction stack of coset enumeration.
 
 A round sews every site found at its start.  Folding is confluent, and a
 chain sewn beside a path with the same label folds onto that path, so
@@ -38,7 +45,7 @@ import enum
 from typing import Iterable
 
 from .presentation import Presentation, Word, _MutableRecord, _Record, _set
-from .word_graph import BirootedGraph, GraphBuilder
+from .word_graph import BirootedGraph, GraphBuilder, _step_codes
 
 
 class Budget(_Record):
@@ -101,7 +108,9 @@ class ClosureResult(_MutableRecord):
 
 Letters = tuple[tuple[str, int], ...]
 Check = tuple[Letters, Letters]
-Site = tuple[int, int, Check]
+Codes = tuple[int, ...]
+Steps = tuple[tuple[str, ...], list[tuple[Codes, Codes]], frozenset[Codes]]
+Site = tuple[int, int, tuple[Codes, Codes]]
 
 
 def _checks(p: Presentation) -> list[Check]:
@@ -114,76 +123,102 @@ def _checks(p: Presentation) -> list[Check]:
     ]
 
 
-def _sites_from(adj: dict, starts: Iterable[int], checks: list[Check]) -> list[Site]:
-    """The (start, end, (read, sew)) sites at each start in turn, in check
-    order.
+def _compile(p: Presentation, letters: Iterable[str]) -> Steps:
+    """p's relation checks, in _checks order, and the inverses of every
+    even-length prefix of every relation side, the empty one included, as
+    step codes over the sorted letters; the module docstring says why the
+    odd-length prefixes are not needed."""
+    letters, codes = _step_codes(letters)
+    checks = [
+        (tuple([codes[x] for x, _ in read]), tuple([codes[x] for x, _ in sew]))
+        for read, sew in _checks(p)
+    ]
+    inverses = [tuple([c + 1 for c in reversed(read)]) for read, _ in checks]
+    backs = frozenset(inverse[k:] for inverse in inverses for k in range(len(inverse), -1, -2))
+    return letters, checks, backs
 
-    adj is the step-keyed adjacency of the deterministic graph being
-    scanned; the walks are written out here because this is the inner loop
-    of every closure.
+
+def _steps(p: Presentation, b: GraphBuilder) -> Steps:
+    """p compiled over b's letters.  The compile over p's sorted alphabet
+    is made on p's first closure and kept on p; a builder with other
+    letters is recoded to the union, and a union wider than the alphabet
+    gets its own compile."""
+    steps = p._steps
+    if steps is None:
+        steps = _compile(p, p.alphabet)
+        _set(p, "_steps", steps)
+    if b.letters != steps[0]:
+        b.recode(set(b.letters).union(p.alphabet))
+        if b.letters != steps[0]:
+            steps = _compile(p, b.letters)
+    return steps
+
+
+def _sites_from(rows: dict, starts: Iterable[int], checks: list) -> list[Site]:
+    """The (start, end, (read, sew)) sites at each start in turn, in check
+    order, with read and sew as step codes.
+
+    rows are the rows of the folded builder being scanned; the walks are
+    written out here because this is the inner loop of every closure.
     """
     sites = []
     for start in starts:
         for check in checks:
             read, sew = check
             end = start
-            for step in read:
-                targets = adj[end].get(step)
-                if not targets:
+            for c in read:
+                end = rows[end][c]
+                if end is None:
                     break
-                (end,) = targets
             else:
                 v = start
-                for step in sew:
-                    targets = adj[v].get(step)
-                    if not targets:
-                        v = None
+                for c in sew:
+                    v = rows[v][c]
+                    if v is None:
                         break
-                    (v,) = targets
                 if v != end:
                     sites.append((start, end, check))
     return sites
 
 
-def find_expansions(g: BirootedGraph, p: Presentation) -> list[Site]:
-    """All expansion sites of g as the (start, end, (read, sew)) tuples
-    close sews, in canonical order.
+def find_expansions(g: BirootedGraph, p: Presentation) -> list[tuple[int, int, Check]]:
+    """All expansion sites of g as (start, end, (read, sew)) tuples with
+    the signed letters of each side, in canonical order.
 
     Determinism makes the read path unique per start vertex, so the scan is
     start-vertex driven; sites are ordered by start vertex BFS index, then
-    by relation, the lhs read before the rhs read.
+    by relation, the lhs read before the rhs read.  It reads g through
+    g.walk, apart from the scan that close runs.
     """
     if not g.is_deterministic:
         raise ValueError("find_expansions() requires a deterministic graph")
-    return _sites_from(g._adj, g.bfs_order(), _checks(p))
+    sites = []
+    checks = _checks(p)
+    for start in g.bfs_order():
+        for check in checks:
+            read, sew = check
+            end = g.walk(start, read)
+            if end is not None and g.walk(start, sew) != end:
+                sites.append((start, end, check))
+    return sites
 
 
-def _back_prefixes(p: Presentation) -> frozenset[Letters]:
-    """Inverses of every even-length prefix of every relation side, the empty
-    one included; the module docstring says why the odd-length ones are not
-    needed."""
-    inverses = [
-        tuple([(x, -1) for x, _ in side.letters[::-1]]) for pair in p.relations for side in pair
-    ]
-    return frozenset(inverse[k:] for inverse in inverses for k in range(len(inverse), -1, -2))
-
-
-def _frontier(b: GraphBuilder, backs: frozenset[Letters]) -> set[int]:
+def _frontier(b: GraphBuilder, backs: frozenset[Codes]) -> set[int]:
     """The starts of every read path of folded b with a touched vertex at an
     even offset.
 
     After a round every site of b starts there (see the module docstring).
-    backs is _back_prefixes(p), which close computes once.
+    backs holds the step codes of the back prefixes, which close compiles
+    once.
     """
-    adj, starts = b._adj, set()
+    rows, starts = b._rows, set()
     for seed in b.touched:
         for back in backs:
             v = seed
-            for step in back:
-                targets = adj[v].get(step)
-                if not targets:
+            for c in back:
+                v = rows[v][c]
+                if v is None:
                     break
-                (v,) = targets
             else:
                 starts.add(v)
     return starts
@@ -208,21 +243,21 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     The merges of the first fold count in neither fold_events nor rounds.
     The vertex limit is checked after each round's site scan, so a round
     that leaves no site is closed even when it crosses the limit.  The
-    result graph takes over the builder's table, so b is spent; a caller
+    result graph takes over the builder's rows, so b is spent; a caller
     that holds a graph passes GraphBuilder.from_graph(g).  On budget
     exhaustion the returned graph is the last completed round's
     approximation; that is a status, not an error.
     """
+    _, checks, backs = _steps(p, b)
     b.fold()
-    checks, backs = _checks(p), _back_prefixes(p)
     history = [b.vertex_count()]
     rounds = fold_events = 0
-    sites = _sites_from(b._adj, list(b._adj), checks)
+    sites = _sites_from(b._rows, list(b._rows), checks)
     while sites and rounds < budget.max_rounds:
         fold_events += _sew_round(b, sites)
         rounds += 1
         history.append(b.vertex_count())
-        sites = _sites_from(b._adj, _frontier(b, backs), checks)
+        sites = _sites_from(b._rows, _frontier(b, backs), checks)
         if history[-1] > budget.max_vertices:
             break
     status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
@@ -239,4 +274,5 @@ def schutzenberger_automaton(
     above w, so the closed result is the Schützenberger automaton of w.
     """
     p.check_word(w)
-    return close(GraphBuilder.from_word(w), p, budget)
+    b = GraphBuilder.from_word(w, p.alphabet)
+    return close(b, p, budget)

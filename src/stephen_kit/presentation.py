@@ -206,9 +206,14 @@ def _check_relation(lhs: Word, rhs: Word, known: set[Letter], line: int | None =
 
 
 class Presentation(_Record):
-    """A positive presentation: an alphabet and relations between positive words."""
+    """A positive presentation: an alphabet and relations between positive words.
 
-    __slots__ = __match_args__ = ("alphabet", "relations")
+    _steps caches the engine's compile of the relations into step codes,
+    made on the first closure over the presentation; it is not a field.
+    """
+
+    __slots__ = ("alphabet", "relations", "_steps")
+    __match_args__ = ("alphabet", "relations")
 
     def __init__(
         self, alphabet: tuple[Letter, ...], relations: tuple[tuple[Word, Word], ...] = ()
@@ -219,6 +224,7 @@ class Presentation(_Record):
             _check_relation(lhs, rhs, known)
         _set(self, "alphabet", alphabet)
         _set(self, "relations", relations)
+        _set(self, "_steps", None)
 
     def check_word(self, w: Word) -> None:
         """Raise ValueError if w uses a letter outside the alphabet."""

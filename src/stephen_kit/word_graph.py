@@ -2,73 +2,100 @@
 
 A graph lists each edge once, in its positively labeled orientation
 (p, x, q); traversing it backwards acts as the implicit edge labeled x^-1
-from q to p.  Both graph classes index edges the same way, by signed step:
-adj[p][(x, 1)] holds q and adj[q][(x, -1)] holds p, so a walk along a
-signed word looks each letter up directly in either.  A frozen graph
-numbers its vertices in the canonical breadth-first order, and lists its
-edges, only when first asked.  Folding (determination) merges the
-endpoints of equally labeled edges leaving one vertex until the graph is
+from q to p.  Both graph classes store the graph as rows of integer step
+codes.  Letter i of the graph's letters, in sorted order, is step 2i and
+its inverse is step 2i + 1, so the inverse of step c is c ^ 1 and code
+order is the canonical order of steps: by letter, positive first.  Each
+vertex has one row, a list of 2|X| targets with None where it has no
+edge: an edge p -x-> q sets rows[p][2i] = q and rows[q][2i + 1] = p.  A
+walk along a signed word encodes each letter once and reads one slot per
+step.  A frozen graph decodes codes back to letters, numbers its
+vertices in the canonical breadth-first order and lists its edges only
+when first asked.  Folding (determination) merges the endpoints of
+equally labeled edges leaving one vertex until the graph is
 deterministic; the result is a quotient of the input and, because
 folding is confluent, it is independent of the merge order up to
 root-respecting isomorphism.
+
+A row has room for one target per step.  An edge whose slot, at either
+end, already holds another target is kept aside in a pending list; a
+graph with pending edges is not deterministic, and its edges are the
+rows' edges and the pending ones.  GraphBuilder.fold places the pending
+edges by coincidence processing, as in Todd-Coxeter coset enumeration:
+an edge whose slot is taken identifies its target with the slot's, and
+merging two vertices moves the removed vertex's row onto the survivor,
+where each slot that is taken on both identifies two more vertices.
 
 Graphs are value-like: the mutable machinery lives in GraphBuilder, which
 fold and the expansion engine share; a constructed BirootedGraph is never
 mutated and is safe to share between readers.  GraphBuilder does the two
 things Stephen's procedure does to a graph, spelling a chain and folding,
-on one adjacency table that is its only record of the graph.
+on its rows and pending list, its only record of the graph.
 
 A graph is made in one of two ways.  Edge triples, from a caller or from
-GraphBuilder.freeze() of a builder that goes on growing, are put into a
-new table, with tuples as targets, and checked: the copy records whether
-the graph is deterministic, and a traversal from alpha must reach every
-vertex.  close and fold(g) end on a folded builder and hand it over
-instead: the graph adopts the builder's table, singleton sets as
-targets, and the builder is spent, with no table left that a later link
-or spell could change.  Such a table needs neither check, because the
-builder keeps both properties by construction: from_word spells a
-connected chain, from_graph copies a graph that was checked when it was
-built, spell starts at an existing vertex, merge keeps the graph
-connected, and fold leaves no clash.
+GraphBuilder.freeze() of a builder that goes on growing, are placed in
+new rows, over the sorted letters they use, and checked: a repeated
+triple is one edge, the pending list records whether the graph is
+deterministic, and the canonical breadth-first order from alpha, which
+such a graph computes at once and keeps, must reach every vertex.
+close and fold(g) end on a folded builder and hand it over instead: the
+graph adopts the builder's rows and letters, and the builder is spent,
+with no rows left that a later link or spell could change.  Such rows
+need neither check, because the builder keeps both properties by
+construction: from_word spells a connected chain, from_graph copies a
+graph that was checked when it was built, spell starts at an existing
+vertex, a merge keeps the graph connected, and fold leaves nothing
+pending.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .presentation import Word
+from .presentation import Letter, Word
 
 Edge = tuple[int, str, int]
 Step = tuple[str, int]
-Adjacency = dict[int, dict[Step, set[int]]]
-FrozenAdjacency = dict[int, dict[Step, Collection[int]]]
+Rows = dict[int, list]
 
 
-def _edges(adj: FrozenAdjacency) -> Iterator[Edge]:
-    """The (s, x, t) triples of a step-keyed table, positive orientation only."""
-    return (
-        (s, x, t)
-        for s, table in adj.items()
-        for (x, sign), ts in table.items()
-        if sign == 1
-        for t in ts
-    )
+def _step_codes(letters: Iterable[Letter]) -> tuple[tuple[Letter, ...], dict[Letter, int]]:
+    """The letters in sorted order and the step code of each: letter i is 2i."""
+    letters = tuple(sorted(letters))
+    return letters, {x: 2 * i for i, x in enumerate(letters)}
 
 
-def _bfs(adj: FrozenAdjacency, alpha: int) -> tuple[int, ...]:
+def _edges(rows: Rows, pending: Iterable, letters: Sequence[Letter]) -> Iterator[Edge]:
+    """The (s, x, t) triples of rows and pending edges, positive orientation only."""
+    for s, row in rows.items():
+        for c in range(0, len(row), 2):
+            t = row[c]
+            if t is not None:
+                yield s, letters[c >> 1], t
+    for s, c, t in pending:
+        if c & 1:
+            s, c, t = t, c ^ 1, s
+        yield s, letters[c >> 1], t
+
+
+def _bfs(rows: Rows, pending: Iterable, alpha: int) -> tuple[int, ...]:
     """Vertices in canonical breadth-first order from alpha.
 
-    Neighbors are explored by letter, positive orientation first, and each
-    step's targets in stored order; this fixes the canonical numbering.
-    The order list doubles as the queue.
+    Neighbors are explored in step code order, which is by letter,
+    positive orientation first, and each step's targets in increasing
+    order; this fixes the canonical numbering.  The order list doubles as
+    the queue.
     """
+    several = {}
+    for s, c, t in pending:
+        several.setdefault((s, c), {rows[s][c]}).add(t)
+        several.setdefault((t, c ^ 1), {rows[t][c ^ 1]}).add(s)
     order, seen = [alpha], {alpha}
     for v in order:
-        table = adj[v]
-        for step in sorted(table, key=lambda k: (k[0], -k[1])):
-            for t in table[step]:
-                if t not in seen:
+        for c, t in enumerate(rows[v]):
+            for t in sorted(several[v, c] - {None}) if (v, c) in several else (t,):
+                if t is not None and t not in seen:
                     seen.add(t)
                     order.append(t)
     return tuple(order)
@@ -78,51 +105,55 @@ class BirootedGraph:
     """A finite birooted inverse word graph with roots alpha and beta.
 
     Every vertex must be reachable from alpha through the underlying
-    undirected edge set; this is validated when the graph is copied, and
-    a handed-over builder guarantees it.
+    undirected edge set; this is validated when the graph is built from
+    edge triples, and a handed-over builder guarantees it.
     """
 
     def __init__(self, alpha: int, beta: int, edges: Iterable[Edge] | GraphBuilder):
-        """Build from (s, x, t) triples, which are copied into a step-keyed
-        table (so a repeated triple is one edge) and checked, or from a
-        folded GraphBuilder, which is handed over: its table is adopted
-        unchecked and the builder is spent (see the module docstring).
-        Edges are listed when first read.
+        """Build from (s, x, t) triples, which are placed in rows over the
+        sorted letters they use (a repeated triple is one edge) and
+        checked, or from a folded GraphBuilder, which is handed over: its
+        rows are adopted unchecked, the canonical order waits for its first
+        reader, and the builder is spent (see the module docstring).  Edges
+        are listed when first read.
         """
         self.alpha = alpha
         self.beta = beta
         if isinstance(edges, GraphBuilder):
-            self._adj: FrozenAdjacency = edges._adj
-            edges._adj = None
-            self.vertices: frozenset[int] = frozenset(self._adj)
+            if edges._pending:
+                raise ValueError("only a folded builder is handed over")
+            self._letters, self._codes = edges.letters, edges.codes
+            self._rows: Rows = edges._rows
+            self._pending: tuple[tuple[int, int, int], ...] = ()
+            edges._rows = None
+            self.vertices: frozenset[int] = frozenset(self._rows)
             self.is_deterministic = True
             return
-        adj: Adjacency = {alpha: {}, beta: {}}
+        edges = list(edges)
+        b = GraphBuilder({x for _, x, _ in edges})
+        width = 2 * len(b.letters)
+        rows = b._rows
+        rows[alpha], rows[beta] = [None] * width, [None] * width
         for s, x, t in edges:
-            adj.setdefault(s, {}).setdefault((x, 1), set()).add(t)
-            adj.setdefault(t, {}).setdefault((x, -1), set()).add(s)
-        self._adj = {
-            v: {step: tuple(sorted(ts)) for step, ts in table.items()} for v, table in adj.items()
-        }
-        self.is_deterministic = all(len(ts) == 1 for table in adj.values() for ts in table.values())
-        self.vertices = frozenset(self._adj)
-        seen, stack = {alpha}, [alpha]
-        while stack:
-            for ts in self._adj[stack.pop()].values():
-                for t in ts:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-        if len(seen) != len(self.vertices):
+            for v in (s, t):
+                if v not in rows:
+                    rows[v] = [None] * width
+            b.link(s, b.codes[x], t)
+        self._letters, self._codes, self._rows = b.letters, b.codes, rows
+        self._pending = tuple(sorted(set(b._pending)))
+        self.is_deterministic = not self._pending
+        self.vertices = frozenset(rows)
+        self._order = _bfs(rows, self._pending, alpha)
+        if len(self._order) != len(rows):
             raise ValueError("graph is not connected from alpha")
 
     @cached_property
     def _order(self) -> tuple[int, ...]:
-        return _bfs(self._adj, self.alpha)
+        return _bfs(self._rows, self._pending, self.alpha)
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
-        return frozenset(_edges(self._adj))
+        return frozenset(_edges(self._rows, self._pending, self._letters))
 
     def bfs_order(self) -> tuple[int, ...]:
         """Vertices in canonical breadth-first order from alpha."""
@@ -132,15 +163,18 @@ class BirootedGraph:
         """Endpoint of the unique path labeled by w from start, or None.
 
         Only meaningful on deterministic graphs, where paths are unique.
+        A letter the graph has no edge for labels no path.
         """
         if not self.is_deterministic:
             raise ValueError("walk() requires a deterministic graph")
-        v = start
-        for step in w:
-            targets = self._adj[v].get(step)
-            if not targets:
+        rows, codes, v = self._rows, self._codes, start
+        for x, sign in w:
+            c = codes.get(x)
+            if c is None:
                 return None
-            (v,) = targets
+            v = rows[v][c + (sign < 0)]
+            if v is None:
+                return None
         return v
 
     def accepts(self, w: Word) -> bool:
@@ -211,20 +245,22 @@ def linear_graph(w: Word) -> BirootedGraph:
 class GraphBuilder:
     """Mutable multigraph that folding and the engine's sewing share.
 
-    It stores adjacency as BirootedGraph does, adj[v][(letter, sign)] ->
-    targets, with sets as targets and an edge p -x-> q listed at p under
-    (x, 1) and at q under (x, -1).  That table is the builder's only record
-    of the graph.  A vertex dies only in merge, which relinks its edges onto
-    the survivor and moves the roots and touched off it, so every vertex id
-    the builder holds is a key of the table.  touched collects every vertex
-    given an edge since its owner last cleared it; a deterministic graph can
-    gain a clash only at such a vertex, so fold looks for clashes there
-    alone.  Handing a folded builder to BirootedGraph spends it: the graph
-    takes the table, and the builder keeps none.
+    It stores rows of step codes over its sorted letters as BirootedGraph
+    does, plus the pending edges that link could not place because a slot
+    was taken.  Rows and pending list are the builder's only record of the
+    graph.  A vertex dies only in fold, which moves its edges onto the
+    survivor and the roots and touched off it, so every vertex id the
+    builder holds outside a fold is a key of the rows.  touched collects
+    every vertex given an edge since its owner last cleared it; the engine
+    walks back from those vertices to find the next round's sites.
+    Handing a folded builder to BirootedGraph spends it: the graph takes
+    the rows, and the builder keeps none.
     """
 
-    def __init__(self):
-        self._adj: Adjacency = {}
+    def __init__(self, letters: Iterable[Letter] = ()):
+        self.letters, self.codes = _step_codes(letters)
+        self._rows: Rows = {}
+        self._pending: list[tuple[int, int, int]] = []
         self.alpha: int = 0
         self.beta: int = 0
         self.touched: set[int] = set()
@@ -232,99 +268,136 @@ class GraphBuilder:
 
     @classmethod
     def from_graph(cls, g: BirootedGraph) -> "GraphBuilder":
-        b = cls()
-        b._adj = {v: {step: set(ts) for step, ts in table.items()} for v, table in g._adj.items()}
+        b = cls(g._letters)
+        b._rows = {v: row.copy() for v, row in g._rows.items()}
+        b._pending = list(g._pending)
         b.touched = set(g.vertices)
         b._next = max(g.vertices) + 1
         b.alpha, b.beta = g.alpha, g.beta
         return b
 
     @classmethod
-    def from_word(cls, w: Word) -> "GraphBuilder":
-        """The unfolded chain spelling w, vertices 0 to len(w), all touched."""
-        b = cls()
-        b.beta = b.spell(b.new_vertex(), w.letters)
+    def from_word(cls, w: Word, letters: Iterable[Letter] | None = None) -> "GraphBuilder":
+        """The unfolded chain spelling w, vertices 0 to len(w), all touched.
+
+        The builder's letters are the given ones, by default those of w.
+        """
+        b = cls({x for x, _ in w.letters} if letters is None else letters)
+        b.beta = b.spell(b.new_vertex(), b.encode(w.letters))
         return b
+
+    def encode(self, letters: Iterable[Step]) -> list[int]:
+        """The step codes of signed letters; KeyError on a letter the
+        builder has no code for."""
+        return [self.codes[x] + (sign < 0) for x, sign in letters]
+
+    def recode(self, letters: Iterable[Letter]) -> None:
+        """Renumber the steps over a sorted superset of the builder's letters."""
+        old = self.letters
+        self.letters, self.codes = _step_codes(letters)
+        moved = [self.codes[x] + inverse for x in old for inverse in (0, 1)]
+        width = 2 * len(self.letters)
+        for v, row in self._rows.items():
+            new = [None] * width
+            for c, t in enumerate(row):
+                new[moved[c]] = t
+            self._rows[v] = new
+        self._pending = [(s, moved[c], t) for s, c, t in self._pending]
 
     def new_vertex(self) -> int:
         v = self._next
         self._next += 1
-        self._adj[v] = {}
+        self._rows[v] = [None] * (2 * len(self.letters))
         return v
 
-    def link(self, s: int, step: Step, t: int) -> None:
-        """Add the edge from s along the signed step to t, listed at both ends."""
-        x, sign = step
-        self._adj[s].setdefault(step, set()).add(t)
-        self._adj[t].setdefault((x, -sign), set()).add(s)
-        self.touched.add(s)
-        self.touched.add(t)
+    def link(self, s: int, step: int, t: int) -> None:
+        """Add the edge from s along the step code to t (see spell)."""
+        self.spell(s, (step,), t)
 
-    def spell(self, start: int, steps: Sequence[Step], end: int | None = None) -> int:
-        """Add a chain labeled by steps from start through fresh vertices.
+    def spell(self, start: int, steps: Sequence[int], end: int | None = None) -> int:
+        """Add a chain labeled by step codes from start through fresh vertices.
 
         The last step lands on end if one is given, else on a fresh vertex
-        too; returns the chain's last vertex.
+        too; returns the chain's last vertex.  Each edge goes into both
+        rows when both slots are free, to the pending list when either
+        holds another target, and nowhere when it is already there.
         """
+        rows, pending, touched = self._rows, self._pending, self.touched
+        touched.add(start)
         for i, step in enumerate(steps, 1):
             t = end if end is not None and i == len(steps) else self.new_vertex()
-            self.link(start, step, t)
+            slot = rows[start][step]
+            if slot != t:
+                if slot is None and rows[t][step ^ 1] is None:
+                    rows[start][step] = t
+                    rows[t][step ^ 1] = start
+                else:
+                    pending.append((start, step, t))
+            touched.add(t)
             start = t
         return start
 
     def vertex_count(self) -> int:
-        return len(self._adj)
-
-    def _degree(self, v: int) -> int:
-        return sum(len(ts) for ts in self._adj[v].values())
-
-    def merge(self, a: int, b: int) -> int:
-        """Identify two distinct vertices; returns the survivor.
-
-        A self-loop at the removed vertex is listed under both signs and so
-        relinked twice, which the target sets absorb.
-        """
-        if self._degree(b) > self._degree(a):
-            a, b = b, a
-        table = self._adj.pop(b)
-        for (x, sign), ts in table.items():
-            for t in ts:
-                if t == b:
-                    t = a
-                else:
-                    self._adj[t][(x, -sign)].discard(b)
-                self.link(a, (x, sign), t)
-        self.touched.discard(b)
-        self.alpha = a if self.alpha == b else self.alpha
-        self.beta = a if self.beta == b else self.beta
-        return a
+        return len(self._rows)
 
     def fold(self) -> int:
-        """Merge until deterministic; returns the number of merges performed.
+        """Place every pending edge, merging until deterministic; returns the
+        number of merges performed, which is the drop in vertex count.
 
-        Each merge deletes one table, so that is the drop in vertex count.
-        The stack starts from the touched vertices, in no particular order:
-        folding is confluent, so the order decides only which ids survive.
-        The vertex on top stays until it has no clash.  A merge can create
-        a clash only at its survivor, so the survivor is pushed; a vertex
-        that a merge removed has no table left and is popped.
+        An edge s -c-> t goes into both rows when both slots are free.  When
+        the slot at s holds u, u and t are one vertex; when the slot at t
+        holds v, v and s are.  A merge keeps the older vertex, the smaller
+        id (folding is confluent, so the choice decides only which ids
+        survive): it removes the other's row, clears the slot that names
+        the removed vertex at each neighbor, and pends each of its edges
+        again from the survivor.  forward maps each removed vertex to the
+        one it merged into, for the ids the pending list still holds; it
+        lives for this fold only.
         """
-        before = len(self._adj)
-        stack = list(self.touched)
-        while stack:
-            for ts in self._adj.get(stack[-1], {}).values():
-                if len(ts) > 1:
-                    a, b, *_ = ts
-                    stack.append(self.merge(a, b))
-                    break
-            else:
-                stack.pop()
-        return before - len(self._adj)
+        pending = self._pending
+        if not pending:
+            return 0
+        rows, touched = self._rows, self.touched
+        before = len(rows)
+        forward = {}
+        while pending:
+            s, c, t = pending.pop()
+            while s in forward:
+                s = forward[s]
+            while t in forward:
+                t = forward[t]
+            a, b = rows[s][c], t
+            if a == t:
+                continue
+            if a is None:
+                a, b = rows[t][c ^ 1], s
+                if a is None:
+                    rows[s][c] = t
+                    rows[t][c ^ 1] = s
+                    continue
+            if b < a:
+                a, b = b, a
+            forward[b] = a
+            touched.discard(b)
+            touched.add(a)
+            for c, t in enumerate(rows.pop(b)):
+                if t is not None:
+                    if t != b:
+                        rows[t][c ^ 1] = None
+                        touched.add(t)
+                    pending.append((a, c, t))
+        while self.alpha in forward:
+            self.alpha = forward[self.alpha]
+        while self.beta in forward:
+            self.beta = forward[self.beta]
+        return before - len(rows)
 
     def freeze(self) -> BirootedGraph:
-        """A checked graph built from the builder's edge triples; the builder
-        stays usable, and what it does next does not reach the graph."""
-        return BirootedGraph(self.alpha, self.beta, _edges(self._adj))
+        """A checked graph built from the builder's edge triples, pending
+        ones included, so an unfolded builder gives a non-deterministic
+        graph; the builder stays usable, and what it does next does not
+        reach the graph."""
+        return BirootedGraph(self.alpha, self.beta, _edges(self._rows, self._pending, self.letters))
 
 
 def fold(g: BirootedGraph) -> BirootedGraph:

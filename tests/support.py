@@ -1,5 +1,6 @@
 """Shared builders and fixture presentations for the test suite."""
 
+import copy
 import itertools
 from collections import deque
 
@@ -101,7 +102,7 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
             status = Status.BUDGET_EXCEEDED
             break
         b = GraphBuilder.from_graph(g)
-        for start, end, (_, sew) in sites:
+        for start, end, (_, sew) in encoded(b, sites, p.alphabet):
             prev = start
             for step in sew[:-1]:
                 nv = b.new_vertex()
@@ -115,29 +116,48 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
     return ClosureResult(status, g, rounds, fold_events, tuple(history))
 
 
+def encoded(b: GraphBuilder, sites, alphabet) -> list:
+    """find_expansions' sites as close sews them, with both sides as b's
+    step codes; b is first recoded over its letters and the alphabet."""
+    b.recode(set(b.letters).union(alphabet))
+    return [(s, e, (tuple(b.encode(read)), tuple(b.encode(sew)))) for s, e, (read, sew) in sites]
+
+
 def assert_builder_consistent(b: GraphBuilder) -> None:
-    """Every vertex id b holds is a key of its adjacency, and every edge is
-    listed at both ends under opposite signs."""
-    live = b._adj.keys()
+    """Every vertex id folded b holds is one of its vertices, and every
+    edge is listed at both ends under opposite signs.
+
+    A shallow copy of b is handed to a graph, which so reads b's own rows
+    through its public walk without spending b; the graph is dropped
+    before b changes again.
+    """
+    view = BirootedGraph(b.alpha, b.beta, copy.copy(b))
+    live = view.vertices
     assert b.alpha in live and b.beta in live
     assert b.touched <= live
-    for v, table in b._adj.items():
-        for (x, sign), targets in table.items():
-            for t in targets:
-                assert t in live
-                assert v in b._adj[t].get((x, -sign), ())
+    for v in live:
+        for x in b.letters:
+            for sign in (1, -1):
+                t = view.walk(v, ((x, sign),))
+                if t is not None:
+                    assert t in live
+                    assert view.walk(t, ((x, -sign),)) == v
+    assert b.freeze().edges == view.edges
 
 
 def readable_ends(g: BirootedGraph, start: int, steps) -> set[int]:
     """All endpoints of paths labeled by the signed steps from start, by a
-    subset walk.
+    subset walk over g's edges.
 
     Exact on graphs that are not deterministic, such as a sewn graph
     before its fold.
     """
     ends = {start}
-    for step in steps:
-        ends = {t for v in ends for t in g._adj[v].get(step, ())}
+    for x, sign in steps:
+        if sign == 1:
+            ends = {t for s, y, t in g.edges if y == x and s in ends}
+        else:
+            ends = {s for s, y, t in g.edges if y == x and t in ends}
     return ends
 
 
@@ -159,7 +179,8 @@ def elementary_expansion(g: BirootedGraph, site: tuple) -> BirootedGraph:
     if end in readable_ends(g, start, sew):
         raise StaleSiteError("opposite side already readable between the site's roots")
     b = GraphBuilder.from_graph(g)
-    b.spell(start, sew, end)
+    b.recode(set(b.letters).union(x for x, _ in sew))
+    b.spell(start, b.encode(sew), end)
     return b.freeze()
 
 
@@ -169,7 +190,7 @@ def full_p_expansion(g: BirootedGraph, p: Presentation) -> BirootedGraph:
     Sites that only become available mid-round are left for the next round.
     """
     b = GraphBuilder.from_graph(g)
-    _sew_round(b, find_expansions(g, p))
+    _sew_round(b, encoded(b, find_expansions(g, p), p.alphabet))
     return b.freeze()
 
 
@@ -185,14 +206,18 @@ def isomorphic(g1: BirootedGraph, g2: BirootedGraph) -> bool:
         raise ValueError("isomorphic() requires deterministic graphs")
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
+    letters = sorted({x for _, x, _ in g1.edges | g2.edges})
+    steps = [((x, sign),) for x in letters for sign in (1, -1)]
     pairing = {g1.alpha: g2.alpha}
     queue = deque([(g1.alpha, g2.alpha)])
     while queue:
         v1, v2 = queue.popleft()
-        if g1._adj[v1].keys() != g2._adj[v2].keys():
-            return False
-        for key, (t1,) in g1._adj[v1].items():
-            (t2,) = g2._adj[v2][key]
+        for step in steps:
+            t1, t2 = g1.walk(v1, step), g2.walk(v2, step)
+            if (t1 is None) != (t2 is None):
+                return False
+            if t1 is None:
+                continue
             if t1 in pairing:
                 if pairing[t1] != t2:
                     return False

@@ -12,6 +12,8 @@ from stephen_kit import (
     Word,
     count_r_word_occurrences,
     decide_equal,
+    parse_presentation,
+    parse_word,
     schutzenberger_automaton,
 )
 from stephen_kit import engine, word_graph
@@ -26,6 +28,7 @@ from support import (
     StaleSiteError,
     assert_builder_consistent,
     elementary_expansion,
+    encoded,
     full_p_expansion,
     isomorphic,
     multigraphs,
@@ -152,7 +155,7 @@ def test_full_round_order_is_canonical_up_to_iso(word):
     for p in (COMM, CASE1):
         g = fold(linear_graph(word))
         backward = GraphBuilder.from_graph(g)
-        engine._sew_round(backward, find_expansions(g, p)[::-1])
+        engine._sew_round(backward, encoded(backward, find_expansions(g, p), p.alphabet)[::-1])
         assert isomorphic(full_p_expansion(g, p), backward.freeze())
 
 
@@ -312,6 +315,31 @@ def test_acceptance_grows_monotonically():
         for word in probes:
             if earlier.accepts(word):
                 assert later.accepts(word)
+
+
+@pytest.mark.parametrize(
+    "declared, in_order, relation, words",
+    [
+        ("b a", "a b", "ab = ba", ["ab", "ba^b"]),
+        ("c a b", "a b c", "aba = c", ["c", "cab^"]),
+        ("x1 b a", "a b x1", "x1 a = b x1", ["x1 a", "b x1 a^ x1"]),
+    ],
+)
+def test_alphabet_declaration_order_does_not_change_closures(declared, in_order, relation, words):
+    # Step codes follow the sorted letters, not the declared order, so the
+    # canonical numbering, and every export built on it, is the same.
+    p, q = (parse_presentation(f"X: {x}\nR: {relation}\n") for x in (declared, in_order))
+    assert p.alphabet != q.alphabet
+    for text in words:
+        one, two = (
+            schutzenberger_automaton(parse_word(text, r.alphabet), r, Budget(8, 200)) for r in (p, q)
+        )
+        assert one.to_json() == two.to_json()
+        assert one.graph.to_json() == two.graph.to_json()
+        assert one.graph.to_dot() == two.graph.to_dot()
+        assert one.graph.canonical_key() == two.graph.canonical_key()
+        rebuilt = BirootedGraph(one.graph.alpha, one.graph.beta, one.graph.edges)
+        assert rebuilt.to_json() == one.graph.to_json()
 
 
 # --- incremental closure against the rebuild-every-round reference -----------
@@ -479,9 +507,9 @@ def test_spent_builder_cannot_reach_its_graph(monkeypatch):
         return builders[-1], g
 
     grow = (
-        lambda b, g: b.link(g.alpha, ("b", 1), g.beta),
-        lambda b, g: b.spell(g.beta, w("ab^a").letters),
-        lambda b, g: b.spell(g.alpha, pos("bb").letters, g.beta),
+        lambda b, g: b.link(g.alpha, b.codes["b"], g.beta),
+        lambda b, g: b.spell(g.beta, b.encode(w("ab^a"))),
+        lambda b, g: b.spell(g.alpha, b.encode(pos("bb")), g.beta),
     )
     for spend in (closed, folded):
         _, reference = spend()
@@ -489,7 +517,7 @@ def test_spent_builder_cannot_reach_its_graph(monkeypatch):
             b, graph = spend()
             try:
                 attempt(b, graph)
-            except TypeError:  # a spent builder has no table
+            except TypeError:  # a spent builder has no rows
                 pass
             assert graph.edges == reference.edges
             assert graph.vertices == reference.vertices
@@ -534,13 +562,18 @@ def test_frontier_scan_equals_full_scan_every_round():
     rounds = []
     closing = []  # the builder and presentation of the closure under way
 
-    def checked(adj, starts, checks):
-        sites = sites_from(adj, starts, checks)
+    def checked(rows, starts, checks):
+        # Every scan is close's: find_expansions walks the frozen graph.
+        sites = sites_from(rows, starts, checks)
         b, p = closing[-1]
-        if adj is b._adj:  # a scan by close, not by find_expansions below
-            # As lists with repeats: two relations can give one (read, sew).
-            assert sorted(sites) == sorted(find_expansions(b.freeze(), p))
-            rounds.append(len(sites))
+
+        def decoded(codes):
+            return tuple((b.letters[c >> 1], -1 if c & 1 else 1) for c in codes)
+
+        found = [(s, e, (decoded(read), decoded(sew))) for s, e, (read, sew) in sites]
+        # As lists with repeats: two relations can give one (read, sew).
+        assert sorted(found) == sorted(find_expansions(b.freeze(), p))
+        rounds.append(len(sites))
         return sites
 
     def checked_close(g, p, budget=Budget()):
@@ -568,18 +601,13 @@ def test_round_changes_edges_only_at_touched_vertices():
     sew_round = engine._sew_round
     checked_edges = 0
 
-    def edge_set(b):
-        return {
-            (s, step, t) for s, table in b._adj.items() for step, ts in table.items() for t in ts
-        }
-
     def checked(b, sites):
         nonlocal checked_edges
-        before = edge_set(b)
+        before = b.freeze().edges
         merges = sew_round(b, sites)
-        for s, step, t in edge_set(b):
+        for s, x, t in b.freeze().edges:
             if s not in b.touched or t not in b.touched:
-                assert (s, step, t) in before
+                assert (s, x, t) in before
                 checked_edges += 1
         return merges
 
@@ -614,9 +642,9 @@ def test_divergent_closure_does_no_per_round_rebuild(monkeypatch):
         copies.append(g)
         return copy(g)
 
-    def counted_bfs(adj, alpha):
+    def counted_bfs(rows, pending, alpha):
         orders.append(alpha)
-        return bfs(adj, alpha)
+        return bfs(rows, pending, alpha)
 
     monkeypatch.setattr(engine, "find_expansions", counted_scan)
     monkeypatch.setattr(BirootedGraph, "__init__", counted_init)

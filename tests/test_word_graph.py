@@ -5,9 +5,17 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stephen_kit import BirootedGraph, Word
+from stephen_kit import BirootedGraph, Word, schutzenberger_automaton
 from stephen_kit.word_graph import GraphBuilder, fold, linear_graph
-from support import assert_builder_consistent, isomorphic, multigraphs, pos, reversed_ids, w
+from support import (
+    FREE2,
+    assert_builder_consistent,
+    isomorphic,
+    multigraphs,
+    pos,
+    reversed_ids,
+    w,
+)
 
 
 # Independent fold-to-fixpoint oracle: rebuild the full adjacency index on
@@ -97,9 +105,38 @@ def test_adjacency_table_refused(table):
 
 def test_disconnected_builder_rejected_on_freeze():
     b = GraphBuilder.from_word(pos("ab"))
-    b.link(b.new_vertex(), ("a", 1), b.new_vertex())
+    b.link(b.new_vertex(), b.codes["a"], b.new_vertex())
     with pytest.raises(ValueError, match="not connected"):
         b.freeze()
+
+
+def test_unfolded_builder_freezes_every_linked_edge():
+    # A link whose slot is taken is kept pending, and freeze lists it with
+    # the placed edges, so the frozen graph is not deterministic.  aa^
+    # spells 0 -a-> 1 and then 2 -a-> 1, whose slot at 1 holds 0.
+    spelled = GraphBuilder.from_word(w("aa^"))
+    g = spelled.freeze()
+    assert not g.is_deterministic
+    assert g.edges == {(0, "a", 1), (2, "a", 1)}
+    assert spelled.fold() == 1 and spelled.vertex_count() == 2
+    # Linking onto an existing edge's slot: 0 -a-> 1 is there, so 0 -a-> 2
+    # is pending; linking 0 -a-> 1 again adds nothing.
+    b = GraphBuilder.from_word(pos("ab"))
+    b.link(0, b.codes["a"], 1)
+    assert b.freeze().is_deterministic
+    b.link(0, b.codes["a"], 2)
+    g = b.freeze()
+    assert not g.is_deterministic
+    assert g.edges == {(0, "a", 1), (1, "b", 2), (0, "a", 2)}
+    assert b.fold() == 1 and isomorphic(b.freeze(), fold(g))
+    # With nothing pending, fold merges nothing and leaves the rows as
+    # they are.
+    b = GraphBuilder.from_word(pos("abb"))
+    edges, roots = b.freeze().edges, (b.alpha, b.beta)
+    assert b.fold() == 0
+    assert b.freeze().edges == edges and (b.alpha, b.beta) == roots
+    assert b.vertex_count() == 4
+    assert_builder_consistent(b)
 
 
 # --- folding -----------------------------------------------------------------
@@ -140,21 +177,11 @@ def test_fold_multigraph_matches_naive_oracle(g):
 
 @given(multigraphs())
 def test_fold_keeps_builder_consistent(g):
-    # The adjacency is the builder's only record, so after each merge the
+    # The rows are the folded builder's only record, so after the fold the
     # roots, touched and every target must be live, and fold's count must
-    # be the number of merges it made.
+    # be the number of vertices it removed.
     b = GraphBuilder.from_graph(g)
-    merges = []
-    merge = b.merge
-
-    def checked_merge(u, v):
-        keep = merge(u, v)
-        merges.append(keep)
-        assert_builder_consistent(b)
-        return keep
-
-    b.merge = checked_merge
-    assert b.fold() == len(merges) == len(g.vertices) - b.vertex_count()
+    assert b.fold() == len(g.vertices) - b.vertex_count()
     assert_builder_consistent(b)
     assert b.freeze().is_deterministic
 
@@ -192,6 +219,21 @@ def test_accepts_requires_deterministic():
     assert not g.is_deterministic
     with pytest.raises(ValueError, match="deterministic"):
         g.accepts(pos("a"))
+
+
+def test_walk_and_accepts_of_a_letter_the_graph_lacks():
+    # A(a) over FREE2 has a code for b but no b edge; a graph built from
+    # edge triples has no code for b at all; z is in no alphabet.
+    closed = schutzenberger_automaton(pos("a"), FREE2).graph
+    triples = BirootedGraph(0, 1, [(0, "a", 1)])
+    for g in (closed, triples):
+        assert g.accepts(pos("a"))
+        assert not g.accepts(pos("b"))
+        assert not g.accepts(w("ab^"))
+        assert not g.accepts(Word((("z", 1),)))
+        assert g.walk(g.alpha, pos("b")) is None
+        assert g.walk(g.beta, w("b^")) is None
+        assert g.walk(g.beta, w("a^")) == g.alpha
 
 
 def test_walk_from_interior_vertex():
