@@ -18,7 +18,9 @@ as 2i + 1 (see word_graph).  A closure runs on one GraphBuilder from the
 start word to the result: schutzenberger_automaton spells the word's
 chain in it over those codes, and close folds it there and, at the end,
 hands the builder's rows to the result graph without a copy, which
-spends the builder.  Every walk of the loop reads one list slot a step.
+spends the builder.  A builder over fewer letters than the alphabet is
+first linked again into a new builder over the alphabet, which is the
+one that closes.  Every walk of the loop reads one list slot a step.
 
 Round 0 scans every vertex for sites.  Later rounds scan the frontier:
 the start vertices reached by walking back along every even-length
@@ -45,7 +47,7 @@ import enum
 from typing import Iterable
 
 from .presentation import Presentation, Word, _MutableRecord, _Record, _set
-from .word_graph import BirootedGraph, GraphBuilder, _step_codes
+from .word_graph import BirootedGraph, GraphBuilder, _edges, _linked, _step_codes
 
 
 class Budget(_Record):
@@ -123,35 +125,22 @@ def _checks(p: Presentation) -> list[Check]:
     ]
 
 
-def _compile(p: Presentation, letters: Iterable[str]) -> Steps:
-    """p's relation checks, in _checks order, and the inverses of every
-    even-length prefix of every relation side, the empty one included, as
-    step codes over the sorted letters; the module docstring says why the
-    odd-length prefixes are not needed."""
-    letters, codes = _step_codes(letters)
-    checks = [
-        (tuple([codes[x] for x, _ in read]), tuple([codes[x] for x, _ in sew]))
-        for read, sew in _checks(p)
-    ]
-    inverses = [tuple([c + 1 for c in reversed(read)]) for read, _ in checks]
-    backs = frozenset(inverse[k:] for inverse in inverses for k in range(len(inverse), -1, -2))
-    return letters, checks, backs
-
-
-def _steps(p: Presentation, b: GraphBuilder) -> Steps:
-    """p compiled over b's letters.  The compile over p's sorted alphabet
-    is made on p's first closure and kept on p; a builder with other
-    letters is recoded to the union, and a union wider than the alphabet
-    gets its own compile."""
-    steps = p._steps
-    if steps is None:
-        steps = _compile(p, p.alphabet)
-        _set(p, "_steps", steps)
-    if b.letters != steps[0]:
-        b.recode(set(b.letters).union(p.alphabet))
-        if b.letters != steps[0]:
-            steps = _compile(p, b.letters)
-    return steps
+def _compile(p: Presentation) -> Steps:
+    """p's sorted alphabet, its relation checks, in _checks order, and the
+    inverses of every even-length prefix of every relation side, the empty
+    one included, as step codes over that alphabet; the module docstring
+    says why the odd-length prefixes are not needed.  The compile is made
+    on p's first closure and kept on p."""
+    if p._steps is None:
+        letters, codes = _step_codes(p.alphabet)
+        checks = [
+            (tuple([codes[x] for x, _ in read]), tuple([codes[x] for x, _ in sew]))
+            for read, sew in _checks(p)
+        ]
+        inverses = [tuple([c + 1 for c in reversed(read)]) for read, _ in checks]
+        backs = frozenset(inverse[k:] for inverse in inverses for k in range(len(inverse), -1, -2))
+        _set(p, "_steps", (letters, checks, backs))
+    return p._steps
 
 
 def _sites_from(rows: dict, starts: Iterable[int], checks: list) -> list[Site]:
@@ -243,12 +232,20 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     The merges of the first fold count in neither fold_events nor rounds.
     The vertex limit is checked after each round's site scan, so a round
     that leaves no site is closed even when it crosses the limit.  The
-    result graph takes over the builder's rows, so b is spent; a caller
-    that holds a graph passes GraphBuilder.from_graph(g).  On budget
-    exhaustion the returned graph is the last completed round's
-    approximation; that is a status, not an error.
+    result graph takes over the rows of the builder that closes, so b is
+    spent; a caller that holds a graph passes GraphBuilder.from_graph(g).
+    A b whose letters are a proper subset of p's alphabet is linked again
+    into a new builder over the alphabet, which closes instead, and b is
+    left as it was; a b with a letter outside the alphabet is refused with
+    ValueError.  On budget exhaustion the returned graph is the last
+    completed round's approximation; that is a status, not an error.
     """
-    _, checks, backs = _steps(p, b)
+    letters, checks, backs = _compile(p)
+    if b.letters != letters:
+        outside = [x for x in b.letters if x not in letters]
+        if outside:
+            raise ValueError(f"letter {outside[0]!r} is not in the alphabet")
+        b = _linked(b.alpha, b.beta, _edges(b._rows, b._pending, b.letters), letters)
     b.fold()
     history = [b.vertex_count()]
     rounds = fold_events = 0

@@ -32,20 +32,20 @@ mutated and is safe to share between readers.  GraphBuilder does the two
 things Stephen's procedure does to a graph, spelling a chain and folding,
 on its rows and pending list, its only record of the graph.
 
-A graph is made in one of two ways.  Edge triples, from a caller or from
-GraphBuilder.freeze() of a builder that goes on growing, are placed in
-new rows, over the sorted letters they use, and checked: a repeated
-triple is one edge, the pending list records whether the graph is
-deterministic, and the canonical breadth-first order from alpha, which
-such a graph computes at once and keeps, must reach every vertex.
-close and fold(g) end on a folded builder and hand it over instead: the
-graph adopts the builder's rows and letters, and the builder is spent,
-with no rows left that a later link or spell could change.  Such rows
-need neither check, because the builder keeps both properties by
-construction: from_word spells a connected chain, from_graph copies a
-graph that was checked when it was built, spell starts at an existing
-vertex, a merge keeps the graph connected, and fold leaves nothing
-pending.
+A graph is made one way: its edges are linked into a GraphBuilder, and
+the graph adopts the builder's rows, letters and pending list, which
+spends the builder, with no rows left that a later link or spell could
+change.  Edge triples, from a caller or from GraphBuilder.freeze() of a
+builder that goes on growing, are linked into a new builder over the
+sorted letters they use, under their own vertex ids (a repeated triple
+is one edge), and checked: the canonical breadth-first order from alpha,
+which such a graph computes at once and keeps, must reach every vertex.
+close, fold(g) and linear_graph hand over their own builder, folded or
+not, and the graph is deterministic when nothing is pending.  Such a
+builder needs no check, because it is connected by construction:
+from_word spells a connected chain, from_graph links a checked graph's
+edges, spell starts at an existing vertex, and a merge keeps the graph
+connected.
 """
 
 from __future__ import annotations
@@ -110,41 +110,22 @@ class BirootedGraph:
     """
 
     def __init__(self, alpha: int, beta: int, edges: Iterable[Edge] | GraphBuilder):
-        """Build from (s, x, t) triples, which are placed in rows over the
-        sorted letters they use (a repeated triple is one edge) and
-        checked, or from a folded GraphBuilder, which is handed over: its
-        rows are adopted unchecked, the canonical order waits for its first
-        reader, and the builder is spent (see the module docstring).  Edges
-        are listed when first read.
+        """Build from (s, x, t) triples, which are linked into a new builder
+        and checked, or from a GraphBuilder, folded or not, which is handed
+        over unchecked (see the module docstring).  The graph adopts the
+        builder's rows and the builder is spent.  Edges are listed when
+        first read, and so is a handed builder's canonical order.
         """
         self.alpha = alpha
         self.beta = beta
-        if isinstance(edges, GraphBuilder):
-            if edges._pending:
-                raise ValueError("only a folded builder is handed over")
-            self._letters, self._codes = edges.letters, edges.codes
-            self._rows: Rows = edges._rows
-            self._pending: tuple[tuple[int, int, int], ...] = ()
-            edges._rows = None
-            self.vertices: frozenset[int] = frozenset(self._rows)
-            self.is_deterministic = True
-            return
-        edges = list(edges)
-        b = GraphBuilder({x for _, x, _ in edges})
-        width = 2 * len(b.letters)
-        rows = b._rows
-        rows[alpha], rows[beta] = [None] * width, [None] * width
-        for s, x, t in edges:
-            for v in (s, t):
-                if v not in rows:
-                    rows[v] = [None] * width
-            b.link(s, b.codes[x], t)
-        self._letters, self._codes, self._rows = b.letters, b.codes, rows
-        self._pending = tuple(sorted(set(b._pending)))
+        b = edges if isinstance(edges, GraphBuilder) else _linked(alpha, beta, edges)
+        self._letters, self._codes = b.letters, b.codes
+        self._rows: Rows = b._rows
+        self._pending: list[tuple[int, int, int]] = b._pending
+        b._rows = b._pending = None
+        self.vertices: frozenset[int] = frozenset(self._rows)
         self.is_deterministic = not self._pending
-        self.vertices = frozenset(rows)
-        self._order = _bfs(rows, self._pending, alpha)
-        if len(self._order) != len(rows):
+        if b is not edges and len(self._order) != len(self._rows):
             raise ValueError("graph is not connected from alpha")
 
     @cached_property
@@ -239,7 +220,28 @@ def linear_graph(w: Word) -> BirootedGraph:
     empty word is admitted and yields the single-vertex graph with
     alpha = beta.
     """
-    return GraphBuilder.from_word(w).freeze()
+    b = GraphBuilder.from_word(w)
+    return BirootedGraph(b.alpha, b.beta, b)
+
+
+def _linked(
+    alpha: int, beta: int, edges: Iterable[Edge], letters: Iterable[Letter] = ()
+) -> GraphBuilder:
+    """A new builder with the (s, x, t) triples linked under their own
+    vertex ids, over the sorted union of letters and the triples' letters,
+    with roots alpha and beta and every vertex touched."""
+    edges = list(edges)
+    b = GraphBuilder({x for _, x, _ in edges}.union(letters))
+    rows, codes, width = b._rows, b.codes, 2 * len(b.letters)
+    rows[alpha], rows[beta] = [None] * width, [None] * width
+    for s, x, t in edges:
+        for v in (s, t):
+            if v not in rows:
+                rows[v] = [None] * width
+        b.link(s, codes[x], t)
+    b.touched.update(rows)
+    b.alpha, b.beta, b._next = alpha, beta, max(rows) + 1
+    return b
 
 
 class GraphBuilder:
@@ -253,8 +255,8 @@ class GraphBuilder:
     builder holds outside a fold is a key of the rows.  touched collects
     every vertex given an edge since its owner last cleared it; the engine
     walks back from those vertices to find the next round's sites.
-    Handing a folded builder to BirootedGraph spends it: the graph takes
-    the rows, and the builder keeps none.
+    Handing a builder to BirootedGraph spends it: the graph takes the
+    rows, and the builder keeps none.
     """
 
     def __init__(self, letters: Iterable[Letter] = ()):
@@ -268,13 +270,9 @@ class GraphBuilder:
 
     @classmethod
     def from_graph(cls, g: BirootedGraph) -> "GraphBuilder":
-        b = cls(g._letters)
-        b._rows = {v: row.copy() for v, row in g._rows.items()}
-        b._pending = list(g._pending)
-        b.touched = set(g.vertices)
-        b._next = max(g.vertices) + 1
-        b.alpha, b.beta = g.alpha, g.beta
-        return b
+        """A new builder with g's edges, vertex ids, roots and letters, every
+        vertex touched."""
+        return _linked(g.alpha, g.beta, _edges(g._rows, g._pending, g._letters), g._letters)
 
     @classmethod
     def from_word(cls, w: Word, letters: Iterable[Letter] | None = None) -> "GraphBuilder":
@@ -290,19 +288,6 @@ class GraphBuilder:
         """The step codes of signed letters; KeyError on a letter the
         builder has no code for."""
         return [self.codes[x] + (sign < 0) for x, sign in letters]
-
-    def recode(self, letters: Iterable[Letter]) -> None:
-        """Renumber the steps over a sorted superset of the builder's letters."""
-        old = self.letters
-        self.letters, self.codes = _step_codes(letters)
-        moved = [self.codes[x] + inverse for x in old for inverse in (0, 1)]
-        width = 2 * len(self.letters)
-        for v, row in self._rows.items():
-            new = [None] * width
-            for c, t in enumerate(row):
-                new[moved[c]] = t
-            self._rows[v] = new
-        self._pending = [(s, moved[c], t) for s, c, t in self._pending]
 
     def new_vertex(self) -> int:
         v = self._next

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from stephen_kit import BirootedGraph, Budget, ClosureResult, Presentation, Status, Word
 from stephen_kit.engine import _sew_round, find_expansions
-from stephen_kit.word_graph import GraphBuilder
+from stephen_kit.word_graph import GraphBuilder, _linked
 
 
 def pos(text: str) -> Word:
@@ -101,8 +101,8 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
         if rounds >= budget.max_rounds or (rounds and len(g.vertices) > budget.max_vertices):
             status = Status.BUDGET_EXCEEDED
             break
-        b = GraphBuilder.from_graph(g)
-        for start, end, (_, sew) in encoded(b, sites, p.alphabet):
+        b = _linked(g.alpha, g.beta, g.edges, p.alphabet)
+        for start, end, (_, sew) in encoded(b, sites):
             prev = start
             for step in sew[:-1]:
                 nv = b.new_vertex()
@@ -116,10 +116,9 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
     return ClosureResult(status, g, rounds, fold_events, tuple(history))
 
 
-def encoded(b: GraphBuilder, sites, alphabet) -> list:
+def encoded(b: GraphBuilder, sites) -> list:
     """find_expansions' sites as close sews them, with both sides as b's
-    step codes; b is first recoded over its letters and the alphabet."""
-    b.recode(set(b.letters).union(alphabet))
+    step codes; b must have every letter of the sites."""
     return [(s, e, (tuple(b.encode(read)), tuple(b.encode(sew)))) for s, e, (read, sew) in sites]
 
 
@@ -178,8 +177,7 @@ def elementary_expansion(g: BirootedGraph, site: tuple) -> BirootedGraph:
         raise ValueError("invalid site: read side does not label a start -> end path")
     if end in readable_ends(g, start, sew):
         raise StaleSiteError("opposite side already readable between the site's roots")
-    b = GraphBuilder.from_graph(g)
-    b.recode(set(b.letters).union(x for x, _ in sew))
+    b = _linked(g.alpha, g.beta, g.edges, [x for x, _ in sew])
     b.spell(start, b.encode(sew), end)
     return b.freeze()
 
@@ -189,8 +187,8 @@ def full_p_expansion(g: BirootedGraph, p: Presentation) -> BirootedGraph:
 
     Sites that only become available mid-round are left for the next round.
     """
-    b = GraphBuilder.from_graph(g)
-    _sew_round(b, encoded(b, find_expansions(g, p), p.alphabet))
+    b = _linked(g.alpha, g.beta, g.edges, p.alphabet)
+    _sew_round(b, encoded(b, find_expansions(g, p)))
     return b.freeze()
 
 

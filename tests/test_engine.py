@@ -154,8 +154,8 @@ def test_full_round_order_is_canonical_up_to_iso(word):
     # Sewing a round's sites in reverse order folds to the same graph.
     for p in (COMM, CASE1):
         g = fold(linear_graph(word))
-        backward = GraphBuilder.from_graph(g)
-        engine._sew_round(backward, encoded(backward, find_expansions(g, p), p.alphabet)[::-1])
+        backward = word_graph._linked(g.alpha, g.beta, g.edges, p.alphabet)
+        engine._sew_round(backward, encoded(backward, find_expansions(g, p))[::-1])
         assert isomorphic(full_p_expansion(g, p), backward.freeze())
 
 
@@ -480,15 +480,48 @@ def test_frozen_graphs_equal_graphs_rebuilt_from_their_edges():
 @given(multigraphs())
 def test_folded_multigraphs_equal_graphs_rebuilt_from_their_edges(g):
     # The same check for fold(g), which hands its folded builder's table
-    # over, on inputs with self-loops and parallel edges.
+    # over, and for an unfolded builder of g handed over as it is, on
+    # inputs with self-loops and parallel edges.
     assert_same_as_rebuilt(g)
     assert_same_as_rebuilt(fold(g))
+    handed = BirootedGraph(g.alpha, g.beta, GraphBuilder.from_graph(g))
+    assert handed.edges == g.edges
+    assert_same_as_rebuilt(handed)
+
+
+def test_close_refuses_a_builder_letter_outside_the_alphabet():
+    # As schutzenberger_automaton refuses such a word; the builder is
+    # neither folded nor spent.
+    b = GraphBuilder.from_word(w("aa^z"))
+    edges = b.freeze().edges
+    with pytest.raises(ValueError, match="letter 'z' is not in the alphabet"):
+        close(b, COMM)
+    assert b.vertex_count() == 4
+    assert b.freeze().edges == edges and not b.freeze().is_deterministic
+
+
+def test_close_links_a_builder_over_fewer_letters_again():
+    # abb^ba uses a and b of CASE1's a, b, c, and folds to the chain aba:
+    # close links it again over the alphabet and closes that builder,
+    # which sews c; b itself is left unfolded and usable.
+    word = w("abb^ba")
+    b = GraphBuilder.from_word(word)
+    edges = b.freeze().edges
+    result = close(b, CASE1)
+    reference = schutzenberger_automaton(word, CASE1)
+    assert result.rounds == 1
+    assert result.to_json() == reference.to_json()
+    assert result.graph.canonical_key() == reference.graph.canonical_key()
+    assert b.letters == ("a", "b")
+    assert b.freeze().edges == edges
 
 
 def test_spent_builder_cannot_reach_its_graph(monkeypatch):
     # close and fold(g) hand their builder's table to the graph they
-    # return.  Growing that builder afterwards must fail or leave the graph
-    # as an untouched closure or fold gives it.
+    # return, and close of a builder over fewer letters than the alphabet
+    # hands over the builder it linked again.  Growing the builder
+    # afterwards must fail or leave the graph as an untouched closure or
+    # fold gives it.
     builders = []
     from_graph = GraphBuilder.from_graph
 
@@ -506,23 +539,30 @@ def test_spent_builder_cannot_reach_its_graph(monkeypatch):
         g = fold(linear_graph(w("aa^b")))
         return builders[-1], g
 
+    def relinked():
+        b = GraphBuilder.from_word(pos("aba"))
+        return b, close(b, CASE1).graph
+
     grow = (
         lambda b, g: b.link(g.alpha, b.codes["b"], g.beta),
         lambda b, g: b.spell(g.beta, b.encode(w("ab^a"))),
         lambda b, g: b.spell(g.alpha, b.encode(pos("bb")), g.beta),
     )
-    for spend in (closed, folded):
+    grown = 0
+    for spend in (closed, folded, relinked):
         _, reference = spend()
         for attempt in grow:
             b, graph = spend()
             try:
                 attempt(b, graph)
+                grown += 1
             except TypeError:  # a spent builder has no rows
                 pass
             assert graph.edges == reference.edges
             assert graph.vertices == reference.vertices
             assert graph.to_json() == reference.to_json()
             assert graph.canonical_key() == reference.canonical_key()
+    assert grown == len(grow)  # only the builder linked again grows
 
 
 def test_round_site_order_does_not_change_closure():
@@ -577,7 +617,9 @@ def test_frontier_scan_equals_full_scan_every_round():
         return sites
 
     def checked_close(g, p, budget=Budget()):
-        b = GraphBuilder.from_graph(g)
+        # A builder over the alphabet closes itself; close would link
+        # one over fewer letters again, and scan that one.
+        b = word_graph._linked(g.alpha, g.beta, g.edges, p.alphabet)
         closing.append((b, p))
         return close(b, p, budget)
 

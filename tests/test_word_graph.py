@@ -139,6 +139,31 @@ def test_unfolded_builder_freezes_every_linked_edge():
     assert_builder_consistent(b)
 
 
+def test_handed_unfolded_builder_equals_its_freeze():
+    # A builder is handed over folded or not: an unfolded one gives the
+    # non-deterministic graph its freeze() gives, pending edges included,
+    # and linear_graph hands its chain over that way.
+    words = (w("aa^"), w("ab^ba^"), w("aa^a^a"))
+    builders = [GraphBuilder.from_word(word) for word in words]
+    # A link onto a taken slot, twice: the pending list holds it twice,
+    # and the graph lists it once.
+    b = GraphBuilder.from_word(pos("ab"))
+    b.link(0, b.codes["a"], 2)
+    b.link(0, b.codes["a"], 2)
+    builders.append(b)
+    for b in builders:
+        frozen = b.freeze()
+        handed = BirootedGraph(b.alpha, b.beta, b)
+        assert not handed.is_deterministic and not frozen.is_deterministic
+        assert handed.edges == frozen.edges
+        assert handed.vertices == frozen.vertices
+        assert handed.to_json() == frozen.to_json()
+        assert handed.to_dot() == frozen.to_dot()
+        assert handed.canonical_key() == frozen.canonical_key()
+    assert handed.edges == {(0, "a", 1), (1, "b", 2), (0, "a", 2)}
+    assert not any(linear_graph(word).is_deterministic for word in words)
+
+
 # --- folding -----------------------------------------------------------------
 
 
