@@ -12,27 +12,28 @@ sewn; find_expansions reports the sites of a graph with the sides as
 signed letters, close carries them as step codes.
 
 A presentation is compiled once, on its first closure, and the result is
-kept on it: the relation checks and the even-length back prefixes as
-step codes over the sorted alphabet, letter i as step 2i and its inverse
-as 2i + 1 (see word_graph).  A closure runs on one GraphBuilder from the
-start word to the result: schutzenberger_automaton spells the word's
-chain in it over those codes, and close folds it there and, at the end,
-hands the builder's rows to the result graph without a copy, which
-spends the builder.  A builder over fewer letters than the alphabet is
-first linked again into a new builder over the alphabet, which is the
-one that closes.  Every walk of the loop reads one list slot a step.
+kept on it: the relation checks and a deduction table as step codes over
+the sorted alphabet, letter i as step 2i and its inverse as 2i + 1 (see
+word_graph).  A closure runs on one GraphBuilder from the start word to
+the result: schutzenberger_automaton spells the word's chain in it over
+those codes, and close folds it there and, at the end, hands the
+builder's rows to the result graph without a copy, which spends the
+builder.  A builder over fewer letters than the alphabet is first linked
+again into a new builder over the alphabet, which is the one that
+closes.  Every walk of the loop reads one list slot a step.
 
-Round 0 scans every vertex for sites.  Later rounds scan the frontier:
-the start vertices reached by walking back along every even-length
-prefix of every relation side from the vertices the last round touched
-(new chain vertices, chain endpoints, merge survivors, neighbours whose
-edges a merge moved).  That finds every site.  A round gives new edges
-only to touched vertices and keeps the ids of the vertices that survive,
-so a read path of only old edges was one a round earlier, that round
-sewed its site, and the other side is readable now.  Any other read path
-holds a new edge, whose ends are consecutive touched vertices on it, and
-one of them sits at an even offset from the path's start.  This is the
-deduction stack of coset enumeration.
+Round 0 scans every vertex for sites.  Later rounds work from the
+builder's log of the edges the last round placed, as coset enumeration
+works from its deduction stack: for each live logged edge, and each
+check and position k of its read side that the edge's letter fills, walk
+back from the edge's source by the first k read steps to a start, and
+walk on from the edge's target by the rest of the read side.  That finds
+every site.  Sewing and folding never destroy a path, and an edge that
+no live log entry names was an edge a round earlier under the same ids,
+so a read path made only of such old edges was readable a round earlier,
+that round sewed its site, and the other side is readable now.  Any
+other read path holds a logged edge, and walking back from that edge's
+source by the prefix before its position reaches the path's start.
 
 A round sews every site found at its start.  Folding is confluent, and a
 chain sewn beside a path with the same label folds onto that path, so
@@ -44,7 +45,6 @@ the graph as it would be without that site.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
 
 from .presentation import Presentation, Word, _MutableRecord, _Record, _set
 from .word_graph import BirootedGraph, GraphBuilder, _edges, _linked, _step_codes
@@ -111,7 +111,8 @@ class ClosureResult(_MutableRecord):
 Letters = tuple[tuple[str, int], ...]
 Check = tuple[Letters, Letters]
 Codes = tuple[int, ...]
-Steps = tuple[tuple[str, ...], list[tuple[Codes, Codes]], frozenset[Codes]]
+Deduction = tuple[int, Codes, Codes, tuple[Codes, Codes]]
+Steps = tuple[tuple[str, ...], list[tuple[Codes, Codes]], list[list[Deduction]]]
 Site = tuple[int, int, tuple[Codes, Codes]]
 
 
@@ -126,32 +127,41 @@ def _checks(p: Presentation) -> list[Check]:
 
 
 def _compile(p: Presentation) -> Steps:
-    """p's sorted alphabet, its relation checks, in _checks order, and the
-    inverses of every even-length prefix of every relation side, the empty
-    one included, as step codes over that alphabet; the module docstring
-    says why the odd-length prefixes are not needed.  The compile is made
-    on p's first closure and kept on p."""
+    """p's sorted alphabet, its relation checks, in _checks order, as step
+    codes over that alphabet, and their deduction table.  The compile is
+    made on p's first closure and kept on p.
+
+    Relation sides are positive, so the table is indexed by positive step
+    code: table[c] lists, for each check i and each position k at which
+    its read side holds c, the entry (i, back, rest, check), where back
+    walks back over the read steps before k and rest reads those after it.
+    """
     if p._steps is None:
         letters, codes = _step_codes(p.alphabet)
         checks = [
             (tuple([codes[x] for x, _ in read]), tuple([codes[x] for x, _ in sew]))
             for read, sew in _checks(p)
         ]
-        inverses = [tuple([c + 1 for c in reversed(read)]) for read, _ in checks]
-        backs = frozenset(inverse[k:] for inverse in inverses for k in range(len(inverse), -1, -2))
-        _set(p, "_steps", (letters, checks, backs))
+        table = [[] for _ in range(2 * len(letters))]
+        for i, check in enumerate(checks):
+            read = check[0]
+            for k, c in enumerate(read):
+                back = tuple([d ^ 1 for d in reversed(read[:k])])
+                table[c].append((i, back, read[k + 1 :], check))
+        _set(p, "_steps", (letters, checks, table))
     return p._steps
 
 
-def _sites_from(rows: dict, starts: Iterable[int], checks: list) -> list[Site]:
-    """The (start, end, (read, sew)) sites at each start in turn, in check
+def _all_sites(rows: dict, checks: list) -> list[Site]:
+    """The (start, end, (read, sew)) sites at every vertex in turn, in check
     order, with read and sew as step codes.
 
     rows are the rows of the folded builder being scanned; the walks are
-    written out here because this is the inner loop of every closure.
+    written out here, as in _deduced, because they are the inner loops of
+    every closure.
     """
     sites = []
-    for start in starts:
+    for start in rows:
         for check in checks:
             read, sew = check
             end = start
@@ -167,6 +177,48 @@ def _sites_from(rows: dict, starts: Iterable[int], checks: list) -> list[Site]:
                         break
                 if v != end:
                     sites.append((start, end, check))
+    return sites
+
+
+def _deduced(rows: dict, log: list, table: list[list[Deduction]]) -> list[Site]:
+    """The sites of folded rows whose read path holds a live edge of log,
+    each (start, check) once; after a round these are all its sites (see
+    the module docstring).
+
+    An entry is live while its source is a vertex whose slot still names
+    its target; a merge that moved the edge logged it again.  An edge
+    logged against its letter is turned round to read forward.
+    """
+    sites, seen = [], set()
+    for s, c, t in log:
+        row = rows.get(s)
+        if row is None or row[c] != t:
+            continue
+        if c & 1:
+            s, c, t = t, c ^ 1, s
+        for i, back, rest, check in table[c]:
+            start = s
+            for d in back:
+                start = rows[start][d]
+                if start is None:
+                    break
+            else:
+                if (start, i) in seen:
+                    continue
+                seen.add((start, i))
+                end = t
+                for d in rest:
+                    end = rows[end][d]
+                    if end is None:
+                        break
+                else:
+                    v = start
+                    for d in check[1]:
+                        v = rows[v][d]
+                        if v is None:
+                            break
+                    if v != end:
+                        sites.append((start, end, check))
     return sites
 
 
@@ -192,34 +244,14 @@ def find_expansions(g: BirootedGraph, p: Presentation) -> list[tuple[int, int, C
     return sites
 
 
-def _frontier(b: GraphBuilder, backs: frozenset[Codes]) -> set[int]:
-    """The starts of every read path of folded b with a touched vertex at an
-    even offset.
-
-    After a round every site of b starts there (see the module docstring).
-    backs holds the step codes of the back prefixes, which close compiles
-    once.
-    """
-    rows, starts = b._rows, set()
-    for seed in b.touched:
-        for back in backs:
-            v = seed
-            for c in back:
-                v = rows[v][c]
-                if v is None:
-                    break
-            else:
-                starts.add(v)
-    return starts
-
-
 def _sew_round(b: GraphBuilder, sites: list[Site]) -> int:
     """Sew every given site and fold; returns the merges.
 
-    Afterwards b.touched holds every vertex this round gave an edge, by
-    sewing or by moving an edge in a merge.
+    The log is cleared first, so afterwards b.log holds every edge this
+    round placed, by sewing or by moving an edge in a merge, stale entries
+    included.
     """
-    b.touched.clear()
+    b.log.clear()
     for start, end, (_, sew) in sites:
         b.spell(start, sew, end)
     return b.fold()
@@ -230,6 +262,8 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     budget limit trips.
 
     The merges of the first fold count in neither fold_events nor rounds.
+    Round 0 scans every vertex for sites, and each later scan reads only
+    the edges the round before it logged (see the module docstring).
     The vertex limit is checked after each round's site scan, so a round
     that leaves no site is closed even when it crosses the limit.  The
     result graph takes over the rows of the builder that closes, so b is
@@ -240,7 +274,7 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     ValueError.  On budget exhaustion the returned graph is the last
     completed round's approximation; that is a status, not an error.
     """
-    letters, checks, backs = _compile(p)
+    letters, checks, table = _compile(p)
     if b.letters != letters:
         outside = [x for x in b.letters if x not in letters]
         if outside:
@@ -249,12 +283,12 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     b.fold()
     history = [b.vertex_count()]
     rounds = fold_events = 0
-    sites = _sites_from(b._rows, list(b._rows), checks)
+    sites = _all_sites(b._rows, checks)
     while sites and rounds < budget.max_rounds:
         fold_events += _sew_round(b, sites)
         rounds += 1
         history.append(b.vertex_count())
-        sites = _sites_from(b._rows, _frontier(b, backs), checks)
+        sites = _deduced(b._rows, b.log, table)
         if history[-1] > budget.max_vertices:
             break
     status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED

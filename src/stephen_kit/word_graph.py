@@ -122,7 +122,7 @@ class BirootedGraph:
         self._letters, self._codes = b.letters, b.codes
         self._rows: Rows = b._rows
         self._pending: list[tuple[int, int, int]] = b._pending
-        b._rows = b._pending = None
+        b._rows = b._pending = b.log = None
         self.vertices: frozenset[int] = frozenset(self._rows)
         self.is_deterministic = not self._pending
         if b is not edges and len(self._order) != len(self._rows):
@@ -229,7 +229,7 @@ def _linked(
 ) -> GraphBuilder:
     """A new builder with the (s, x, t) triples linked under their own
     vertex ids, over the sorted union of letters and the triples' letters,
-    with roots alpha and beta and every vertex touched."""
+    with roots alpha and beta and every placed edge logged."""
     edges = list(edges)
     b = GraphBuilder({x for _, x, _ in edges}.union(letters))
     rows, codes, width = b._rows, b.codes, 2 * len(b.letters)
@@ -239,7 +239,6 @@ def _linked(
             if v not in rows:
                 rows[v] = [None] * width
         b.link(s, codes[x], t)
-    b.touched.update(rows)
     b.alpha, b.beta, b._next = alpha, beta, max(rows) + 1
     return b
 
@@ -251,12 +250,14 @@ class GraphBuilder:
     does, plus the pending edges that link could not place because a slot
     was taken.  Rows and pending list are the builder's only record of the
     graph.  A vertex dies only in fold, which moves its edges onto the
-    survivor and the roots and touched off it, so every vertex id the
-    builder holds outside a fold is a key of the rows.  touched collects
-    every vertex given an edge since its owner last cleared it; the engine
-    walks back from those vertices to find the next round's sites.
-    Handing a builder to BirootedGraph spends it: the graph takes the
-    rows, and the builder keeps none.
+    survivor and the roots off it, so every vertex id the builder holds
+    outside a fold, the log aside, is a key of the rows.  log lists, as
+    (s, c, t), every edge placed in both rows since its owner last cleared
+    it, by spell or by fold; a later merge can remove an end or move the
+    edge, which leaves a stale entry and logs the moved edge again.  The
+    engine finds the next round's sites from the live entries.  Handing a
+    builder to BirootedGraph spends it: the graph takes the rows, and the
+    builder keeps no rows, pending list or log.
     """
 
     def __init__(self, letters: Iterable[Letter] = ()):
@@ -265,18 +266,19 @@ class GraphBuilder:
         self._pending: list[tuple[int, int, int]] = []
         self.alpha: int = 0
         self.beta: int = 0
-        self.touched: set[int] = set()
+        self.log: list[tuple[int, int, int]] = []
         self._next = 0
 
     @classmethod
     def from_graph(cls, g: BirootedGraph) -> "GraphBuilder":
         """A new builder with g's edges, vertex ids, roots and letters, every
-        vertex touched."""
+        edge logged."""
         return _linked(g.alpha, g.beta, _edges(g._rows, g._pending, g._letters), g._letters)
 
     @classmethod
     def from_word(cls, w: Word, letters: Iterable[Letter] | None = None) -> "GraphBuilder":
-        """The unfolded chain spelling w, vertices 0 to len(w), all touched.
+        """The unfolded chain spelling w, vertices 0 to len(w), its placed
+        edges logged.
 
         The builder's letters are the given ones, by default those of w.
         """
@@ -304,21 +306,27 @@ class GraphBuilder:
 
         The last step lands on end if one is given, else on a fresh vertex
         too; returns the chain's last vertex.  Each edge goes into both
-        rows when both slots are free, to the pending list when either
-        holds another target, and nowhere when it is already there.
+        rows, and into the log, when both slots are free, to the pending
+        list when either holds another target, and nowhere when it is
+        already there.
         """
-        rows, pending, touched = self._rows, self._pending, self.touched
-        touched.add(start)
-        for i, step in enumerate(steps, 1):
-            t = end if end is not None and i == len(steps) else self.new_vertex()
+        rows, pending, log = self._rows, self._pending, self.log
+        width, last = 2 * len(self.letters), len(steps) - (end is not None)
+        for i, step in enumerate(steps):
+            if i == last:
+                t = end
+            else:
+                t = self._next
+                self._next = t + 1
+                rows[t] = [None] * width
             slot = rows[start][step]
             if slot != t:
                 if slot is None and rows[t][step ^ 1] is None:
                     rows[start][step] = t
                     rows[t][step ^ 1] = start
+                    log.append((start, step, t))
                 else:
                     pending.append((start, step, t))
-            touched.add(t)
             start = t
         return start
 
@@ -329,20 +337,20 @@ class GraphBuilder:
         """Place every pending edge, merging until deterministic; returns the
         number of merges performed, which is the drop in vertex count.
 
-        An edge s -c-> t goes into both rows when both slots are free.  When
-        the slot at s holds u, u and t are one vertex; when the slot at t
-        holds v, v and s are.  A merge keeps the older vertex, the smaller
-        id (folding is confluent, so the choice decides only which ids
-        survive): it removes the other's row, clears the slot that names
-        the removed vertex at each neighbor, and pends each of its edges
-        again from the survivor.  forward maps each removed vertex to the
-        one it merged into, for the ids the pending list still holds; it
-        lives for this fold only.
+        An edge s -c-> t goes into both rows, and into the log, when both
+        slots are free.  When the slot at s holds u, u and t are one vertex;
+        when the slot at t holds v, v and s are.  A merge keeps the older
+        vertex, the smaller id (folding is confluent, so the choice decides
+        only which ids survive): it removes the other's row, clears the slot
+        that names the removed vertex at each neighbor, and pends each of
+        its edges again from the survivor, where placing it logs it again.
+        forward maps each removed vertex to the one it merged into, for the
+        ids the pending list still holds; it lives for this fold only.
         """
         pending = self._pending
         if not pending:
             return 0
-        rows, touched = self._rows, self.touched
+        rows, log = self._rows, self.log
         before = len(rows)
         forward = {}
         while pending:
@@ -359,17 +367,15 @@ class GraphBuilder:
                 if a is None:
                     rows[s][c] = t
                     rows[t][c ^ 1] = s
+                    log.append((s, c, t))
                     continue
             if b < a:
                 a, b = b, a
             forward[b] = a
-            touched.discard(b)
-            touched.add(a)
             for c, t in enumerate(rows.pop(b)):
                 if t is not None:
                     if t != b:
                         rows[t][c ^ 1] = None
-                        touched.add(t)
                     pending.append((a, c, t))
         while self.alpha in forward:
             self.alpha = forward[self.alpha]

@@ -123,8 +123,9 @@ def encoded(b: GraphBuilder, sites) -> list:
 
 
 def assert_builder_consistent(b: GraphBuilder) -> None:
-    """Every vertex id folded b holds is one of its vertices, and every
-    edge is listed at both ends under opposite signs.
+    """Every vertex id folded b holds is one of its vertices, every edge
+    is listed at both ends under opposite signs, and every log entry
+    whose ends are both vertices names an edge of the rows.
 
     A shallow copy of b is handed to a graph, which so reads b's own rows
     through its public walk without spending b; the graph is dropped
@@ -133,7 +134,10 @@ def assert_builder_consistent(b: GraphBuilder) -> None:
     view = BirootedGraph(b.alpha, b.beta, copy.copy(b))
     live = view.vertices
     assert b.alpha in live and b.beta in live
-    assert b.touched <= live
+    for s, c, t in b.log:
+        if s in live and t in live:
+            x, sign = b.letters[c >> 1], -1 if c & 1 else 1
+            assert view.walk(s, ((x, sign),)) == t
     for v in live:
         for x in b.letters:
             for sign in (1, -1):

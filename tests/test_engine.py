@@ -432,6 +432,24 @@ def test_close_sews_sites_that_earlier_sewing_made_readable():
     assert_same_closure(result, naive_close(linear_graph(pos("a")), p, Budget()))
 
 
+def test_repeated_relation_sews_its_sites_twice():
+    # A relation stated twice, as ab = ba and ba = ab, gives every check
+    # twice: each site is listed and sewn once per copy, and the second
+    # chain folds onto the first.  The automaton is the same; only the
+    # site lists and fold_events show the repeat.
+    once = COMM
+    twice = Presentation(("a", "b"), ((pos("ab"), pos("ba")), (pos("ba"), pos("ab"))))
+    word = pos("abab")
+    assert len(find_expansions(linear_graph(word), once)) == 3
+    assert len(find_expansions(linear_graph(word), twice)) == 6
+    closed = [schutzenberger_automaton(word, p) for p in (once, twice)]
+    assert [r.status for r in closed] == [Status.CLOSED, Status.CLOSED]
+    assert [len(r.graph.vertices) for r in closed] == [9, 9]
+    assert [r.fold_events for r in closed] == [0, 4]
+    assert closed[0].rounds == closed[1].rounds
+    assert closed[0].graph.canonical_key() == closed[1].graph.canonical_key()
+
+
 def random_presentation(rng) -> Presentation:
     relations = []
     while len(relations) < rng.randint(1, 3):
@@ -521,27 +539,38 @@ def test_spent_builder_cannot_reach_its_graph(monkeypatch):
     # return, and close of a builder over fewer letters than the alphabet
     # hands over the builder it linked again.  Growing the builder
     # afterwards must fail or leave the graph as an untouched closure or
-    # fold gives it.
+    # fold gives it.  A handed builder keeps no rows, pending list or log,
+    # also one that is never closed.
     builders = []
-    from_graph = GraphBuilder.from_graph
+    linked, from_word = word_graph._linked, GraphBuilder.from_word
 
-    def kept(g):
-        builders.append(from_graph(g))
-        return builders[-1]
+    def kept(b):
+        builders.append(b)
+        return b
 
-    monkeypatch.setattr(GraphBuilder, "from_graph", kept)
+    monkeypatch.setattr(word_graph, "_linked", lambda *args: kept(linked(*args)))
+    monkeypatch.setattr(engine, "_linked", lambda *args: kept(linked(*args)))
+    monkeypatch.setattr(GraphBuilder, "from_word", lambda *args: kept(from_word(*args)))
+
+    def spent(b):
+        return b._rows is None and b._pending is None and b.log is None
 
     def closed():
         b = GraphBuilder.from_word(pos("ab"))
-        return b, close(b, COMM).graph
+        graph = close(b, COMM).graph
+        assert spent(b)
+        return b, graph
 
     def folded():
         g = fold(linear_graph(w("aa^b")))
+        assert len(builders) >= 2 and spent(builders[-2]) and spent(builders[-1])
         return builders[-1], g
 
     def relinked():
         b = GraphBuilder.from_word(pos("aba"))
-        return b, close(b, CASE1).graph
+        graph = close(b, CASE1).graph
+        assert builders[-1] is not b and spent(builders[-1]) and not spent(b)
+        return b, graph
 
     grow = (
         lambda b, g: b.link(g.alpha, b.codes["b"], g.beta),
@@ -563,6 +592,14 @@ def test_spent_builder_cannot_reach_its_graph(monkeypatch):
             assert graph.to_json() == reference.to_json()
             assert graph.canonical_key() == reference.canonical_key()
     assert grown == len(grow)  # only the builder linked again grows
+    # linear_graph hands over the chain it spelled, and freeze a builder
+    # of the triples it lists, while the frozen builder goes on.
+    linear_graph(w("aa^b"))
+    assert spent(builders[-1])
+    b = GraphBuilder.from_word(w("aa^b"))
+    b.freeze()
+    assert builders[-1] is not b and spent(builders[-1])
+    assert b.log and not spent(b)
 
 
 def test_round_site_order_does_not_change_closure():
@@ -595,24 +632,33 @@ def test_round_site_order_does_not_change_closure():
     assert reordered_rounds > 300
 
 
-def test_frontier_scan_equals_full_scan_every_round():
-    # Round 0 scans every vertex of the builder, later rounds the frontier;
-    # both must find what find_expansions finds on the frozen graph.
-    sites_from = engine._sites_from
-    rounds = []
+def test_deduced_sites_equal_full_scan_every_round():
+    # Round 0 scans every vertex of the builder, later rounds take their
+    # sites from the edges the last round logged; both must find what
+    # find_expansions finds on the frozen graph, each (start, check) once.
+    all_sites, deduced = engine._all_sites, engine._deduced
+    rounds, stale = [], []
     closing = []  # the builder and presentation of the closure under way
 
-    def checked(rows, starts, checks):
-        # Every scan is close's: find_expansions walks the frozen graph.
-        sites = sites_from(rows, starts, checks)
+    def compared(sites):
         b, p = closing[-1]
 
         def decoded(codes):
             return tuple((b.letters[c >> 1], -1 if c & 1 else 1) for c in codes)
 
+        # A check is one tuple object per relation side, so a relation
+        # stated twice gives two equal checks that are two sites.
+        assert len({(s, id(check)) for s, _, check in sites}) == len(sites)
         found = [(s, e, (decoded(read), decoded(sew))) for s, e, (read, sew) in sites]
-        # As lists with repeats: two relations can give one (read, sew).
         assert sorted(found) == sorted(find_expansions(b.freeze(), p))
+        return sites
+
+    def checked_all(rows, checks):
+        return compared(all_sites(rows, checks))
+
+    def checked_deduced(rows, log, table):
+        stale.append(sum(s not in rows or t not in rows for s, _, t in log))
+        sites = compared(deduced(rows, log, table))
         rounds.append(len(sites))
         return sites
 
@@ -625,21 +671,34 @@ def test_frontier_scan_equals_full_scan_every_round():
 
     rng = random.Random(2)
     bbb = Presentation(("a", "b"), ((pos("b"), pos("bbb")), (pos("bb"), pos("aaa"))))
+    comm3 = Presentation(
+        ("a", "b", "c"), ((pos("ab"), pos("ba")), (pos("bc"), pos("cb")), (pos("ac"), pos("ca")))
+    )
+    twice = Presentation(("a", "b"), ((pos("ab"), pos("ba")), (pos("ba"), pos("ab"))))
     cascade = Presentation(("a", "b", "c"), ((pos("bc"), pos("bcc")),))
-    with mock.patch.object(engine, "_sites_from", checked):
+    with mock.patch.object(engine, "_all_sites", checked_all), mock.patch.object(
+        engine, "_deduced", checked_deduced
+    ):
         # This round's fold cascades, and a site appears at a later merge
         # survivor that no sewn chain reaches.
         checked_close(fold(linear_graph(w("babaa^cb^a^cac^a^"))), cascade)
+        # Merging closures, where logged edges go stale inside a fold.
+        checked_close(linear_graph(pos("b")), bbb)
+        checked_close(linear_graph(pos("aabbcc")), comm3)
+        checked_close(linear_graph(w("ab^c^ba^c")), comm3)
+        checked_close(linear_graph(pos("abab")), twice)
         for i in range(400):
             p = (SUBWORD, bbb)[i % 2] if i % 4 == 0 else random_presentation(rng)
             word = random_signed_word(rng, "ab", 12) if i % 3 else random_positive_word(rng, "ab", 8)
             checked_close(fold(linear_graph(word)), p, Budget(rng.randint(1, 12), 200))
     assert len(rounds) > 500
+    assert sum(stale) > 100
 
 
-def test_round_changes_edges_only_at_touched_vertices():
-    # The frontier scan rests on this: an edge of the graph after a round
-    # with an end outside b.touched was an edge before it, under the same ids.
+def test_round_logs_every_edge_it_adds():
+    # The deduction rests on this: an edge of the graph after a round that
+    # was not an edge before it, under the same ids, is a live entry of
+    # the builder's log, in either orientation.
     sew_round = engine._sew_round
     checked_edges = 0
 
@@ -647,10 +706,12 @@ def test_round_changes_edges_only_at_touched_vertices():
         nonlocal checked_edges
         before = b.freeze().edges
         merges = sew_round(b, sites)
-        for s, x, t in b.freeze().edges:
-            if s not in b.touched or t not in b.touched:
-                assert (s, x, t) in before
-                checked_edges += 1
+        logged = set()
+        for s, c, t in b.log:
+            logged.add((t, b.letters[c >> 1], s) if c & 1 else (s, b.letters[c >> 1], t))
+        for edge in b.freeze().edges - before:
+            assert edge in logged
+            checked_edges += 1
         return merges
 
     rng = random.Random(17)

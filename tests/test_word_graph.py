@@ -203,8 +203,9 @@ def test_fold_multigraph_matches_naive_oracle(g):
 @given(multigraphs())
 def test_fold_keeps_builder_consistent(g):
     # The rows are the folded builder's only record, so after the fold the
-    # roots, touched and every target must be live, and fold's count must
-    # be the number of vertices it removed.
+    # roots and every target must be live, every log entry with live ends
+    # must name an edge, and fold's count must be the number of vertices
+    # it removed.
     b = GraphBuilder.from_graph(g)
     assert b.fold() == len(g.vertices) - b.vertex_count()
     assert_builder_consistent(b)
