@@ -2,7 +2,7 @@
 
 Commands: check, graph, eq, leq, idem, count-r.  Exit codes encode the
 verdict so batch experiments need no output parsing: 0 yes/closed/ok,
-1 no, 2 parse or validation error, 3 unknown/budget-exceeded.
+1 no, 2 parse, validation or internal error, 3 unknown/budget-exceeded.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stephen-kit",
         description="Schützenberger automata and word-problem decisions "
         "for inverse semigroup presentations.",
+        epilog="exit codes: 0 yes/closed/ok, 1 no, 2 parse, validation or "
+        "internal error, 3 unknown/budget-exceeded",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # name, help, positionals with their help (the first is the presentation
@@ -155,6 +157,9 @@ def main(argv: list[str] | None = None) -> int:
         code, line = args.run(args, p, *words)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # an internal fault must not read as a verdict
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(line)
     return code

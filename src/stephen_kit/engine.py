@@ -11,15 +11,21 @@ because the fixpoint can be an infinite graph.  A site is the tuple
 sewn; find_expansions reports the sites of a graph with the sides as
 signed letters, close carries them as step codes.
 
-A presentation is compiled once, on its first closure, and the result is
-kept on it: the relation checks and a deduction table as step codes over
-the sorted alphabet, letter i as step 2i and its inverse as 2i + 1 (see
-word_graph).  A closure runs on one GraphBuilder from the start word to
-the result: schutzenberger_automaton spells the word's chain in it over
-those codes, and close folds it there and, at the end, hands the
+A closure's letters are the start letters plus the sewn side's letters
+of every check whose read letters are all among them, repeated to a
+fixpoint.  No other letter can label an edge, because a site needs its
+read side readable, so the closure's builder, its compile and its result
+graph use only those letters, and a row takes 2 slots per letter.  A
+presentation is compiled once per set of start letters, and the compile
+is kept on it: the closure's sorted letters, and the relation checks
+that read only those letters and a deduction table as step codes over
+them, letter i as step 2i and its inverse as 2i + 1 (see word_graph).  A
+closure runs on one GraphBuilder from the start word to the result:
+schutzenberger_automaton spells the word's chain in it over the
+closure's letters, and close folds it there and, at the end, hands the
 builder's rows to the result graph without a copy, which spends the
-builder.  A builder over fewer letters than the alphabet is first linked
-again into a new builder over the alphabet, which is the one that
+builder.  A builder that lacks some of the closure's letters is first
+linked again into a new builder over them, which is the one that
 closes.  Every walk of the loop reads one list slot a step.
 
 Round 0 scans every vertex for sites.  Later rounds work from the
@@ -54,7 +60,9 @@ class Budget(_Record):
     """Bounds on the closure iteration; both limits must be positive.
 
     The class attributes are the defaults, which the CLI reads, so the
-    fields live in the instance dict rather than in slots.
+    fields live in the instance dict rather than in slots.  Row memory is
+    V x 2 x (the number of the closure's letters) slots, V the vertex
+    count, so max_vertices bounds it only with the letters.
     """
 
     __match_args__ = ("max_rounds", "max_vertices")
@@ -126,21 +134,37 @@ def _checks(p: Presentation) -> list[Check]:
     ]
 
 
-def _compile(p: Presentation) -> Steps:
-    """p's sorted alphabet, its relation checks, in _checks order, as step
-    codes over that alphabet, and their deduction table.  The compile is
-    made on p's first closure and kept on p.
+def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
+    """The sorted letters of a closure over p from the sorted start letters,
+    the relation checks that read only those letters, in _checks order, as
+    step codes over them, and their deduction table.  The compile is kept
+    on p under the start letters and under the closure's letters; a start
+    letter outside the alphabet is refused with ValueError.
 
     Relation sides are positive, so the table is indexed by positive step
     code: table[c] lists, for each check i and each position k at which
     its read side holds c, the entry (i, back, rest, check), where back
     walks back over the read steps before k and rest reads those after it.
     """
-    if p._steps is None:
-        letters, codes = _step_codes(p.alphabet)
+    steps = p._steps.get(start)
+    if steps is None:
+        outside = [x for x in start if x not in p.alphabet]
+        if outside:
+            raise ValueError(f"letter {outside[0]!r} is not in the alphabet")
+        pairs = _checks(p)
+        sides = [({x for x, _ in read}, {x for x, _ in sew}) for read, sew in pairs]
+        used, grown = set(start), True
+        while grown:
+            grown = False
+            for read, sew in sides:
+                if read <= used and not sew <= used:
+                    used |= sew
+                    grown = True
+        letters, codes = _step_codes(used)
         checks = [
             (tuple([codes[x] for x, _ in read]), tuple([codes[x] for x, _ in sew]))
-            for read, sew in _checks(p)
+            for read, sew in pairs
+            if all(x in codes for x, _ in read)
         ]
         table = [[] for _ in range(2 * len(letters))]
         for i, check in enumerate(checks):
@@ -148,11 +172,11 @@ def _compile(p: Presentation) -> Steps:
             for k, c in enumerate(read):
                 back = tuple([d ^ 1 for d in reversed(read[:k])])
                 table[c].append((i, back, read[k + 1 :], check))
-        _set(p, "_steps", (letters, checks, table))
-    return p._steps
+        steps = p._steps[start] = p._steps[letters] = (letters, checks, table)
+    return steps
 
 
-def _all_sites(rows: dict, checks: list) -> list[Site]:
+def _all_sites(rows: list, checks: list) -> list[Site]:
     """The (start, end, (read, sew)) sites at every vertex in turn, in check
     order, with read and sew as step codes.
 
@@ -161,7 +185,9 @@ def _all_sites(rows: dict, checks: list) -> list[Site]:
     every closure.
     """
     sites = []
-    for start in rows:
+    for start, row in enumerate(rows):
+        if row is None:
+            continue
         for check in checks:
             read, sew = check
             end = start
@@ -180,18 +206,19 @@ def _all_sites(rows: dict, checks: list) -> list[Site]:
     return sites
 
 
-def _deduced(rows: dict, log: list, table: list[list[Deduction]]) -> list[Site]:
+def _deduced(rows: list, log: list, table: list[list[Deduction]]) -> list[Site]:
     """The sites of folded rows whose read path holds a live edge of log,
     each (start, check) once; after a round these are all its sites (see
     the module docstring).
 
     An entry is live while its source is a vertex whose slot still names
     its target; a merge that moved the edge logged it again.  An edge
-    logged against its letter is turned round to read forward.
+    logged against its letter is turned round to read forward.  Only
+    sites are keyed for the once: a walk that finds none finds none again.
     """
     sites, seen = [], set()
     for s, c, t in log:
-        row = rows.get(s)
+        row = rows[s]
         if row is None or row[c] != t:
             continue
         if c & 1:
@@ -203,9 +230,6 @@ def _deduced(rows: dict, log: list, table: list[list[Deduction]]) -> list[Site]:
                 if start is None:
                     break
             else:
-                if (start, i) in seen:
-                    continue
-                seen.add((start, i))
                 end = t
                 for d in rest:
                     end = rows[end][d]
@@ -217,7 +241,8 @@ def _deduced(rows: dict, log: list, table: list[list[Deduction]]) -> list[Site]:
                         v = rows[v][d]
                         if v is None:
                             break
-                    if v != end:
+                    if v != end and (start, i) not in seen:
+                        seen.add((start, i))
                         sites.append((start, end, check))
     return sites
 
@@ -268,27 +293,25 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     that leaves no site is closed even when it crosses the limit.  The
     result graph takes over the rows of the builder that closes, so b is
     spent; a caller that holds a graph passes GraphBuilder.from_graph(g).
-    A b whose letters are a proper subset of p's alphabet is linked again
-    into a new builder over the alphabet, which closes instead, and b is
-    left as it was; a b with a letter outside the alphabet is refused with
-    ValueError.  On budget exhaustion the returned graph is the last
-    completed round's approximation; that is a status, not an error.
+    A b that lacks some of the closure's letters is linked again into a
+    new builder over them, which closes instead, and b is left as it was;
+    a b with a letter outside the alphabet is refused with ValueError.
+    On budget exhaustion the returned graph is the last completed round's
+    approximation; that is a status, not an error.
     """
-    letters, checks, table = _compile(p)
+    letters, checks, table = _compile(p, b.letters)
     if b.letters != letters:
-        outside = [x for x in b.letters if x not in letters]
-        if outside:
-            raise ValueError(f"letter {outside[0]!r} is not in the alphabet")
         b = _linked(b.alpha, b.beta, _edges(b._rows, b._pending, b.letters), letters)
     b.fold()
     history = [b.vertex_count()]
     rounds = fold_events = 0
-    sites = _all_sites(b._rows, checks)
+    rows, log = b._rows, b.log  # the builder never replaces either list
+    sites = _all_sites(rows, checks)
     while sites and rounds < budget.max_rounds:
         fold_events += _sew_round(b, sites)
         rounds += 1
-        history.append(b.vertex_count())
-        sites = _deduced(b._rows, b.log, table)
+        history.append(len(rows) - b._removed)
+        sites = _deduced(rows, log, table)
         if history[-1] > budget.max_vertices:
             break
     status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
@@ -305,5 +328,5 @@ def schutzenberger_automaton(
     above w, so the closed result is the Schützenberger automaton of w.
     """
     p.check_word(w)
-    b = GraphBuilder.from_word(w, p.alphabet)
-    return close(b, p, budget)
+    letters = _compile(p, tuple(sorted({x for x, _ in w.letters})))[0]
+    return close(GraphBuilder.from_word(w, letters), p, budget)

@@ -208,8 +208,9 @@ def _check_relation(lhs: Word, rhs: Word, known: set[Letter], line: int | None =
 class Presentation(_Record):
     """A positive presentation: an alphabet and relations between positive words.
 
-    _steps caches the engine's compile of the relations into step codes,
-    made on the first closure over the presentation; it is not a field.
+    _steps caches the engine's compiles of the relations into step codes,
+    one per set of start letters, made on the first closure from those
+    letters; it is not a field.
     """
 
     __slots__ = ("alphabet", "relations", "_steps")
@@ -224,7 +225,7 @@ class Presentation(_Record):
             _check_relation(lhs, rhs, known)
         _set(self, "alphabet", alphabet)
         _set(self, "relations", relations)
-        _set(self, "_steps", None)
+        _set(self, "_steps", {})
 
     def check_word(self, w: Word) -> None:
         """Raise ValueError if w uses a letter outside the alphabet."""

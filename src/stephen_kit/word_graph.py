@@ -5,17 +5,19 @@ A graph lists each edge once, in its positively labeled orientation
 from q to p.  Both graph classes store the graph as rows of integer step
 codes.  Letter i of the graph's letters, in sorted order, is step 2i and
 its inverse is step 2i + 1, so the inverse of step c is c ^ 1 and code
-order is the canonical order of steps: by letter, positive first.  Each
-vertex has one row, a list of 2|X| targets with None where it has no
-edge: an edge p -x-> q sets rows[p][2i] = q and rows[q][2i + 1] = p.  A
-walk along a signed word encodes each letter once and reads one slot per
-step.  A frozen graph decodes codes back to letters, numbers its
-vertices in the canonical breadth-first order and lists its edges only
-when first asked.  Folding (determination) merges the endpoints of
-equally labeled edges leaving one vertex until the graph is
-deterministic; the result is a quotient of the input and, because
-folding is confluent, it is independent of the merge order up to
-root-respecting isomorphism.
+order is the canonical order of steps: by letter, positive first.  The
+rows are a list indexed by vertex id, with None for an id that names no
+vertex (one removed by a merge, or a gap in a caller's ids).  A vertex's
+row is a list of 2|X| targets, X the graph's letters, with None where it
+has no edge: an edge p -x-> q sets rows[p][2i] = q and
+rows[q][2i + 1] = p.  A walk along a signed word encodes each letter once
+and reads one slot per step.  A frozen graph decodes codes back to
+letters, numbers its vertices in the canonical breadth-first order and
+lists its edges only when first asked.  Folding (determination) merges
+the endpoints of equally labeled edges leaving one vertex until the
+graph is deterministic; the result is a quotient of the input and,
+because folding is confluent, it is independent of the merge order up
+to root-respecting isomorphism.
 
 A row has room for one target per step.  An edge whose slot, at either
 end, already holds another target is kept aside in a pending list; a
@@ -57,7 +59,7 @@ from .presentation import Letter, Word
 
 Edge = tuple[int, str, int]
 Step = tuple[str, int]
-Rows = dict[int, list]
+Rows = list[list | None]
 
 
 def _step_codes(letters: Iterable[Letter]) -> tuple[tuple[Letter, ...], dict[Letter, int]]:
@@ -68,7 +70,9 @@ def _step_codes(letters: Iterable[Letter]) -> tuple[tuple[Letter, ...], dict[Let
 
 def _edges(rows: Rows, pending: Iterable, letters: Sequence[Letter]) -> Iterator[Edge]:
     """The (s, x, t) triples of rows and pending edges, positive orientation only."""
-    for s, row in rows.items():
+    for s, row in enumerate(rows):
+        if row is None:
+            continue
         for c in range(0, len(row), 2):
             t = row[c]
             if t is not None:
@@ -123,9 +127,13 @@ class BirootedGraph:
         self._rows: Rows = b._rows
         self._pending: list[tuple[int, int, int]] = b._pending
         b._rows = b._pending = b.log = None
-        self.vertices: frozenset[int] = frozenset(self._rows)
+        self.vertices: frozenset[int] = frozenset(
+            [v for v, row in enumerate(self._rows) if row is not None]
+            if b._removed
+            else range(len(self._rows))
+        )
         self.is_deterministic = not self._pending
-        if b is not edges and len(self._order) != len(self._rows):
+        if b is not edges and len(self._order) != len(self.vertices):
             raise ValueError("graph is not connected from alpha")
 
     @cached_property
@@ -229,17 +237,22 @@ def _linked(
 ) -> GraphBuilder:
     """A new builder with the (s, x, t) triples linked under their own
     vertex ids, over the sorted union of letters and the triples' letters,
-    with roots alpha and beta and every placed edge logged."""
+    with roots alpha and beta and every placed edge logged.  The rows run
+    to the largest id, and an id below it that no triple or root names is
+    a removed vertex; a negative id is refused with ValueError."""
     edges = list(edges)
+    ids = {alpha, beta}.union(*[(s, t) for s, _, t in edges])
+    if min(ids) < 0:
+        raise ValueError(f"negative vertex id {min(ids)}")
     b = GraphBuilder({x for _, x, _ in edges}.union(letters))
-    rows, codes, width = b._rows, b.codes, 2 * len(b.letters)
-    rows[alpha], rows[beta] = [None] * width, [None] * width
+    rows, width = b._rows, 2 * len(b.letters)
+    rows.extend([None] * (max(ids) + 1))
+    for v in ids:
+        rows[v] = [None] * width
+    b._removed = len(rows) - len(ids)
     for s, x, t in edges:
-        for v in (s, t):
-            if v not in rows:
-                rows[v] = [None] * width
-        b.link(s, codes[x], t)
-    b.alpha, b.beta, b._next = alpha, beta, max(rows) + 1
+        b.link(s, b.codes[x], t)
+    b.alpha, b.beta = alpha, beta
     return b
 
 
@@ -250,8 +263,10 @@ class GraphBuilder:
     does, plus the pending edges that link could not place because a slot
     was taken.  Rows and pending list are the builder's only record of the
     graph.  A vertex dies only in fold, which moves its edges onto the
-    survivor and the roots off it, so every vertex id the builder holds
-    outside a fold, the log aside, is a key of the rows.  log lists, as
+    survivor and the roots off it and sets its row to None, so every
+    vertex id the builder holds outside a fold, the log aside, names a
+    row.  A new vertex appends a row, and _removed counts the rows set to
+    None.  Rows take 2 x len(letters) slots a vertex.  log lists, as
     (s, c, t), every edge placed in both rows since its owner last cleared
     it, by spell or by fold; a later merge can remove an end or move the
     edge, which leaves a stale entry and logs the moved edge again.  The
@@ -262,12 +277,12 @@ class GraphBuilder:
 
     def __init__(self, letters: Iterable[Letter] = ()):
         self.letters, self.codes = _step_codes(letters)
-        self._rows: Rows = {}
+        self._rows: Rows = []
+        self._removed = 0
         self._pending: list[tuple[int, int, int]] = []
         self.alpha: int = 0
         self.beta: int = 0
         self.log: list[tuple[int, int, int]] = []
-        self._next = 0
 
     @classmethod
     def from_graph(cls, g: BirootedGraph) -> "GraphBuilder":
@@ -292,10 +307,8 @@ class GraphBuilder:
         return [self.codes[x] + (sign < 0) for x, sign in letters]
 
     def new_vertex(self) -> int:
-        v = self._next
-        self._next += 1
-        self._rows[v] = [None] * (2 * len(self.letters))
-        return v
+        self._rows.append([None] * (2 * len(self.letters)))
+        return len(self._rows) - 1
 
     def link(self, s: int, step: int, t: int) -> None:
         """Add the edge from s along the step code to t (see spell)."""
@@ -316,9 +329,8 @@ class GraphBuilder:
             if i == last:
                 t = end
             else:
-                t = self._next
-                self._next = t + 1
-                rows[t] = [None] * width
+                t = len(rows)
+                rows.append([None] * width)
             slot = rows[start][step]
             if slot != t:
                 if slot is None and rows[t][step ^ 1] is None:
@@ -331,7 +343,7 @@ class GraphBuilder:
         return start
 
     def vertex_count(self) -> int:
-        return len(self._rows)
+        return len(self._rows) - self._removed
 
     def fold(self) -> int:
         """Place every pending edge, merging until deterministic; returns the
@@ -341,9 +353,10 @@ class GraphBuilder:
         slots are free.  When the slot at s holds u, u and t are one vertex;
         when the slot at t holds v, v and s are.  A merge keeps the older
         vertex, the smaller id (folding is confluent, so the choice decides
-        only which ids survive): it removes the other's row, clears the slot
-        that names the removed vertex at each neighbor, and pends each of
-        its edges again from the survivor, where placing it logs it again.
+        only which ids survive): it sets the other's row to None, clears
+        the slot that names the removed vertex at each neighbor, and pends
+        each of its edges again from the survivor, where placing it logs it
+        again.
         forward maps each removed vertex to the one it merged into, for the
         ids the pending list still holds; it lives for this fold only.
         """
@@ -351,7 +364,6 @@ class GraphBuilder:
         if not pending:
             return 0
         rows, log = self._rows, self.log
-        before = len(rows)
         forward = {}
         while pending:
             s, c, t = pending.pop()
@@ -372,7 +384,8 @@ class GraphBuilder:
             if b < a:
                 a, b = b, a
             forward[b] = a
-            for c, t in enumerate(rows.pop(b)):
+            row, rows[b] = rows[b], None
+            for c, t in enumerate(row):
                 if t is not None:
                     if t != b:
                         rows[t][c ^ 1] = None
@@ -381,7 +394,8 @@ class GraphBuilder:
             self.alpha = forward[self.alpha]
         while self.beta in forward:
             self.beta = forward[self.beta]
-        return before - len(rows)
+        self._removed += len(forward)
+        return len(forward)
 
     def freeze(self) -> BirootedGraph:
         """A checked graph built from the builder's edge triples, pending

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from stephen_kit import BirootedGraph
+from stephen_kit import BirootedGraph, cli
 from stephen_kit.cli import main
 
 
@@ -221,6 +221,26 @@ def test_output_file_error_prints_no_result(argv, comm, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fault", [MemoryError("out of rows"), RuntimeError("broken")])
+def test_internal_fault_exits_2_with_one_line(fault, comm, monkeypatch, capsys):
+    # Exit 1 means no, so a fault inside a command must not exit 1 with a
+    # traceback; it exits 2 with one error line and no result line.
+    def failing(*args):
+        raise fault
+
+    monkeypatch.setattr(cli, "schutzenberger_automaton", failing)
+    assert main(["graph", comm, "ab"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal: {type(fault).__name__}: {fault}\n"
+
+
+def test_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "2 parse, validation or internal error" in " ".join(capsys.readouterr().out.split())
 
 
 def test_cli_import_loads_no_test_code():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -534,6 +535,45 @@ def test_close_links_a_builder_over_fewer_letters_again():
     assert b.freeze().edges == edges
 
 
+def test_closure_letters_grow_to_a_fixpoint():
+    # A check joins once its read letters are all in, and its sewn letters
+    # join with it; the checks that read another letter are left out, and
+    # the compile is kept under the start letters and the closure's.
+    # Closing over the whole alphabet gives the same closure.
+    p = parse_presentation("X: a b c d e\nR: cd = e\nR: ab = c\n")
+    cases = (("ab", "abc", 2), ("d", "d", 0), ("abd", "abcde", 4), ("e", "abcde", 4))
+    for word, letters, checks in cases:
+        result = schutzenberger_automaton(pos(word), p)
+        assert result.graph._letters == tuple(letters)
+        compiled = engine._compile(p, tuple(letters))
+        assert compiled is engine._compile(p, tuple(sorted(word)))
+        assert len(compiled[1]) == checks
+        wide = close(GraphBuilder.from_word(pos(word), p.alphabet), p)
+        assert wide.to_json() == result.to_json()
+        assert wide.graph.canonical_key() == result.graph.canonical_key()
+
+
+def test_closure_rows_span_only_the_closures_letters():
+    # From x0 x1 under x0 x1 x0 = x1 no edge can carry another letter, so
+    # over 300 letters the rows have 4 slots, and the traced peak of the
+    # closure to 4,001 vertices stays near that over 2 letters.
+    peaks = []
+    for n in (2, 300):
+        p = parse_presentation(f"X: {' '.join(f'x{i}' for i in range(n))}\nR: x0 x1 x0 = x1\n")
+        word = parse_word("x0 x1", p.alphabet)
+        schutzenberger_automaton(word, p, Budget(1, 1))  # compile before tracing
+        tracemalloc.start()
+        try:
+            g = schutzenberger_automaton(word, p, Budget(10_000, 4000)).graph
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(g.vertices) == 4001 and len(g.edges) == 5999
+        assert g._letters == ("x0", "x1")
+        assert {len(row) for row in g._rows} == {4}
+    assert peaks[1] < 1.5 * peaks[0]
+
+
 def test_spent_builder_cannot_reach_its_graph(monkeypatch):
     # close and fold(g) hand their builder's table to the graph they
     # return, and close of a builder over fewer letters than the alphabet
@@ -657,7 +697,7 @@ def test_deduced_sites_equal_full_scan_every_round():
         return compared(all_sites(rows, checks))
 
     def checked_deduced(rows, log, table):
-        stale.append(sum(s not in rows or t not in rows for s, _, t in log))
+        stale.append(sum(rows[s] is None or rows[t] is None for s, _, t in log))
         sites = compared(deduced(rows, log, table))
         rounds.append(len(sites))
         return sites

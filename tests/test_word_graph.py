@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stephen_kit import BirootedGraph, Word, schutzenberger_automaton
+from stephen_kit.engine import close
 from stephen_kit.word_graph import GraphBuilder, fold, linear_graph
 from support import (
     FREE2,
@@ -101,6 +102,32 @@ def test_adjacency_table_refused(table):
     # table could name an edge at one end alone or a vertex it lacks.
     with pytest.raises(TypeError):
         BirootedGraph(0, 1, table)
+
+
+def test_negative_vertex_id_refused():
+    with pytest.raises(ValueError, match="negative vertex id -1"):
+        BirootedGraph(0, 1, [(0, "a", 1), (1, "b", -1)])
+    with pytest.raises(ValueError, match="negative vertex id -2"):
+        BirootedGraph(-2, 0, [(-2, "a", 0)])
+
+
+def test_gaps_in_vertex_ids_are_kept():
+    # Rows run to the largest id; ids 0-4, 6 and 7 name no vertex.
+    g = BirootedGraph(5, 8, [(5, "a", 8), (8, "b", 9)])
+    assert g.vertices == {5, 8, 9}
+    assert g.walk(5, pos("ab")) == 9 and g.walk(9, w("b^a^")) == 5
+    assert g.walk(5, pos("b")) is None and g.accepts(pos("a"))
+    assert g.to_json() == {
+        "alpha": 0,
+        "beta": 1,
+        "vertices": [0, 1, 2],
+        "edges": [[0, "a", 1], [1, "b", 2]],
+    }
+    assert g.canonical_key() == BirootedGraph(0, 1, [(0, "a", 1), (1, "b", 2)]).canonical_key()
+    b = GraphBuilder.from_graph(g)
+    assert b.vertex_count() == 3 and b.new_vertex() == 10
+    folded = fold(BirootedGraph(5, 8, [(5, "a", 8), (9, "a", 8)]))
+    assert folded.vertices == {5, 8} and folded.walk(5, pos("a")) == 8
 
 
 def test_disconnected_builder_rejected_on_freeze():
@@ -248,11 +275,14 @@ def test_accepts_requires_deterministic():
 
 
 def test_walk_and_accepts_of_a_letter_the_graph_lacks():
-    # A(a) over FREE2 has a code for b but no b edge; a graph built from
-    # edge triples has no code for b at all; z is in no alphabet.
+    # A closure over FREE2 of a builder over a and b has a code for b but
+    # no b edge; A(a) over FREE2 and a graph built from edge triples have
+    # no code for b at all; z is in no alphabet.
+    coded = close(GraphBuilder.from_word(pos("a"), FREE2.alphabet), FREE2).graph
     closed = schutzenberger_automaton(pos("a"), FREE2).graph
     triples = BirootedGraph(0, 1, [(0, "a", 1)])
-    for g in (closed, triples):
+    assert coded._letters == ("a", "b") and closed._letters == ("a",)
+    for g in (coded, closed, triples):
         assert g.accepts(pos("a"))
         assert not g.accepts(pos("b"))
         assert not g.accepts(w("ab^"))
