@@ -17,8 +17,8 @@ fixpoint.  No other letter can label an edge, because a site needs its
 read side readable, so the closure's builder, its compile and its result
 graph use only those letters, and a row takes 2 slots per letter.  A
 presentation is compiled once per set of start letters, and the compile
-is kept on it: the closure's sorted letters, and the relation checks
-that read only those letters and a deduction table as step codes over
+is kept on it: the closure's sorted letters and a deduction table of
+the relation checks that read only those letters, as step codes over
 them, letter i as step 2i and its inverse as 2i + 1 (see word_graph).  A
 closure runs on one GraphBuilder from the start word to the result:
 schutzenberger_automaton spells the word's chain in it over the
@@ -28,18 +28,23 @@ builder.  A builder that lacks some of the closure's letters is first
 linked again into a new builder over them, which is the one that
 closes.  Every walk of the loop reads one list slot a step.
 
-Round 0 scans every vertex for sites.  Later rounds work from the
-builder's log of the edges the last round placed, as coset enumeration
-works from its deduction stack: for each live logged edge, and each
-check and position k of its read side that the edge's letter fills, walk
-back from the edge's source by the first k read steps to a start, and
-walk on from the edge's target by the rest of the read side.  That finds
-every site.  Sewing and folding never destroy a path, and an edge that
-no live log entry names was an edge a round earlier under the same ids,
-so a read path made only of such old edges was readable a round earlier,
-that round sewed its site, and the other side is readable now.  Any
-other read path holds a logged edge, and walking back from that edge's
-source by the prefix before its position reaches the path's start.
+Every site scan works from the builder's log of placed edges, as coset
+enumeration works from its deduction stack: for each live logged edge,
+and each check and position k of its read side that the edge's letter
+fills, walk back from the edge's source by the first k read steps to a
+start, and walk on from the edge's target by the rest of the read side.
+Round 0 reads the log the builder kept since it was made.  Every way of
+making a builder logs each edge it places, and the first fold logs each
+edge a merge moves, so every edge of the folded graph has a live entry,
+and every read path holds one, because relation sides are non-empty.
+Each later round reads the log of the edges the last round placed, and
+that finds every site too.  Sewing and folding never destroy a path,
+and an edge that no live log entry names was an edge a round earlier
+under the same ids, so a read path made only of such old edges was
+readable a round earlier, that round sewed its site, and the other side
+is readable now.  Any other read path holds a logged edge, and walking
+back from that edge's source by the prefix before its position reaches
+the path's start.
 
 A round sews every site found at its start.  Folding is confluent, and a
 chain sewn beside a path with the same label folds onto that path, so
@@ -120,7 +125,7 @@ Letters = tuple[tuple[str, int], ...]
 Check = tuple[Letters, Letters]
 Codes = tuple[int, ...]
 Deduction = tuple[int, Codes, Codes, tuple[Codes, Codes]]
-Steps = tuple[tuple[str, ...], list[tuple[Codes, Codes]], list[list[Deduction]]]
+Steps = tuple[tuple[str, ...], list[list[Deduction]]]
 Site = tuple[int, int, tuple[Codes, Codes]]
 
 
@@ -136,15 +141,16 @@ def _checks(p: Presentation) -> list[Check]:
 
 def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
     """The sorted letters of a closure over p from the sorted start letters,
-    the relation checks that read only those letters, in _checks order, as
-    step codes over them, and their deduction table.  The compile is kept
-    on p under the start letters and under the closure's letters; a start
-    letter outside the alphabet is refused with ValueError.
+    and the deduction table of the relation checks that read only those
+    letters, as step codes over them.  The compile is kept on p under the
+    start letters and under the closure's letters; a start letter outside
+    the alphabet is refused with ValueError.
 
     Relation sides are positive, so the table is indexed by positive step
-    code: table[c] lists, for each check i and each position k at which
-    its read side holds c, the entry (i, back, rest, check), where back
-    walks back over the read steps before k and rest reads those after it.
+    code: table[c] lists, for each such check, i its index in _checks
+    order, and each position k at which its read side holds c, the entry
+    (i, back, rest, check), where back walks back over the read steps
+    before k and rest reads those after it.
     """
     steps = p._steps.get(start)
     if steps is None:
@@ -161,55 +167,23 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
                     used |= sew
                     grown = True
         letters, codes = _step_codes(used)
-        checks = [
-            (tuple([codes[x] for x, _ in read]), tuple([codes[x] for x, _ in sew]))
-            for read, sew in pairs
-            if all(x in codes for x, _ in read)
-        ]
         table = [[] for _ in range(2 * len(letters))]
-        for i, check in enumerate(checks):
-            read = check[0]
-            for k, c in enumerate(read):
-                back = tuple([d ^ 1 for d in reversed(read[:k])])
-                table[c].append((i, back, read[k + 1 :], check))
-        steps = p._steps[start] = p._steps[letters] = (letters, checks, table)
+        for i, (read, sew) in enumerate(pairs):
+            if all(x in codes for x, _ in read):
+                read = tuple([codes[x] for x, _ in read])
+                check = read, tuple([codes[x] for x, _ in sew])
+                for k, c in enumerate(read):
+                    back = tuple([d ^ 1 for d in reversed(read[:k])])
+                    table[c].append((i, back, read[k + 1 :], check))
+        steps = p._steps[start] = p._steps[letters] = (letters, table)
     return steps
-
-
-def _all_sites(rows: list, checks: list) -> list[Site]:
-    """The (start, end, (read, sew)) sites at every vertex in turn, in check
-    order, with read and sew as step codes.
-
-    rows are the rows of the folded builder being scanned; the walks are
-    written out here, as in _deduced, because they are the inner loops of
-    every closure.
-    """
-    sites = []
-    for start, row in enumerate(rows):
-        if row is None:
-            continue
-        for check in checks:
-            read, sew = check
-            end = start
-            for c in read:
-                end = rows[end][c]
-                if end is None:
-                    break
-            else:
-                v = start
-                for c in sew:
-                    v = rows[v][c]
-                    if v is None:
-                        break
-                if v != end:
-                    sites.append((start, end, check))
-    return sites
 
 
 def _deduced(rows: list, log: list, table: list[list[Deduction]]) -> list[Site]:
     """The sites of folded rows whose read path holds a live edge of log,
-    each (start, check) once; after a round these are all its sites (see
-    the module docstring).
+    each (start, check) once.  These are all the sites when log holds
+    every edge the builder placed, as after close's first fold, or every
+    edge the last round placed (see the module docstring).
 
     An entry is live while its source is a vertex whose slot still names
     its target; a merge that moved the edge logged it again.  An edge
@@ -287,8 +261,9 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     budget limit trips.
 
     The merges of the first fold count in neither fold_events nor rounds.
-    Round 0 scans every vertex for sites, and each later scan reads only
-    the edges the round before it logged (see the module docstring).
+    Every site scan reads b's log: round 0 reads every edge b placed since
+    it was made, and each later scan only the edges the round before it
+    logged (see the module docstring).
     The vertex limit is checked after each round's site scan, so a round
     that leaves no site is closed even when it crosses the limit.  The
     result graph takes over the rows of the builder that closes, so b is
@@ -299,14 +274,14 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     On budget exhaustion the returned graph is the last completed round's
     approximation; that is a status, not an error.
     """
-    letters, checks, table = _compile(p, b.letters)
+    letters, table = _compile(p, b.letters)
     if b.letters != letters:
         b = _linked(b.alpha, b.beta, _edges(b._rows, b._pending, b.letters), letters)
     b.fold()
     history = [b.vertex_count()]
     rounds = fold_events = 0
     rows, log = b._rows, b.log  # the builder never replaces either list
-    sites = _all_sites(rows, checks)
+    sites = _deduced(rows, log, table)
     while sites and rounds < budget.max_rounds:
         fold_events += _sew_round(b, sites)
         rounds += 1
@@ -327,6 +302,5 @@ def schutzenberger_automaton(
     The linear graph of w already accepts exactly words equivalent to or
     above w, so the closed result is the Schützenberger automaton of w.
     """
-    p.check_word(w)
     letters = _compile(p, tuple(sorted({x for x, _ in w.letters})))[0]
     return close(GraphBuilder.from_word(w, letters), p, budget)

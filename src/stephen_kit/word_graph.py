@@ -270,7 +270,11 @@ class GraphBuilder:
     (s, c, t), every edge placed in both rows since its owner last cleared
     it, by spell or by fold; a later merge can remove an end or move the
     edge, which leaves a stale entry and logs the moved edge again.  The
-    engine finds the next round's sites from the live entries.  Handing a
+    engine's close reads round 0's sites from the live entries, and each
+    later round's from the entries of the round before, so the log must
+    hold every edge the builder placed: every way of making a builder
+    logs its edges, and only the engine's _sew_round clears the log, at
+    the start of a round.  Handing a
     builder to BirootedGraph spends it: the graph takes the rows, and the
     builder keeps no rows, pending list or log.
     """

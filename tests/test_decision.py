@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from stephen_kit import (
     decide_natural_leq,
     is_idempotent,
 )
+from stephen_kit import engine
 from oracle import munn_tree
 from support import CASE1, COMM, FACT1, FREE2, SUBWORD, all_signed_words, isomorphic, pos, w
 
@@ -43,6 +45,15 @@ def test_equal_derived_pair():
 def test_equal_checks_alphabet():
     with pytest.raises(ValueError, match="not in the alphabet"):
         decide_equal(pos("a"), pos("z"), COMM)
+
+
+def test_equal_refuses_v_before_closing_u():
+    def fail(*args, **kwargs):
+        raise AssertionError("close called before v was checked")
+
+    with mock.patch.object(engine, "close", fail):
+        with pytest.raises(ValueError, match="^letter 'z' is not in the alphabet$"):
+            decide_equal(pos("a"), pos("z"), COMM)
 
 
 def test_equal_unknown_under_tiny_budget():

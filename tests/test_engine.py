@@ -252,6 +252,15 @@ def test_automaton_checks_alphabet():
         schutzenberger_automaton(pos("xyz"), COMM)
 
 
+def test_automaton_checks_each_word_once():
+    # The compile refuses the letter; the message names the first outside
+    # letter in sorted order.
+    with pytest.raises(ValueError, match="^letter 'x' is not in the alphabet$"):
+        schutzenberger_automaton(pos("ax"), COMM)
+    with pytest.raises(ValueError, match="^letter 'y' is not in the alphabet$"):
+        schutzenberger_automaton(pos("zy"), COMM)
+
+
 @given(positive_words)
 @settings(max_examples=40)
 def test_no_occurrence_closes_in_zero_rounds(word):
@@ -547,7 +556,7 @@ def test_closure_letters_grow_to_a_fixpoint():
         assert result.graph._letters == tuple(letters)
         compiled = engine._compile(p, tuple(letters))
         assert compiled is engine._compile(p, tuple(sorted(word)))
-        assert len(compiled[1]) == checks
+        assert len({i for row in compiled[1] for i, *_ in row}) == checks
         wide = close(GraphBuilder.from_word(pos(word), p.alphabet), p)
         assert wide.to_json() == result.to_json()
         assert wide.graph.canonical_key() == result.graph.canonical_key()
@@ -672,11 +681,12 @@ def test_round_site_order_does_not_change_closure():
     assert reordered_rounds > 300
 
 
-def test_deduced_sites_equal_full_scan_every_round():
-    # Round 0 scans every vertex of the builder, later rounds take their
-    # sites from the edges the last round logged; both must find what
-    # find_expansions finds on the frozen graph, each (start, check) once.
-    all_sites, deduced = engine._all_sites, engine._deduced
+def test_deduced_sites_equal_find_expansions_every_round():
+    # Round 0 takes its sites from every edge the builder logged, the first
+    # fold's moves included, and later rounds from the edges the last round
+    # logged; each scan must find what find_expansions finds on the frozen
+    # graph, each (start, check) once.
+    deduced = engine._deduced
     rounds, stale = [], []
     closing = []  # the builder and presentation of the closure under way
 
@@ -692,9 +702,6 @@ def test_deduced_sites_equal_full_scan_every_round():
         found = [(s, e, (decoded(read), decoded(sew))) for s, e, (read, sew) in sites]
         assert sorted(found) == sorted(find_expansions(b.freeze(), p))
         return sites
-
-    def checked_all(rows, checks):
-        return compared(all_sites(rows, checks))
 
     def checked_deduced(rows, log, table):
         stale.append(sum(rows[s] is None or rows[t] is None for s, _, t in log))
@@ -716,9 +723,14 @@ def test_deduced_sites_equal_full_scan_every_round():
     )
     twice = Presentation(("a", "b"), ((pos("ab"), pos("ba")), (pos("ba"), pos("ab"))))
     cascade = Presentation(("a", "b", "c"), ((pos("bc"), pos("bcc")),))
-    with mock.patch.object(engine, "_all_sites", checked_all), mock.patch.object(
-        engine, "_deduced", checked_deduced
-    ):
+
+    def checked_unfolded(b, p):
+        # The first fold merges, so round 0 reads a log that it rewrote.
+        before = b.vertex_count()
+        closing.append((b, p))
+        assert close(b, p, Budget(8, 200)).vertex_history[0] < before
+
+    with mock.patch.object(engine, "_deduced", checked_deduced):
         # This round's fold cascades, and a site appears at a later merge
         # survivor that no sewn chain reaches.
         checked_close(fold(linear_graph(w("babaa^cb^a^cac^a^"))), cascade)
@@ -731,6 +743,19 @@ def test_deduced_sites_equal_full_scan_every_round():
             p = (SUBWORD, bbb)[i % 2] if i % 4 == 0 else random_presentation(rng)
             word = random_signed_word(rng, "ab", 12) if i % 3 else random_positive_word(rng, "ab", 8)
             checked_close(fold(linear_graph(word)), p, Budget(rng.randint(1, 12), 200))
+        for word in ("aa^bab^", "ab^ba^ab", "bb^aab^ba^", "a^abb^a"):
+            for p in (COMM, SUBWORD, bbb, twice):
+                checked_unfolded(GraphBuilder.from_word(w(word), p.alphabet), p)
+            checked_unfolded(GraphBuilder.from_word(w(word + "c"), comm3.alphabet), comm3)
+        # A builder made by hand: a link onto a taken slot pends, and the
+        # first fold merges its two targets and moves their b edge.
+        b = GraphBuilder(("a", "b"))
+        v0, v1, v2 = b.new_vertex(), b.new_vertex(), b.new_vertex()
+        b.link(v0, b.codes["a"], v1)
+        b.link(v1, b.codes["b"], v2)
+        b.link(v0, b.codes["a"], v2)
+        b.beta = v2
+        checked_unfolded(b, COMM)
     assert len(rounds) > 500
     assert sum(stale) > 100
 
