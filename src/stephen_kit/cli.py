@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .decision import Answer, decide_equal, decide_natural_leq, is_idempotent
 from .engine import Budget, Status, schutzenberger_automaton
@@ -38,7 +37,8 @@ def _write_json(path: str | None, payload: dict) -> None:
     if path:
         import json  # only here: most commands write no JSON and skip its import
 
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _finiteness_text(cert) -> str:
@@ -74,7 +74,8 @@ def cmd_graph(args, p: Presentation, w: Word) -> tuple[int, str]:
     result = schutzenberger_automaton(w, p, Budget(args.max_rounds, args.max_vertices))
     g = result.graph
     if args.dot:
-        Path(args.dot).write_text(g.to_dot(), encoding="utf-8")
+        with open(args.dot, "w", encoding="utf-8") as f:
+            f.write(g.to_dot())
     if args.json:
         _write_json(args.json, {**result.to_json(), "graph": g.to_json()})
     line = (
@@ -152,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        p = parse_presentation(Path(args.presentation).read_text(encoding="utf-8"))
+        with open(args.presentation, encoding="utf-8") as f:
+            p = parse_presentation(f.read())
         words = [parse_word(getattr(args, name), p.alphabet) for name in args.words]
         code, line = args.run(args, p, *words)
     except (ValueError, OSError) as exc:

@@ -23,7 +23,7 @@ trailing ``^``.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
+from collections.abc import Container, Iterable
 
 Letter = str
 
@@ -48,15 +48,31 @@ class _Record:
 
     Records of the same class are equal when their fields are, the hash is
     that of the field tuple, the repr names every field, and assignment
-    raises AttributeError.  A subclass lists its fields in __match_args__,
-    stores them in __slots__ of the same names where it can, and sets them
-    in __init__ with _set, which bypasses the frozen __setattr__.  Building
-    classes by hand keeps dataclasses, and the inspect module it imports,
-    off the import path of every command.
+    raises AttributeError.  A subclass lists its fields in __match_args__
+    and stores them in __slots__ of the same names where it can.  The
+    constructor is the one a dataclass would generate: every field is
+    required, given by position in __match_args__ order or by name, and set
+    with _set, which bypasses the frozen __setattr__; a missing, extra or
+    unknown argument raises TypeError.  A record that validates its fields
+    (Word, Presentation, Budget) writes its own __init__, and so do the two
+    built once per closure or verdict (ClosureResult, Verdict): assigning
+    their fields by hand is several times faster than this generic
+    constructor (about 0.4 against 1-4 microseconds a record on CPython
+    3.11), and a benchmark cycle builds thousands.  Building classes by
+    hand keeps dataclasses, and the inspect module it imports, off the
+    import path of every command.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        fields = {**dict(zip(names, args)), **kwargs}
+        if len(fields) != len(args) + len(kwargs) or fields.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__}() takes the fields {names}, each once")
+        for name in names:
+            _set(self, name, fields[name])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -187,7 +203,9 @@ def _check_alphabet(letters: tuple[Letter, ...], line: int | None = None) -> Non
         raise PresentationError("duplicate letter declaration", line)
 
 
-def _check_relation(lhs: Word, rhs: Word, known: set[Letter], line: int | None = None) -> None:
+def _check_relation(
+    lhs: Word, rhs: Word, known: Container[Letter], line: int | None = None
+) -> None:
     """Both sides non-empty, positive and over known letters, and distinct.
 
     Presentation and parse_presentation share this and _check_alphabet; the
@@ -210,26 +228,28 @@ class Presentation(_Record):
 
     _steps caches the engine's compiles of the relations into step codes,
     one per set of start letters, made on the first closure from those
-    letters; it is not a field.
+    letters, and _known holds the alphabet as a frozenset for check_word;
+    neither is a field.
     """
 
-    __slots__ = ("alphabet", "relations", "_steps")
+    __slots__ = ("alphabet", "relations", "_steps", "_known")
     __match_args__ = ("alphabet", "relations")
 
     def __init__(
         self, alphabet: tuple[Letter, ...], relations: tuple[tuple[Word, Word], ...] = ()
     ):
         _check_alphabet(alphabet)
-        known = set(alphabet)
+        known = frozenset(alphabet)
         for lhs, rhs in relations:
             _check_relation(lhs, rhs, known)
         _set(self, "alphabet", alphabet)
         _set(self, "relations", relations)
         _set(self, "_steps", {})
+        _set(self, "_known", known)
 
     def check_word(self, w: Word) -> None:
         """Raise ValueError if w uses a letter outside the alphabet."""
-        known = set(self.alphabet)
+        known = self._known
         for x, _ in w:
             if x not in known:
                 raise ValueError(f"letter {x!r} is not in the alphabet")
@@ -337,24 +357,6 @@ class OverlapProfile(_Record):
         "case_label",
     )
 
-    def __init__(
-        self,
-        u_subword_of_v: bool,
-        v_subword_of_u: bool,
-        u_border_len: int,
-        v_border_len: int,
-        suffix_u_prefix_v_len: int,
-        suffix_v_prefix_u_len: int,
-        case_label: OverlapCase,
-    ):
-        _set(self, "u_subword_of_v", u_subword_of_v)
-        _set(self, "v_subword_of_u", v_subword_of_u)
-        _set(self, "u_border_len", u_border_len)
-        _set(self, "v_border_len", v_border_len)
-        _set(self, "suffix_u_prefix_v_len", suffix_u_prefix_v_len)
-        _set(self, "suffix_v_prefix_u_len", suffix_v_prefix_u_len)
-        _set(self, "case_label", case_label)
-
 
 def _occurrences(needle: tuple[Letter, ...], haystack: tuple[Letter, ...]) -> int:
     if not needle or len(needle) > len(haystack):
@@ -366,21 +368,13 @@ def _occurrences(needle: tuple[Letter, ...], haystack: tuple[Letter, ...]) -> in
     )
 
 
-def _border_len(w: tuple[Letter, ...]) -> int:
-    best = 0
-    for k in range(1, len(w) // 2 + 1):
-        if w[:k] == w[-k:]:
-            best = k
-    return best
-
-
-def _cross_len(u: tuple[Letter, ...], v: tuple[Letter, ...]) -> int:
-    """Largest proper k > 0 with suffix_k(u) = prefix_k(v), else 0."""
-    best = 0
-    for k in range(1, min(len(u), len(v))):
+def _overlap_len(u: tuple[Letter, ...], v: tuple[Letter, ...], top: int) -> int:
+    """Largest k in 1..top with suffix_k(u) = prefix_k(v), else 0; a side's
+    border is this scan of the side against itself."""
+    for k in range(top, 0, -1):
         if u[-k:] == v[:k]:
-            best = k
-    return best
+            return k
+    return 0
 
 
 def overlap_profile(u: Word, v: Word) -> OverlapProfile:
@@ -395,10 +389,11 @@ def overlap_profile(u: Word, v: Word) -> OverlapProfile:
     us, vs = u.symbols(), v.symbols()
     u_in_v = _occurrences(us, vs) > 0
     v_in_u = _occurrences(vs, us) > 0
-    u_border = _border_len(us)
-    v_border = _border_len(vs)
-    uv = _cross_len(us, vs)
-    vu = _cross_len(vs, us)
+    u_border = _overlap_len(us, us, len(us) // 2)
+    v_border = _overlap_len(vs, vs, len(vs) // 2)
+    proper = min(len(us), len(vs)) - 1
+    uv = _overlap_len(us, vs, proper)
+    vu = _overlap_len(vs, us, proper)
     crosses = (uv > 0) + (vu > 0)
     if u_in_v or v_in_u:
         label = OverlapCase.SUBWORD
@@ -445,10 +440,6 @@ class CertificateBasis(enum.Enum):
 
 class FinitenessCertificate(_Record):
     __slots__ = __match_args__ = ("verdict", "basis")
-
-    def __init__(self, verdict: FinitenessVerdict, basis: CertificateBasis):
-        _set(self, "verdict", verdict)
-        _set(self, "basis", basis)
 
 
 _CERTIFICATES = {

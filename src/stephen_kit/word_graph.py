@@ -52,8 +52,8 @@ connected.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
 
 from .presentation import Letter, Word
 
@@ -152,10 +152,13 @@ class BirootedGraph:
         """Endpoint of the unique path labeled by w from start, or None.
 
         Only meaningful on deterministic graphs, where paths are unique.
-        A letter the graph has no edge for labels no path.
+        A letter the graph has no edge for labels no path.  A start that
+        is not a vertex raises ValueError.
         """
         if not self.is_deterministic:
             raise ValueError("walk() requires a deterministic graph")
+        if start not in self.vertices:
+            raise ValueError(f"vertex {start!r} is not in the graph")
         rows, codes, v = self._rows, self._codes, start
         for x, sign in w:
             c = codes.get(x)

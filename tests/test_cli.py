@@ -245,18 +245,20 @@ def test_help_lists_exit_codes(capsys):
 
 def test_cli_import_loads_no_test_code():
     # sys.modules is read before the probe imports json itself.  No command
-    # needs dataclasses, inspect or json on import, and each adds
-    # milliseconds to every start.
+    # needs dataclasses, inspect, json, typing or pathlib on import, and
+    # each adds milliseconds to every start.  -S keeps site, and any .pth
+    # file it runs, from loading them first.
     probe = (
         "import sys, stephen_kit.cli\n"
-        "heavy = [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules]\n"
+        "heavy = [m for m in ('dataclasses', 'inspect', 'json', 'typing', 'pathlib')"
+        " if m in sys.modules]\n"
         "modules = sorted(m for m in sys.modules if m.split('.')[0] == 'stephen_kit')\n"
         "missing = [n for n in stephen_kit.__all__ if not hasattr(stephen_kit, n)]\n"
         "import json\n"
         "print(json.dumps([modules, missing, heavy]))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-S", "-c", probe],
         capture_output=True,
         text=True,
         check=True,

@@ -309,6 +309,16 @@ def test_overlap_swap_symmetry(u, v):
     assert p1.suffix_u_prefix_v_len == p2.suffix_v_prefix_u_len
     assert p1.u_subword_of_v == p2.v_subword_of_u
 
+    def border(x):  # largest k with x = y s y, |y| = k
+        return max((k for k in range(1, len(x) // 2 + 1) if x.startswith(x[-k:])), default=0)
+
+    def cross(x, y):  # largest k < |x|, |y| with suffix_k(x) = prefix_k(y)
+        return max((k for k in range(1, min(len(x), len(y))) if y.startswith(x[-k:])), default=0)
+
+    su, sv = str(u), str(v)
+    assert (p1.u_border_len, p1.v_border_len) == (border(su), border(sv))
+    assert (p1.suffix_u_prefix_v_len, p1.suffix_v_prefix_u_len) == (cross(su, sv), cross(sv, su))
+
 
 # --- occurrence counting -----------------------------------------------------
 

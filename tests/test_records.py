@@ -74,6 +74,10 @@ def test_record_matches_dataclass(cls, fields, values, changed):
     record = cls(*values)
     assert all(getattr(record, f) is v for f, v in zip(fields, values))
     assert cls(**dict(zip(fields, values))) == record
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values, unknown=values[0])
     assert repr(record) == repr(reference)
     assert record == cls(*values) and not record != cls(*values)
     assert record != cls(*changed) and not record == cls(*changed)
@@ -100,7 +104,11 @@ def test_presentation_is_a_dict_key():
     same = Presentation(("a", "b"), ((pos("ab"), pos("ba")),))
     table = {COMM: "comm", SUBWORD: "subword"}
     assert same is not COMM and table[same] == "comm"
-    assert pickle.loads(pickle.dumps(COMM)) == COMM
+    # The alphabet set check_word reads is no field, and copies rebuild it.
+    for twin in (pickle.loads(pickle.dumps(COMM)), copy.copy(COMM), copy.deepcopy(COMM)):
+        assert twin == COMM and hash(twin) == hash(COMM)
+        with pytest.raises(ValueError, match="letter 'c' is not in the alphabet"):
+            twin.check_word(pos("ac"))
 
 
 def test_budget_defaults():

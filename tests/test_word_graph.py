@@ -299,6 +299,28 @@ def test_walk_from_interior_vertex():
     assert g.walk(1, pos("a")) is None
 
 
+def test_walk_from_an_id_that_is_no_vertex():
+    # Rows sit in a list, so a negative id would index from its end, one
+    # past the last would overrun it, and a gap would read an empty row.
+    g = BirootedGraph(0, 1, [(0, "a", 1)])
+    gap = BirootedGraph(0, 3, [(0, "a", 3)])
+    for graph, start, word in [
+        (g, -1, w("a^")),
+        (g, -2, pos("a")),
+        (g, 2, pos("a")),
+        (g, 2, Word()),
+        (gap, 1, pos("a")),
+        (gap, 2, Word()),
+    ]:
+        with pytest.raises(ValueError, match=f"^vertex {start} is not in the graph$"):
+            graph.walk(start, word)
+    for graph, beta in ((g, 1), (gap, 3)):
+        assert graph.walk(graph.alpha, pos("a")) == beta
+        assert graph.walk(graph.beta, w("a^")) == 0
+        assert graph.walk(graph.beta, Word()) == beta
+        assert graph.accepts(pos("a")) and not graph.accepts(w("a^"))
+
+
 # --- isomorphism -------------------------------------------------------------
 
 
