@@ -9,7 +9,8 @@ start word (any closed endpoint is the automaton); budgets bound the loop
 because the fixpoint can be an infinite graph.  A site is the tuple
 (v1, v2, (read, sew)) of the two vertices and the side read and the side
 sewn; find_expansions reports the sites of a graph with the sides as
-signed letters, close carries them as step codes.
+signed letters, close carries them as step codes, with a third member
+settles (see below): (v1, v2, (read, sew, settles)).
 
 A closure's letters are the start letters plus the sewn side's letters
 of every check whose read letters are all among them, repeated to a
@@ -45,6 +46,19 @@ readable a round earlier, that round sewed its site, and the other side
 is readable now.  Any other read path holds a logged edge, and walking
 back from that edge's source by the prefix before its position reaches
 the path's start.
+
+An edge of a sewn chain settles one deduction of its own, and the scan
+skips that one for it.  When check i = (read, sew) is sewn at (start,
+end), the edge that spell places at position k of the chain is logged
+with the entry of check i ^ 1 (the same relation read the other way, so
+its read side is this sew) for position k.  While that log entry is live
+its ends keep their ids and the folded graph is deterministic, so the
+walk back from the edge by sew[:k] reaches what start became, and the
+walk on by sew[k + 1:] reaches what end became; read still labels a
+path between those two, because sewing and folding never destroy a
+path, so the entry's walk can find no site.  An edge that a fold moved
+or placed, and every edge a builder logged as it was made, settles
+nothing and is walked against every entry of its letter.
 
 A round sews every site found at its start.  Folding is confluent, and a
 chain sewn beside a path with the same label folds onto that path, so
@@ -124,9 +138,10 @@ class ClosureResult(_MutableRecord):
 Letters = tuple[tuple[str, int], ...]
 Check = tuple[Letters, Letters]
 Codes = tuple[int, ...]
-Deduction = tuple[int, Codes, Codes, tuple[Codes, Codes]]
+Sewable = tuple[Codes, Codes, list]  # (read, sew, settles), settles a list of Deductions
+Deduction = tuple[int, Codes, Codes, Sewable]
 Steps = tuple[tuple[str, ...], list[list[Deduction]]]
-Site = tuple[int, int, tuple[Codes, Codes]]
+Site = tuple[int, int, Sewable]
 
 
 def _checks(p: Presentation) -> list[Check]:
@@ -150,7 +165,11 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
     code: table[c] lists, for each such check, i its index in _checks
     order, and each position k at which its read side holds c, the entry
     (i, back, rest, check), where back walks back over the read steps
-    before k and rest reads those after it.
+    before k and rest reads those after it.  A check is (read, sew,
+    settles): settles[k] is the entry of check i ^ 1 for position k, the
+    one that the chain edge sewn at position k settles (see the module
+    docstring).  Check i ^ 1 reads only the closure's letters whenever
+    check i does, since its read side is check i's sewn side.
     """
     steps = p._steps.get(start)
     if steps is None:
@@ -168,13 +187,21 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
                     grown = True
         letters, codes = _step_codes(used)
         table = [[] for _ in range(2 * len(letters))]
+        entries = {}  # i: check i and its entries, by read position
         for i, (read, sew) in enumerate(pairs):
             if all(x in codes for x, _ in read):
                 read = tuple([codes[x] for x, _ in read])
-                check = read, tuple([codes[x] for x, _ in sew])
+                check = read, tuple([codes[x] for x, _ in sew]), []
+                entries[i] = check, []
                 for k, c in enumerate(read):
                     back = tuple([d ^ 1 for d in reversed(read[:k])])
-                    table[c].append((i, back, read[k + 1 :], check))
+                    entry = i, back, read[k + 1 :], check
+                    entries[i][1].append(entry)
+                    table[c].append(entry)
+        # The one mutable step: check i's settles are entries of check
+        # i ^ 1, which hold check i ^ 1, whose settles are entries of check i.
+        for i, (check, _) in entries.items():
+            check[2].extend(entries[i ^ 1][1])
         steps = p._steps[start] = p._steps[letters] = (letters, table)
     return steps
 
@@ -187,17 +214,21 @@ def _deduced(rows: list, log: list, table: list[list[Deduction]]) -> list[Site]:
 
     An entry is live while its source is a vertex whose slot still names
     its target; a merge that moved the edge logged it again.  An edge
-    logged against its letter is turned round to read forward.  Only
+    logged against its letter is turned round to read forward.  A live
+    entry skips the deduction it settles, whose walk finds no site.  Only
     sites are keyed for the once: a walk that finds none finds none again.
     """
     sites, seen = [], set()
-    for s, c, t in log:
+    for s, c, t, settled in log:
         row = rows[s]
         if row is None or row[c] != t:
             continue
         if c & 1:
             s, c, t = t, c ^ 1, s
-        for i, back, rest, check in table[c]:
+        for entry in table[c]:
+            if entry is settled:
+                continue
+            i, back, rest, check = entry
             start = s
             for d in back:
                 start = rows[start][d]
@@ -244,16 +275,16 @@ def find_expansions(g: BirootedGraph, p: Presentation) -> list[tuple[int, int, C
 
 
 def _sew_round(b: GraphBuilder, sites: list[Site]) -> int:
-    """Sew every given site and fold; returns the merges.
+    """Sew every given site and fold, if anything pends; returns the merges.
 
     The log is cleared first, so afterwards b.log holds every edge this
     round placed, by sewing or by moving an edge in a merge, stale entries
-    included.
+    included; each sewn edge carries the deduction it settles.
     """
     b.log.clear()
-    for start, end, (_, sew) in sites:
-        b.spell(start, sew, end)
-    return b.fold()
+    for start, end, (_, sew, settles) in sites:
+        b.spell(start, sew, end, settles)
+    return b.fold() if b._pending else 0
 
 
 def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> ClosureResult:
@@ -280,14 +311,15 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     b.fold()
     history = [b.vertex_count()]
     rounds = fold_events = 0
+    max_rounds, max_vertices = budget.max_rounds, budget.max_vertices
     rows, log = b._rows, b.log  # the builder never replaces either list
     sites = _deduced(rows, log, table)
-    while sites and rounds < budget.max_rounds:
+    while sites and rounds < max_rounds:
         fold_events += _sew_round(b, sites)
         rounds += 1
         history.append(len(rows) - b._removed)
         sites = _deduced(rows, log, table)
-        if history[-1] > budget.max_vertices:
+        if history[-1] > max_vertices:
             break
     status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
     graph = BirootedGraph(b.alpha, b.beta, b)

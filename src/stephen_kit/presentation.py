@@ -183,11 +183,12 @@ def parse_word(text: str, alphabet: Iterable[Letter], *, line: int | None = None
     return Word(tuple(letters))
 
 
-def _check_alphabet(letters: tuple[Letter, ...], line: int | None = None) -> None:
+def _check_alphabet(letters: tuple[Letter, ...], line: int | None = None) -> frozenset:
     """Letters non-empty, free of whitespace and reserved characters, and
     distinct, and no multi-character letter spelled by declared letters:
-    over ``a b ab`` the text ``ab`` could mean either word."""
-    known = set(letters)
+    over ``a b ab`` the text ``ab`` could mean either word.  Returns the
+    letters as a set."""
+    known = frozenset(letters)
     for letter in letters:
         if not letter:
             raise PresentationError("empty letter", line)
@@ -201,6 +202,7 @@ def _check_alphabet(letters: tuple[Letter, ...], line: int | None = None) -> Non
         raise PresentationError("alphabet declares no letters", line)
     if len(known) != len(letters):
         raise PresentationError("duplicate letter declaration", line)
+    return known
 
 
 def _check_relation(
@@ -209,7 +211,8 @@ def _check_relation(
     """Both sides non-empty, positive and over known letters, and distinct.
 
     Presentation and parse_presentation share this and _check_alphabet; the
-    parser passes the line it read the relation from.
+    parser passes the line it read the relation from, and its result is
+    not checked again.
     """
     for side in (lhs, rhs):
         if len(side) == 0:
@@ -238,14 +241,20 @@ class Presentation(_Record):
     def __init__(
         self, alphabet: tuple[Letter, ...], relations: tuple[tuple[Word, Word], ...] = ()
     ):
-        _check_alphabet(alphabet)
-        known = frozenset(alphabet)
+        known = _check_alphabet(alphabet)
         for lhs, rhs in relations:
             _check_relation(lhs, rhs, known)
+        self._adopt(alphabet, relations, known)
+
+    def _adopt(
+        self, alphabet: tuple[Letter, ...], relations: tuple, known: frozenset
+    ) -> "Presentation":
+        """Set the fields of checked input, known the alphabet's set; returns self."""
         _set(self, "alphabet", alphabet)
         _set(self, "relations", relations)
         _set(self, "_steps", {})
         _set(self, "_known", known)
+        return self
 
     def check_word(self, w: Word) -> None:
         """Raise ValueError if w uses a letter outside the alphabet."""
@@ -271,7 +280,7 @@ def parse_presentation(text: str) -> Presentation:
             if not line.startswith("X:"):
                 raise PresentationError("expected alphabet line 'X: ...'", lineno)
             alphabet = tuple(line[2:].split())
-            _check_alphabet(alphabet, lineno)
+            known = _check_alphabet(alphabet, lineno)
             continue
         if not line.startswith("R:"):
             raise PresentationError("expected relation line 'R: <word> = <word>'", lineno)
@@ -281,11 +290,12 @@ def parse_presentation(text: str) -> Presentation:
         left_text, right_text = body.split("=")
         lhs = parse_word(left_text, alphabet, line=lineno)
         rhs = parse_word(right_text, alphabet, line=lineno)
-        _check_relation(lhs, rhs, set(alphabet), lineno)
+        _check_relation(lhs, rhs, known, lineno)
         relations.append((lhs, rhs))
     if alphabet is None:
         raise PresentationError("no alphabet line")
-    return Presentation(alphabet, tuple(relations))
+    # Every line is checked above, with its number, so the record is not.
+    return object.__new__(Presentation)._adopt(alphabet, tuple(relations), known)
 
 
 SideEdges = tuple[tuple[Letter, Letter], ...]

@@ -117,8 +117,8 @@ class BirootedGraph:
         """Build from (s, x, t) triples, which are linked into a new builder
         and checked, or from a GraphBuilder, folded or not, which is handed
         over unchecked (see the module docstring).  The graph adopts the
-        builder's rows and the builder is spent.  Edges are listed when
-        first read, and so is a handed builder's canonical order.
+        builder's rows and the builder is spent.  Vertices and edges are
+        listed when first read, and so is a handed builder's canonical order.
         """
         self.alpha = alpha
         self.beta = beta
@@ -126,15 +126,14 @@ class BirootedGraph:
         self._letters, self._codes = b.letters, b.codes
         self._rows: Rows = b._rows
         self._pending: list[tuple[int, int, int]] = b._pending
-        b._rows = b._pending = b.log = None
-        self.vertices: frozenset[int] = frozenset(
-            [v for v, row in enumerate(self._rows) if row is not None]
-            if b._removed
-            else range(len(self._rows))
-        )
-        self.is_deterministic = not self._pending
-        if b is not edges and len(self._order) != len(self.vertices):
+        if b is not edges and len(self._order) != b.vertex_count():
             raise ValueError("graph is not connected from alpha")
+        b._rows = b._pending = b.log = None
+        self.is_deterministic = not self._pending
+
+    @cached_property
+    def vertices(self) -> frozenset[int]:
+        return frozenset([v for v, row in enumerate(self._rows) if row is not None])
 
     @cached_property
     def _order(self) -> tuple[int, ...]:
@@ -157,9 +156,10 @@ class BirootedGraph:
         """
         if not self.is_deterministic:
             raise ValueError("walk() requires a deterministic graph")
-        if start not in self.vertices:
+        rows = self._rows
+        if not (isinstance(start, int) and 0 <= start < len(rows)) or rows[start] is None:
             raise ValueError(f"vertex {start!r} is not in the graph")
-        rows, codes, v = self._rows, self._codes, start
+        codes, v = self._codes, start
         for x, sign in w:
             c = codes.get(x)
             if c is None:
@@ -181,7 +181,7 @@ class BirootedGraph:
     def canonical_key(self):
         """Hashable form invariant under root-respecting isomorphism."""
         index, edges = self._renumbered()
-        return (len(self.vertices), index[self.beta], tuple(edges))
+        return (len(index), index[self.beta], tuple(edges))
 
     def to_json(self) -> dict:
         """Canonically renumbered export: alpha is always vertex 0."""
@@ -189,7 +189,7 @@ class BirootedGraph:
         return {
             "alpha": 0,
             "beta": index[self.beta],
-            "vertices": list(range(len(self.vertices))),
+            "vertices": list(range(len(index))),
             "edges": [list(edge) for edge in edges],
         }
 
@@ -201,7 +201,7 @@ class BirootedGraph:
         """
         index, edges = self._renumbered()
         lines = ["digraph birooted {", "  rankdir=LR;"]
-        for v in range(len(self.vertices)):
+        for v in range(len(index)):
             if v == index[self.alpha] and v == index[self.beta]:
                 shape = "Msquare"
             elif v == index[self.alpha]:
@@ -270,9 +270,12 @@ class GraphBuilder:
     vertex id the builder holds outside a fold, the log aside, names a
     row.  A new vertex appends a row, and _removed counts the rows set to
     None.  Rows take 2 x len(letters) slots a vertex.  log lists, as
-    (s, c, t), every edge placed in both rows since its owner last cleared
-    it, by spell or by fold; a later merge can remove an end or move the
-    edge, which leaves a stale entry and logs the moved edge again.  The
+    (s, c, t, settled), every edge placed in both rows since its owner last
+    cleared it, by spell or by fold; a later merge can remove an end or
+    move the edge, which leaves a stale entry and logs the moved edge
+    again.  settled is the engine's deduction entry that the edge settles
+    when the engine's _sew_round spelled it as part of a sewn chain, and
+    None for every other edge (see the engine module docstring).  The
     engine's close reads round 0's sites from the live entries, and each
     later round's from the entries of the round before, so the log must
     hold every edge the builder placed: every way of making a builder
@@ -289,7 +292,7 @@ class GraphBuilder:
         self._pending: list[tuple[int, int, int]] = []
         self.alpha: int = 0
         self.beta: int = 0
-        self.log: list[tuple[int, int, int]] = []
+        self.log: list[tuple[int, int, int, tuple | None]] = []
 
     @classmethod
     def from_graph(cls, g: BirootedGraph) -> "GraphBuilder":
@@ -321,17 +324,21 @@ class GraphBuilder:
         """Add the edge from s along the step code to t (see spell)."""
         self.spell(s, (step,), t)
 
-    def spell(self, start: int, steps: Sequence[int], end: int | None = None) -> int:
+    def spell(
+        self, start: int, steps: Sequence[int], end: int | None = None, settles: Sequence = ()
+    ) -> int:
         """Add a chain labeled by step codes from start through fresh vertices.
 
         The last step lands on end if one is given, else on a fresh vertex
         too; returns the chain's last vertex.  Each edge goes into both
         rows, and into the log, when both slots are free, to the pending
         list when either holds another target, and nowhere when it is
-        already there.
+        already there.  The edge of step i is logged with settles[i], the
+        deduction it settles (see the engine), or None when settles is empty.
         """
         rows, pending, log = self._rows, self._pending, self.log
         width, last = 2 * len(self.letters), len(steps) - (end is not None)
+        settles = settles or [None] * len(steps)
         for i, step in enumerate(steps):
             if i == last:
                 t = end
@@ -343,7 +350,7 @@ class GraphBuilder:
                 if slot is None and rows[t][step ^ 1] is None:
                     rows[start][step] = t
                     rows[t][step ^ 1] = start
-                    log.append((start, step, t))
+                    log.append((start, step, t, settles[i]))
                 else:
                     pending.append((start, step, t))
             start = t
@@ -386,7 +393,7 @@ class GraphBuilder:
                 if a is None:
                     rows[s][c] = t
                     rows[t][c ^ 1] = s
-                    log.append((s, c, t))
+                    log.append((s, c, t, None))
                     continue
             if b < a:
                 a, b = b, a

@@ -102,7 +102,7 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
             status = Status.BUDGET_EXCEEDED
             break
         b = _linked(g.alpha, g.beta, g.edges, p.alphabet)
-        for start, end, (_, sew) in encoded(b, sites):
+        for start, end, (_, sew, _) in encoded(b, sites):
             prev = start
             for step in sew[:-1]:
                 nv = b.new_vertex()
@@ -118,8 +118,12 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
 
 def encoded(b: GraphBuilder, sites) -> list:
     """find_expansions' sites as close sews them, with both sides as b's
-    step codes; b must have every letter of the sites."""
-    return [(s, e, (tuple(b.encode(read)), tuple(b.encode(sew)))) for s, e, (read, sew) in sites]
+    step codes and no deduction settled; b must have every letter of the
+    sites."""
+    return [
+        (s, e, (tuple(b.encode(read)), tuple(b.encode(sew)), ()))
+        for s, e, (read, sew) in sites
+    ]
 
 
 def assert_builder_consistent(b: GraphBuilder) -> None:
@@ -134,7 +138,7 @@ def assert_builder_consistent(b: GraphBuilder) -> None:
     view = BirootedGraph(b.alpha, b.beta, copy.copy(b))
     live = view.vertices
     assert b.alpha in live and b.beta in live
-    for s, c, t in b.log:
+    for s, c, t, _ in b.log:
         if s in live and t in live:
             x, sign = b.letters[c >> 1], -1 if c & 1 else 1
             assert view.walk(s, ((x, sign),)) == t

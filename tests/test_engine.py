@@ -681,33 +681,12 @@ def test_round_site_order_does_not_change_closure():
     assert reordered_rounds > 300
 
 
-def test_deduced_sites_equal_find_expansions_every_round():
-    # Round 0 takes its sites from every edge the builder logged, the first
-    # fold's moves included, and later rounds from the edges the last round
-    # logged; each scan must find what find_expansions finds on the frozen
-    # graph, each (start, check) once.
-    deduced = engine._deduced
-    rounds, stale = [], []
-    closing = []  # the builder and presentation of the closure under way
-
-    def compared(sites):
-        b, p = closing[-1]
-
-        def decoded(codes):
-            return tuple((b.letters[c >> 1], -1 if c & 1 else 1) for c in codes)
-
-        # A check is one tuple object per relation side, so a relation
-        # stated twice gives two equal checks that are two sites.
-        assert len({(s, id(check)) for s, _, check in sites}) == len(sites)
-        found = [(s, e, (decoded(read), decoded(sew))) for s, e, (read, sew) in sites]
-        assert sorted(found) == sorted(find_expansions(b.freeze(), p))
-        return sites
-
-    def checked_deduced(rows, log, table):
-        stale.append(sum(rows[s] is None or rows[t] is None for s, _, t in log))
-        sites = compared(deduced(rows, log, table))
-        rounds.append(len(sites))
-        return sites
+def _deduction_closures(closing: list) -> None:
+    """Close the presentations and words that exercise the deduction scan,
+    appending each closing builder and its presentation to closing first:
+    400 random closures, merging ones where logged edges go stale inside a
+    fold, a cascading fold, a relation stated twice, and unfolded builders
+    whose first fold merges."""
 
     def checked_close(g, p, budget=Budget()):
         # A builder over the alphabet closes itself; close would link
@@ -730,34 +709,134 @@ def test_deduced_sites_equal_find_expansions_every_round():
         closing.append((b, p))
         assert close(b, p, Budget(8, 200)).vertex_history[0] < before
 
+    # This round's fold cascades, and a site appears at a later merge
+    # survivor that no sewn chain reaches.
+    checked_close(fold(linear_graph(w("babaa^cb^a^cac^a^"))), cascade)
+    # Merging closures, where logged edges go stale inside a fold.
+    checked_close(linear_graph(pos("b")), bbb)
+    checked_close(linear_graph(pos("aabbcc")), comm3)
+    checked_close(linear_graph(w("ab^c^ba^c")), comm3)
+    checked_close(linear_graph(pos("abab")), twice)
+    for i in range(400):
+        p = (SUBWORD, bbb)[i % 2] if i % 4 == 0 else random_presentation(rng)
+        word = random_signed_word(rng, "ab", 12) if i % 3 else random_positive_word(rng, "ab", 8)
+        checked_close(fold(linear_graph(word)), p, Budget(rng.randint(1, 12), 200))
+    for word in ("aa^bab^", "ab^ba^ab", "bb^aab^ba^", "a^abb^a"):
+        for p in (COMM, SUBWORD, bbb, twice):
+            checked_unfolded(GraphBuilder.from_word(w(word), p.alphabet), p)
+        checked_unfolded(GraphBuilder.from_word(w(word + "c"), comm3.alphabet), comm3)
+    # A builder made by hand: a link onto a taken slot pends, and the
+    # first fold merges its two targets and moves their b edge.
+    b = GraphBuilder(("a", "b"))
+    v0, v1, v2 = b.new_vertex(), b.new_vertex(), b.new_vertex()
+    b.link(v0, b.codes["a"], v1)
+    b.link(v1, b.codes["b"], v2)
+    b.link(v0, b.codes["a"], v2)
+    b.beta = v2
+    checked_unfolded(b, COMM)
+
+
+def test_deduced_sites_equal_find_expansions_every_round():
+    # Round 0 takes its sites from every edge the builder logged, the first
+    # fold's moves included, and later rounds from the edges the last round
+    # logged; each scan must find what find_expansions finds on the frozen
+    # graph, each (start, check) once.
+    deduced = engine._deduced
+    rounds, stale = [], []
+    closing = []  # the builder and presentation of the closure under way
+
+    def compared(sites):
+        b, p = closing[-1]
+
+        def decoded(codes):
+            return tuple((b.letters[c >> 1], -1 if c & 1 else 1) for c in codes)
+
+        # A check is one tuple object per relation side, so a relation
+        # stated twice gives two equal checks that are two sites.
+        assert len({(s, id(check)) for s, _, check in sites}) == len(sites)
+        found = [(s, e, (decoded(read), decoded(sew))) for s, e, (read, sew, _) in sites]
+        assert sorted(found) == sorted(find_expansions(b.freeze(), p))
+        return sites
+
+    def checked_deduced(rows, log, table):
+        stale.append(sum(rows[s] is None or rows[t] is None for s, _, t, _ in log))
+        sites = compared(deduced(rows, log, table))
+        rounds.append(len(sites))
+        return sites
+
     with mock.patch.object(engine, "_deduced", checked_deduced):
-        # This round's fold cascades, and a site appears at a later merge
-        # survivor that no sewn chain reaches.
-        checked_close(fold(linear_graph(w("babaa^cb^a^cac^a^"))), cascade)
-        # Merging closures, where logged edges go stale inside a fold.
-        checked_close(linear_graph(pos("b")), bbb)
-        checked_close(linear_graph(pos("aabbcc")), comm3)
-        checked_close(linear_graph(w("ab^c^ba^c")), comm3)
-        checked_close(linear_graph(pos("abab")), twice)
-        for i in range(400):
-            p = (SUBWORD, bbb)[i % 2] if i % 4 == 0 else random_presentation(rng)
-            word = random_signed_word(rng, "ab", 12) if i % 3 else random_positive_word(rng, "ab", 8)
-            checked_close(fold(linear_graph(word)), p, Budget(rng.randint(1, 12), 200))
-        for word in ("aa^bab^", "ab^ba^ab", "bb^aab^ba^", "a^abb^a"):
-            for p in (COMM, SUBWORD, bbb, twice):
-                checked_unfolded(GraphBuilder.from_word(w(word), p.alphabet), p)
-            checked_unfolded(GraphBuilder.from_word(w(word + "c"), comm3.alphabet), comm3)
-        # A builder made by hand: a link onto a taken slot pends, and the
-        # first fold merges its two targets and moves their b edge.
-        b = GraphBuilder(("a", "b"))
-        v0, v1, v2 = b.new_vertex(), b.new_vertex(), b.new_vertex()
-        b.link(v0, b.codes["a"], v1)
-        b.link(v1, b.codes["b"], v2)
-        b.link(v0, b.codes["a"], v2)
-        b.beta = v2
-        checked_unfolded(b, COMM)
+        _deduction_closures(closing)
     assert len(rounds) > 500
     assert sum(stale) > 100
+
+
+def test_deductions_a_sewn_edge_settles_hold():
+    # The scan skips, for a live edge of a sewn chain, the entry of the
+    # reverse check at the edge's position.  Walk each skipped entry by
+    # hand: every step must land, and the check must hold, so the walk
+    # could not have found a site.
+    deduced = engine._deduced
+    skipped, sewn_stale = 0, 0
+
+    def checked_deduced(rows, log, table):
+        nonlocal skipped, sewn_stale
+        for s, c, t, settled in log:
+            if settled is None:
+                continue
+            row = rows[s]
+            if row is None or row[c] != t:
+                sewn_stale += 1
+                continue
+            assert not c & 1 and any(entry is settled for entry in table[c])
+            _, back, rest, (_, sew, _) = settled
+            start = s
+            for d in back:
+                start = rows[start][d]
+                assert start is not None
+            end = t
+            for d in rest:
+                end = rows[end][d]
+                assert end is not None
+            v = start
+            for d in sew:
+                v = rows[v][d]
+                assert v is not None
+            assert v == end
+            skipped += 1
+        return deduced(rows, log, table)
+
+    with mock.patch.object(engine, "_deduced", checked_deduced):
+        _deduction_closures([])
+    assert skipped > 100_000
+    assert sewn_stale > 1000
+
+
+def test_sewn_edges_skip_the_walk_they_settle():
+    # Counts, not timings.  Each table entry the scan walks is taken apart
+    # once, so entries that count their unpacking count the walks.  Over
+    # the aba = b closure from ba to 1,000 vertices, every sewn edge skips
+    # the one walk it settles: without the skip the scan walks 2,998.
+    class Counted(tuple):
+        walks = 0
+
+        def __iter__(self):
+            Counted.walks += 1
+            return super().__iter__()
+
+    p = parse_presentation("X: a b\nR: aba = b\n")
+    _, table = engine._compile(p, ("a", "b"))
+    counted = {id(entry): Counted(entry) for row in table for entry in row}
+    for row in table:
+        row[:] = [counted[id(entry)] for entry in row]
+    for check in {id(entry[3]): entry[3] for row in table for entry in row}.values():
+        check[2][:] = [counted[id(entry)] for entry in check[2]]
+    result = schutzenberger_automaton(parse_word("ba", p.alphabet), p, Budget(1000, 1000))
+    assert (result.status, result.rounds, result.vertex_history[-1]) == (
+        Status.BUDGET_EXCEEDED,
+        499,
+        1001,
+    )
+    assert Counted.walks == 1501
 
 
 def test_round_logs_every_edge_it_adds():
@@ -772,7 +851,7 @@ def test_round_logs_every_edge_it_adds():
         before = b.freeze().edges
         merges = sew_round(b, sites)
         logged = set()
-        for s, c, t in b.log:
+        for s, c, t, _ in b.log:
             logged.add((t, b.letters[c >> 1], s) if c & 1 else (s, b.letters[c >> 1], t))
         for edge in b.freeze().edges - before:
             assert edge in logged

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,7 @@ from stephen_kit import (
     parse_presentation,
     parse_word,
 )
+from stephen_kit import presentation
 from stephen_kit.presentation import side_graphs
 from support import CASE1, CASE2, COMM, FACT1, SUBWORD, pos, w
 
@@ -122,6 +125,30 @@ def test_parse_errors(text, fragment):
 def test_parse_error_reports_line():
     with pytest.raises(PresentationError, match="line 3"):
         parse_presentation("X: a b\nR: ab = ba\nR: junk line")
+
+
+def test_parse_checks_each_line_once():
+    # The parser checks each line as it reads it, with its number, and
+    # builds the presentation without checking it all again.
+    calls = {"_check_alphabet": 0, "_check_relation": 0}
+
+    def counted(name):
+        check = getattr(presentation, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return check(*args)
+
+        return counting
+
+    text = "X: a b c\nR: aba = b\n# comment\nR: ab = ba\nR: bc = cb\n"
+    with mock.patch.multiple(presentation, **{name: counted(name) for name in calls}):
+        p = parse_presentation(text)
+        assert calls == {"_check_alphabet": 1, "_check_relation": 3}
+        assert p == Presentation(p.alphabet, p.relations)
+        assert calls == {"_check_alphabet": 2, "_check_relation": 6}
+    assert p._known == frozenset("abc") and p._steps == {}
+    assert hash(p) == hash(parse_presentation(text))
 
 
 def test_parse_word_inverse_suffix():

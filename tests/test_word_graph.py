@@ -301,7 +301,8 @@ def test_walk_from_interior_vertex():
 
 def test_walk_from_an_id_that_is_no_vertex():
     # Rows sit in a list, so a negative id would index from its end, one
-    # past the last would overrun it, and a gap would read an empty row.
+    # past the last would overrun it, a gap would read an empty row, and an
+    # id that is no int could not index it.
     g = BirootedGraph(0, 1, [(0, "a", 1)])
     gap = BirootedGraph(0, 3, [(0, "a", 3)])
     for graph, start, word in [
@@ -311,8 +312,9 @@ def test_walk_from_an_id_that_is_no_vertex():
         (g, 2, Word()),
         (gap, 1, pos("a")),
         (gap, 2, Word()),
+        (g, "0", pos("a")),
     ]:
-        with pytest.raises(ValueError, match=f"^vertex {start} is not in the graph$"):
+        with pytest.raises(ValueError, match=f"^vertex {start!r} is not in the graph$"):
             graph.walk(start, word)
     for graph, beta in ((g, 1), (gap, 3)):
         assert graph.walk(graph.alpha, pos("a")) == beta
