@@ -80,7 +80,7 @@ def cmd_graph(args, p: Presentation, w: Word) -> tuple[int, str]:
         _write_json(args.json, {**result.to_json(), "graph": g.to_json()})
     line = (
         f"{result.status.value}; rounds={result.rounds}; "
-        f"vertices={len(g.vertices)}; edges={len(g.edges)}"
+        f"vertices={result.vertex_history[-1]}; edges={len(g.edges)}"
     )
     return (EXIT_OK if result.status is Status.CLOSED else EXIT_UNKNOWN), line
 

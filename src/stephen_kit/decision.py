@@ -40,7 +40,7 @@ def _closure_stats(result: ClosureResult) -> dict:
         "status": result.status.value,
         "rounds": result.rounds,
         "fold_events": result.fold_events,
-        "vertices": len(result.graph.vertices),
+        "vertices": result.vertex_history[-1],
     }
 
 

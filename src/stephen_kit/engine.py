@@ -49,7 +49,7 @@ the path's start.
 
 An edge of a sewn chain settles one deduction of its own, and the scan
 skips that one for it.  When check i = (read, sew) is sewn at (start,
-end), the edge that spell places at position k of the chain is logged
+end), the edge that close places at position k of the chain is logged
 with the entry of check i ^ 1 (the same relation read the other way, so
 its read side is this sew) for position k.  While that log entry is live
 its ends keep their ids and the folded graph is deterministic, so the
@@ -65,6 +65,14 @@ chain sewn beside a path with the same label folds onto that path, so
 the order of the sites changes neither the folded graph nor its merge
 count, and a site that earlier sewing in the round made readable leaves
 the graph as it would be without that site.
+
+close's loop sews each round's chains straight into the builder's rows,
+as GraphBuilder.spell would, with the same vertex ids, log entries and
+pending edges, and folds only when an edge pends.  Every vertex inside a
+chain is new and a sewn side is positive, so its slot for the next step
+is free and its row is made with the step back already linked; only the
+chain's first step, at the site's start, and its last, at the site's
+end, can find a slot taken.
 """
 
 from __future__ import annotations
@@ -274,27 +282,16 @@ def find_expansions(g: BirootedGraph, p: Presentation) -> list[tuple[int, int, C
     return sites
 
 
-def _sew_round(b: GraphBuilder, sites: list[Site]) -> int:
-    """Sew every given site and fold, if anything pends; returns the merges.
-
-    The log is cleared first, so afterwards b.log holds every edge this
-    round placed, by sewing or by moving an edge in a merge, stale entries
-    included; each sewn edge carries the deduction it settles.
-    """
-    b.log.clear()
-    for start, end, (_, sew, settles) in sites:
-        b.spell(start, sew, end, settles)
-    return b.fold() if b._pending else 0
-
-
 def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> ClosureResult:
     """Fold b, then iterate full rounds on it until no site remains or a
     budget limit trips.
 
     The merges of the first fold count in neither fold_events nor rounds.
-    Every site scan reads b's log: round 0 reads every edge b placed since
-    it was made, and each later scan only the edges the round before it
-    logged (see the module docstring).
+    Every site scan is a call of _deduced that reads b's log: round 0 reads
+    every edge b placed since it was made, and each later scan only the
+    edges the round before it logged.  A round clears the log and sews its
+    sites' chains itself, checking slots only at each chain's two ends,
+    and folds when an edge pends (see the module docstring).
     The vertex limit is checked after each round's site scan, so a round
     that leaves no site is closed even when it crosses the limit.  The
     result graph takes over the rows of the builder that closes, so b is
@@ -312,10 +309,50 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     history = [b.vertex_count()]
     rounds = fold_events = 0
     max_rounds, max_vertices = budget.max_rounds, budget.max_vertices
-    rows, log = b._rows, b.log  # the builder never replaces either list
+    rows, log, pending = b._rows, b.log, b._pending  # the builder never replaces them
+    width = 2 * len(letters)
     sites = _deduced(rows, log, table)
     while sites and rounds < max_rounds:
-        fold_events += _sew_round(b, sites)
+        log.clear()
+        for s, t, (_, sew, settles) in sites:
+            c, last = sew[0], len(sew) - 1
+            if not last:
+                slot = rows[s][c]
+                if slot != t:
+                    if slot is None and rows[t][c ^ 1] is None:
+                        rows[s][c] = t
+                        rows[t][c ^ 1] = s
+                        log.append((s, c, t, settles[0]))
+                    else:
+                        pending.append((s, c, t))
+                continue
+            # The chain's inner vertices are new: only its end steps can clash.
+            v = len(rows)
+            row = [None] * width
+            rows.append(row)
+            if rows[s][c] is None:
+                rows[s][c] = v
+                row[c ^ 1] = s
+                log.append((s, c, v, settles[0]))
+            else:
+                pending.append((s, c, v))
+            for k in range(1, last):
+                s, c = v, sew[k]
+                v = len(rows)
+                row[c] = v
+                row = [None] * width
+                row[c ^ 1] = s
+                rows.append(row)
+                log.append((s, c, v, settles[k]))
+            c = sew[last]
+            if rows[t][c ^ 1] is None:
+                row[c] = t
+                rows[t][c ^ 1] = v
+                log.append((v, c, t, settles[last]))
+            else:
+                pending.append((v, c, t))
+        if pending:
+            fold_events += b.fold()
         rounds += 1
         history.append(len(rows) - b._removed)
         sites = _deduced(rows, log, table)

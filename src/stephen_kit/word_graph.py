@@ -270,19 +270,19 @@ class GraphBuilder:
     vertex id the builder holds outside a fold, the log aside, names a
     row.  A new vertex appends a row, and _removed counts the rows set to
     None.  Rows take 2 x len(letters) slots a vertex.  log lists, as
-    (s, c, t, settled), every edge placed in both rows since its owner last
-    cleared it, by spell or by fold; a later merge can remove an end or
-    move the edge, which leaves a stale entry and logs the moved edge
-    again.  settled is the engine's deduction entry that the edge settles
-    when the engine's _sew_round spelled it as part of a sewn chain, and
-    None for every other edge (see the engine module docstring).  The
-    engine's close reads round 0's sites from the live entries, and each
-    later round's from the entries of the round before, so the log must
-    hold every edge the builder placed: every way of making a builder
-    logs its edges, and only the engine's _sew_round clears the log, at
-    the start of a round.  Handing a
-    builder to BirootedGraph spends it: the graph takes the rows, and the
-    builder keeps no rows, pending list or log.
+    (s, c, t, settled), every edge placed in both rows since its owner
+    last cleared it, by spell, by fold or by the engine's close; a later
+    merge can remove an end or move the edge, which leaves a stale entry
+    and logs the moved edge again.  The builder logs every edge it places
+    with settled None; only the engine's close, which sews a round's
+    chains into the rows itself, logs a chain edge with the deduction
+    entry it settles (see the engine module docstring).  close reads
+    round 0's sites from the live entries, and each later round's from
+    the entries of the round before, so the log must hold every edge the
+    builder placed: every way of making a builder logs its edges, and
+    only close clears the log, at the start of a round.  Handing a
+    builder to BirootedGraph spends it: the graph takes the rows, and
+    the builder keeps no rows, pending list or log.
     """
 
     def __init__(self, letters: Iterable[Letter] = ()):
@@ -324,21 +324,17 @@ class GraphBuilder:
         """Add the edge from s along the step code to t (see spell)."""
         self.spell(s, (step,), t)
 
-    def spell(
-        self, start: int, steps: Sequence[int], end: int | None = None, settles: Sequence = ()
-    ) -> int:
+    def spell(self, start: int, steps: Sequence[int], end: int | None = None) -> int:
         """Add a chain labeled by step codes from start through fresh vertices.
 
         The last step lands on end if one is given, else on a fresh vertex
         too; returns the chain's last vertex.  Each edge goes into both
-        rows, and into the log, when both slots are free, to the pending
-        list when either holds another target, and nowhere when it is
-        already there.  The edge of step i is logged with settles[i], the
-        deduction it settles (see the engine), or None when settles is empty.
+        rows, and into the log with settled None, when both slots are free,
+        to the pending list when either holds another target, and nowhere
+        when it is already there.
         """
         rows, pending, log = self._rows, self._pending, self.log
         width, last = 2 * len(self.letters), len(steps) - (end is not None)
-        settles = settles or [None] * len(steps)
         for i, step in enumerate(steps):
             if i == last:
                 t = end
@@ -350,7 +346,7 @@ class GraphBuilder:
                 if slot is None and rows[t][step ^ 1] is None:
                     rows[start][step] = t
                     rows[t][step ^ 1] = start
-                    log.append((start, step, t, settles[i]))
+                    log.append((start, step, t, None))
                 else:
                     pending.append((start, step, t))
             start = t

@@ -7,7 +7,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 from stephen_kit import BirootedGraph, Budget, ClosureResult, Presentation, Status, Word
-from stephen_kit.engine import _sew_round, find_expansions
+from stephen_kit.engine import find_expansions
 from stephen_kit.word_graph import GraphBuilder, _linked
 
 
@@ -102,7 +102,8 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
             status = Status.BUDGET_EXCEEDED
             break
         b = _linked(g.alpha, g.beta, g.edges, p.alphabet)
-        for start, end, (_, sew, _) in encoded(b, sites):
+        for start, end, (_, sew) in sites:
+            sew = b.encode(sew)
             prev = start
             for step in sew[:-1]:
                 nv = b.new_vertex()
@@ -114,16 +115,6 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
         rounds += 1
         history.append(len(g.vertices))
     return ClosureResult(status, g, rounds, fold_events, tuple(history))
-
-
-def encoded(b: GraphBuilder, sites) -> list:
-    """find_expansions' sites as close sews them, with both sides as b's
-    step codes and no deduction settled; b must have every letter of the
-    sites."""
-    return [
-        (s, e, (tuple(b.encode(read)), tuple(b.encode(sew)), ()))
-        for s, e, (read, sew) in sites
-    ]
 
 
 def assert_builder_consistent(b: GraphBuilder) -> None:
@@ -196,7 +187,9 @@ def full_p_expansion(g: BirootedGraph, p: Presentation) -> BirootedGraph:
     Sites that only become available mid-round are left for the next round.
     """
     b = _linked(g.alpha, g.beta, g.edges, p.alphabet)
-    _sew_round(b, encoded(b, find_expansions(g, p)))
+    for start, end, (_, sew) in find_expansions(g, p):
+        b.spell(start, b.encode(sew), end)
+    b.fold()
     return b.freeze()
 
 

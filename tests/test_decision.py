@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stephen_kit import (
     Answer,
+    BirootedGraph,
     Budget,
     Presentation,
     Word,
@@ -70,6 +71,30 @@ def test_equal_yes_from_partial_acceptance():
     verdict = decide_equal(pos("aba"), pos("b"), SUBWORD, Budget(2, 100000))
     assert verdict.answer is Answer.YES
     assert verdict.witness["u_closure"]["status"] == "budget-exceeded"
+
+
+def test_equal_never_builds_the_vertex_set(monkeypatch):
+    # A closure witness counts its vertices from vertex_history[-1]; the
+    # graph's vertex set is a frozenset of every vertex id, built on first read.
+    cases = (
+        (pos("ab"), pos("ba"), COMM, Budget()),
+        (pos("a"), pos("b"), COMM, Budget()),
+        (pos("ab"), pos("ba"), SUBWORD, Budget(1, 100000)),
+        (pos("ab"), pos("b"), SUBWORD, Budget(64, 300)),
+        (w("aa^b"), w("bb^a"), CASE1, Budget()),
+    )
+    sizes = [
+        [len(engine.schutzenberger_automaton(x, p, budget).graph.vertices) for x in (u, v)]
+        for u, v, p, budget in cases
+    ]
+
+    def refused(self):
+        raise AssertionError("BirootedGraph.vertices was built")
+
+    monkeypatch.setattr(BirootedGraph, "vertices", property(refused))
+    for (u, v, p, budget), size in zip(cases, sizes):
+        witness = decide_equal(u, v, p, budget).witness
+        assert [witness["u_closure"]["vertices"], witness["v_closure"]["vertices"]] == size
 
 
 @given(small_positive)

@@ -29,7 +29,6 @@ from support import (
     StaleSiteError,
     assert_builder_consistent,
     elementary_expansion,
-    encoded,
     full_p_expansion,
     isomorphic,
     multigraphs,
@@ -156,7 +155,9 @@ def test_full_round_order_is_canonical_up_to_iso(word):
     for p in (COMM, CASE1):
         g = fold(linear_graph(word))
         backward = word_graph._linked(g.alpha, g.beta, g.edges, p.alphabet)
-        engine._sew_round(backward, encoded(backward, find_expansions(g, p))[::-1])
+        for start, end, (_, sew) in find_expansions(g, p)[::-1]:
+            backward.spell(start, backward.encode(sew), end)
+        backward.fold()
         assert isomorphic(full_p_expansion(g, p), backward.freeze())
 
 
@@ -416,15 +417,17 @@ def test_close_folds_a_handed_builder_first():
 @given(small_presentations, signed_words, small_budgets)
 @settings(max_examples=100)
 def test_builder_consistent_after_every_round(p, word, budget):
-    sew_round = engine._sew_round
+    # close scans after round 0's fold and after every round.
+    deduced = engine._deduced
+    b = closing_builder(word, p)
 
-    def checked(b, sites):
-        merges = sew_round(b, sites)
+    def checked(rows, log, table):
+        assert rows is b._rows and log is b.log
         assert_builder_consistent(b)
-        return merges
+        return deduced(rows, log, table)
 
-    with mock.patch.object(engine, "_sew_round", checked):
-        schutzenberger_automaton(word, p, budget)
+    with mock.patch.object(engine, "_deduced", checked):
+        close(b, p, budget)
 
 
 def test_close_sews_sites_that_earlier_sewing_made_readable():
@@ -467,6 +470,13 @@ def random_presentation(rng) -> Presentation:
         if lhs != rhs:
             relations.append((lhs, rhs))
     return Presentation(("a", "b"), tuple(relations))
+
+
+def closing_builder(word, p: Presentation) -> GraphBuilder:
+    """The builder that schutzenberger_automaton(word, p) closes: word's
+    chain over the closure's letters, which close does not link again."""
+    letters = engine._compile(p, tuple(sorted({x for x, _ in word.letters})))[0]
+    return GraphBuilder.from_word(word, letters)
 
 
 def assert_same_as_rebuilt(g: BirootedGraph) -> None:
@@ -654,18 +664,19 @@ def test_spent_builder_cannot_reach_its_graph(monkeypatch):
 def test_round_site_order_does_not_change_closure():
     # Folding is confluent and a chain sewn beside a path with its label
     # folds onto that path, so a round may sew its sites in any order.
-    sew_round = engine._sew_round
+    # Each scan's sites are the ones the next round sews, if one runs.
+    deduced = engine._deduced
     rng = random.Random(5)
     reorders = (lambda sites: sites[::-1], lambda sites: rng.sample(sites, len(sites)))
     reordered_rounds = 0
 
-    def reordered(reorder):
-        def sew(b, sites):
-            nonlocal reordered_rounds
-            reordered_rounds += len(sites) > 1
-            return sew_round(b, reorder(sites))
+    def reordered(reorder, sizes):
+        def scan(rows, log, table):
+            sites = reorder(deduced(rows, log, table))
+            sizes.append(len(sites))
+            return sites
 
-        return sew
+        return scan
 
     for _ in range(300):
         p = random_presentation(rng)
@@ -673,8 +684,10 @@ def test_round_site_order_does_not_change_closure():
         budget = Budget(rng.randint(1, 16), rng.randint(1, 300))
         result = schutzenberger_automaton(word, p, budget)
         for reorder in reorders:
-            with mock.patch.object(engine, "_sew_round", reordered(reorder)):
+            sizes = []
+            with mock.patch.object(engine, "_deduced", reordered(reorder, sizes)):
                 other = schutzenberger_automaton(word, p, budget)
+            reordered_rounds += sum(n > 1 for n in sizes[: other.rounds])
             assert other.to_json() == result.to_json()
             assert other.graph.to_json() == result.graph.to_json()
             assert other.graph.canonical_key() == result.graph.canonical_key()
@@ -839,31 +852,76 @@ def test_sewn_edges_skip_the_walk_they_settle():
     assert Counted.walks == 1501
 
 
+def test_rounds_sew_without_spell(monkeypatch):
+    # Counts, not timings.  close sews each round's chains itself, so over
+    # the aba = b closure from ba to 1,000 vertices the one spell is
+    # from_word's chain of the start word; a spell per site made it 500.
+    calls = []
+    spell = GraphBuilder.spell
+
+    def counted(self, *args):
+        calls.append(args)
+        return spell(self, *args)
+
+    monkeypatch.setattr(GraphBuilder, "spell", counted)
+    p = parse_presentation("X: a b\nR: aba = b\n")
+    result = schutzenberger_automaton(parse_word("ba", p.alphabet), p, Budget(1000, 1000))
+    assert (result.rounds, result.vertex_history[-1]) == (499, 1001)
+    assert calls == [(0, [2, 0])]
+
+
+def test_last_vertex_count_is_the_graph_size():
+    # The decision witnesses and the CLI read the vertex count from
+    # vertex_history[-1] in place of building the graph's vertex set.
+    rng = random.Random(23)
+    budget_hit = relinked = first_fold_merged = 0
+    for i in range(300):
+        p = random_presentation(rng)
+        word = random_signed_word(rng, "ab" if i % 3 else "a", 8)
+        budget = Budget(rng.randint(1, 12), rng.randint(1, 200))
+        for b in (GraphBuilder.from_word(word, p.alphabet), GraphBuilder.from_word(word)):
+            before = b.vertex_count()
+            result = close(b, p, budget)
+            assert result.vertex_history[-1] == len(result.graph.vertices)
+            budget_hit += result.status is Status.BUDGET_EXCEEDED
+            relinked += b._rows is not None
+            first_fold_merged += result.vertex_history[0] < before
+    assert budget_hit > 50 and relinked > 50 and first_fold_merged > 200
+
+
 def test_round_logs_every_edge_it_adds():
     # The deduction rests on this: an edge of the graph after a round that
     # was not an edge before it, under the same ids, is a live entry of
-    # the builder's log, in either orientation.
-    sew_round = engine._sew_round
+    # the builder's log, in either orientation.  close scans after round
+    # 0's fold, when every edge must be logged, and after every round.
+    deduced = engine._deduced
     checked_edges = 0
 
-    def checked(b, sites):
-        nonlocal checked_edges
-        before = b.freeze().edges
-        merges = sew_round(b, sites)
-        logged = set()
-        for s, c, t, _ in b.log:
-            logged.add((t, b.letters[c >> 1], s) if c & 1 else (s, b.letters[c >> 1], t))
-        for edge in b.freeze().edges - before:
-            assert edge in logged
-            checked_edges += 1
-        return merges
+    def checked(b):
+        before = None
+
+        def scan(rows, log, table):
+            nonlocal before, checked_edges
+            assert rows is b._rows and log is b.log
+            edges = b.freeze().edges
+            logged = set()
+            for s, c, t, _ in log:
+                logged.add((t, b.letters[c >> 1], s) if c & 1 else (s, b.letters[c >> 1], t))
+            for edge in edges - (before or frozenset()):
+                assert edge in logged
+                checked_edges += before is not None
+            before = edges
+            return deduced(rows, log, table)
+
+        return scan
 
     rng = random.Random(17)
-    with mock.patch.object(engine, "_sew_round", checked):
-        for _ in range(300):
-            p = random_presentation(rng)
-            word = random_signed_word(rng, "ab", 10)
-            schutzenberger_automaton(word, p, Budget(rng.randint(1, 12), rng.randint(1, 200)))
+    for _ in range(300):
+        p = random_presentation(rng)
+        word = random_signed_word(rng, "ab", 10)
+        b = closing_builder(word, p)
+        with mock.patch.object(engine, "_deduced", checked(b)):
+            close(b, p, Budget(rng.randint(1, 12), rng.randint(1, 200)))
     assert checked_edges > 1000
 
 
