@@ -84,7 +84,10 @@ from .word_graph import BirootedGraph, GraphBuilder, _edges, _linked, _step_code
 
 
 class Budget(_Record):
-    """Bounds on the closure iteration; both limits must be positive.
+    """Bounds on the closure iteration; both limits must be positive ints.
+
+    A limit that is not an int, a bool included, raises TypeError: a
+    float limit such as NaN would compare false with every round count.
 
     The class attributes are the defaults, which the CLI reads, so the
     fields live in the instance dict rather than in slots.  Row memory is
@@ -97,6 +100,9 @@ class Budget(_Record):
     max_vertices = 100_000
 
     def __init__(self, max_rounds: int = max_rounds, max_vertices: int = max_vertices):
+        for limit in (max_rounds, max_vertices):
+            if not isinstance(limit, int) or isinstance(limit, bool):
+                raise TypeError(f"budget limits must be ints, not {limit!r}")
         if max_rounds < 1 or max_vertices < 1:
             raise ValueError("budget limits must be positive")
         _set(self, "max_rounds", max_rounds)
