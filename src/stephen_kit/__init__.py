@@ -3,12 +3,18 @@ presentations, with a static overlap analyzer for the one-relation Adian
 classes whose closures are certified to terminate.
 
 Each exported name loads its home module on first use (PEP 562), so a
-caller that only parses and classifies presentations loads presentation.py
-alone, and a process's first closure loads engine.py and word_graph.py.
+caller that only parses and classifies presentations, such as the CLI's
+check, loads presentation.py alone, and a process's first closure loads
+engine.py and word_graph.py.
 stephen_kit.<module> resolves after a bare import.
 """
 
 __version__ = "0.1.0"
+
+# Budget's default limits, kept here so that the CLI's parser can show them
+# without loading the engine
+_MAX_ROUNDS = 64
+_MAX_VERTICES = 100_000
 
 _HOMES = {
     "Answer": "decision",

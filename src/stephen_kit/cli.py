@@ -3,6 +3,9 @@
 Commands: check, graph, eq, leq, idem, count-r.  Exit codes encode the
 verdict so batch experiments need no output parsing: 0 yes/closed/ok,
 1 no, 2 parse, validation or internal error, 3 unknown/budget-exceeded.
+
+The budgeted commands (graph, eq, leq, idem) import the engine and the
+decisions in their handlers, so check and count-r load neither.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ import argparse
 import functools
 import sys
 
-from .decision import Answer, decide_equal, decide_natural_leq, is_idempotent
-from .engine import Budget, Status, schutzenberger_automaton
+from . import _MAX_ROUNDS, _MAX_VERTICES
 from .presentation import (
     CertificateBasis,
     Presentation,
@@ -30,7 +32,7 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_UNKNOWN = 3
 
-_ANSWER_EXIT = {Answer.YES: EXIT_OK, Answer.NO: EXIT_NO, Answer.UNKNOWN: EXIT_UNKNOWN}
+_ANSWER_EXIT = {"yes": EXIT_OK, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -71,6 +73,8 @@ def cmd_check(args, p: Presentation) -> tuple[int, str]:
 
 
 def cmd_graph(args, p: Presentation, w: Word) -> tuple[int, str]:
+    from .engine import Budget, Status, schutzenberger_automaton
+
     result = schutzenberger_automaton(w, p, Budget(args.max_rounds, args.max_vertices))
     g = result.graph
     if args.dot:
@@ -85,10 +89,13 @@ def cmd_graph(args, p: Presentation, w: Word) -> tuple[int, str]:
     return (EXIT_OK if result.status is Status.CLOSED else EXIT_UNKNOWN), line
 
 
-def cmd_verdict(decide, args, p: Presentation, *words: Word) -> tuple[int, str]:
-    verdict = decide(*words, p, Budget(args.max_rounds, args.max_vertices))
+def cmd_verdict(decide: str, args, p: Presentation, *words: Word) -> tuple[int, str]:
+    from . import decision
+    from .engine import Budget
+
+    verdict = getattr(decision, decide)(*words, p, Budget(args.max_rounds, args.max_vertices))
     _write_json(args.json, verdict.to_json())
-    return _ANSWER_EXIT[verdict.answer], verdict.answer.value
+    return _ANSWER_EXIT[verdict.answer.value], verdict.answer.value
 
 
 def cmd_count_r(args, p: Presentation, w: Word) -> tuple[int, str]:
@@ -116,13 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
          True, {"--dot": "write the automaton as DOT"}, cmd_graph),
         ("eq", "decide u = v",
          {"presentation": None, "u": None, "v": None},
-         True, {}, functools.partial(cmd_verdict, decide_equal)),
+         True, {}, functools.partial(cmd_verdict, "decide_equal")),
         ("leq", "decide candidate >= lower in the natural order",
          {"presentation": None, "lower": None, "candidate": None},
-         True, {}, functools.partial(cmd_verdict, decide_natural_leq)),
+         True, {}, functools.partial(cmd_verdict, "decide_natural_leq")),
         ("idem", "decide whether a word is idempotent",
          {"presentation": None, "word": None},
-         True, {}, functools.partial(cmd_verdict, is_idempotent)),
+         True, {}, functools.partial(cmd_verdict, "is_idempotent")),
         ("count-r", "count relation-side occurrences in a positive word",
          {"presentation": None, "word": None}, False, {}, cmd_count_r),
     )
@@ -134,14 +141,14 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--max-rounds",
                 type=int,
-                default=Budget.max_rounds,
-                help=f"closure round budget (default {Budget.max_rounds})",
+                default=_MAX_ROUNDS,
+                help=f"closure round budget (default {_MAX_ROUNDS})",
             )
             sp.add_argument(
                 "--max-vertices",
                 type=int,
-                default=Budget.max_vertices,
-                help=f"closure vertex budget (default {Budget.max_vertices})",
+                default=_MAX_VERTICES,
+                help=f"closure vertex budget (default {_MAX_VERTICES})",
             )
         for flag, flag_help in extra.items():
             sp.add_argument(flag, metavar="PATH", help=flag_help)

@@ -79,6 +79,7 @@ from __future__ import annotations
 
 import enum
 
+from . import _MAX_ROUNDS, _MAX_VERTICES
 from .presentation import Presentation, Word, _MutableRecord, _Record, _set
 from .word_graph import BirootedGraph, GraphBuilder, _edges, _linked, _step_codes
 
@@ -89,15 +90,17 @@ class Budget(_Record):
     A limit that is not an int, a bool included, raises TypeError: a
     float limit such as NaN would compare false with every round count.
 
-    The class attributes are the defaults, which the CLI reads, so the
-    fields live in the instance dict rather than in slots.  Row memory is
-    V x 2 x (the number of the closure's letters) slots, V the vertex
-    count, so max_vertices bounds it only with the letters.
+    The class attributes are the defaults (the package's _MAX_ROUNDS and
+    _MAX_VERTICES, which the CLI's parser reads without loading this
+    module), so the fields live in the instance dict rather than in
+    slots.  Row memory is V x 2 x (the number of the closure's letters)
+    slots, V the vertex count, so max_vertices bounds it only with the
+    letters.
     """
 
     __match_args__ = ("max_rounds", "max_vertices")
-    max_rounds = 64
-    max_vertices = 100_000
+    max_rounds = _MAX_ROUNDS
+    max_vertices = _MAX_VERTICES
 
     def __init__(self, max_rounds: int = max_rounds, max_vertices: int = max_vertices):
         for limit in (max_rounds, max_vertices):

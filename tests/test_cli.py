@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from stephen_kit import BirootedGraph, cli
+from stephen_kit import BirootedGraph, engine
 from stephen_kit.cli import main
 
 
@@ -230,7 +230,7 @@ def test_internal_fault_exits_2_with_one_line(fault, comm, monkeypatch, capsys):
     def failing(*args):
         raise fault
 
-    monkeypatch.setattr(cli, "schutzenberger_automaton", failing)
+    monkeypatch.setattr(engine, "schutzenberger_automaton", failing)
     assert main(["graph", comm, "ab"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -265,13 +265,25 @@ def test_cli_import_loads_no_test_code():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
     modules, missing, heavy = json.loads(out)
-    assert modules == [
-        "stephen_kit",
-        "stephen_kit.cli",
-        "stephen_kit.decision",
-        "stephen_kit.engine",
-        "stephen_kit.presentation",
-        "stephen_kit.word_graph",
-    ]
+    assert modules == ["stephen_kit", "stephen_kit.cli", "stephen_kit.presentation"]
     assert missing == []
     assert heavy == []
+
+
+def test_check_and_count_r_load_no_engine(comm):
+    # Only the budgeted commands import the engine and the decisions.
+    probe = (
+        "import sys\n"
+        "from stephen_kit.cli import main\n"
+        f"main(['check', {comm!r}]), main(['count-r', {comm!r}, 'ab'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'stephen_kit'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout.splitlines()
+    assert out[:2] == ["adian: yes; case: Case4; finiteness: unknown", "1"]
+    assert out[2] == str(["stephen_kit", "stephen_kit.cli", "stephen_kit.presentation"])

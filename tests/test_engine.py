@@ -219,14 +219,11 @@ def test_budget_validation():
         Budget(0, 100)
     with pytest.raises(ValueError, match="positive"):
         Budget(10, 0)
-
-
-# A NaN round limit compares false with every round count, so its closure
-# of ab under ab = ba ran 0 rounds and reported budget-exceeded.
-@pytest.mark.parametrize("limits", [(2.5, 3), (True, 2), (float("nan"), 100), (64, 1e5)])
-def test_budget_refuses_limits_that_are_not_ints(limits):
-    with pytest.raises(TypeError, match="budget limits must be ints"):
-        Budget(*limits)
+    # A NaN round limit compares false with every round count, so a closure
+    # under it would run 0 rounds and report budget-exceeded.
+    for limits in ((2.5, 3), (True, 2), (float("nan"), 100), (64, 1e5)):
+        with pytest.raises(TypeError, match="budget limits must be ints"):
+            Budget(*limits)
 
 
 # --- schutzenberger_automaton -------------------------------------------------
