@@ -160,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.presentation, encoding="utf-8") as f:
+        # utf-8-sig drops the byte-order mark some editors write first.
+        with open(args.presentation, encoding="utf-8-sig") as f:
             p = parse_presentation(f.read())
         words = [parse_word(getattr(args, name), p.alphabet) for name in args.words]
         code, line = args.run(args, p, *words)

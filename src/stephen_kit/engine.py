@@ -66,13 +66,14 @@ the order of the sites changes neither the folded graph nor its merge
 count, and a site that earlier sewing in the round made readable leaves
 the graph as it would be without that site.
 
-close's loop sews each round's chains straight into the builder's rows,
-as GraphBuilder.spell would, with the same vertex ids, log entries and
-pending edges, and folds only when an edge pends.  Every vertex inside a
-chain is new and a sewn side is positive, so its slot for the next step
-is free and its row is made with the step back already linked; only the
-chain's first step, at the site's start, and its last, at the site's
-end, can find a slot taken.
+close's loop sews each round's chains straight into the builder's rows
+and folds only when an edge pends.  It appends a row for each inner
+vertex of a chain, in order, and places each edge by GraphBuilder.link's
+rule, but logs a chain edge with the deduction it settles.  Every vertex
+inside a chain is new and a sewn side is positive, so its slot for the
+next step is free and its row is made with the step back already linked;
+only the chain's first step, at the site's start, and its last, at the
+site's end, can find a slot taken.
 """
 
 from __future__ import annotations

@@ -110,12 +110,14 @@ class _MutableRecord(_Record):
 class Word(_Record):
     """A word over X and the inverse letters, as (letter, sign) pairs.
 
-    Signs are +1 or -1; a word is positive when every sign is +1.
+    Signs are +1 or -1; a word is positive when every sign is +1.  The
+    letters may come from any iterable and are kept as a tuple.
     """
 
     __slots__ = __match_args__ = ("letters",)
 
     def __init__(self, letters: tuple[tuple[Letter, int], ...] = ()):
+        letters = tuple(letters)
         for item in letters:
             if len(item) != 2 or not item[0] or item[1] not in (1, -1):
                 raise ValueError(f"bad signed letter {item!r}")
@@ -232,7 +234,8 @@ class Presentation(_Record):
     _steps caches the engine's compiles of the relations into step codes,
     one per set of start letters, made on the first closure from those
     letters, and _known holds the alphabet as a frozenset for check_word;
-    neither is a field.
+    neither is a field.  The alphabet and the relations may come from any
+    iterables and are kept as tuples.
     """
 
     __slots__ = ("alphabet", "relations", "_steps", "_known")
@@ -241,6 +244,8 @@ class Presentation(_Record):
     def __init__(
         self, alphabet: tuple[Letter, ...], relations: tuple[tuple[Word, Word], ...] = ()
     ):
+        alphabet = tuple(alphabet)
+        relations = tuple(relations)
         known = _check_alphabet(alphabet)
         for lhs, rhs in relations:
             _check_relation(lhs, rhs, known)

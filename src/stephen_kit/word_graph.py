@@ -31,23 +31,23 @@ where each slot that is taken on both identifies two more vertices.
 Graphs are value-like: the mutable machinery lives in GraphBuilder, which
 fold and the expansion engine share; a constructed BirootedGraph is never
 mutated and is safe to share between readers.  GraphBuilder does the two
-things Stephen's procedure does to a graph, spelling a chain and folding,
+things Stephen's procedure does to a graph, linking edges and folding,
 on its rows and pending list, its only record of the graph.
 
 A graph is made one way: its edges are linked into a GraphBuilder, and
 the graph adopts the builder's rows, letters and pending list, which
-spends the builder, with no rows left that a later link or spell could
-change.  Edge triples, from a caller or from GraphBuilder.freeze() of a
-builder that goes on growing, are linked into a new builder over the
-sorted letters they use, under their own vertex ids (a repeated triple
-is one edge), and checked: the canonical breadth-first order from alpha,
-which such a graph computes at once and keeps, must reach every vertex.
-close, fold(g) and linear_graph hand over their own builder, folded or
-not, and the graph is deterministic when nothing is pending.  Such a
-builder needs no check, because it is connected by construction:
-from_word spells a connected chain, from_graph links a checked graph's
-edges, spell starts at an existing vertex, and a merge keeps the graph
-connected.
+spends the builder, with no rows left that a later link could change.
+Edge triples, from a caller or from GraphBuilder.freeze() of a builder
+that goes on growing, are linked into a new builder over the sorted
+letters they use, under their own vertex ids (a repeated triple is one
+edge), and checked: the canonical breadth-first order from alpha, which
+such a graph computes at once and keeps, must reach every vertex.
+close and fold(g) hand over their own builder, folded or not, and the
+graph is deterministic when nothing is pending.  Such a builder needs no
+check, because it is connected by construction: from_word links a
+connected chain, from_graph links a checked graph's edges, close sews
+each chain between existing vertices, link adds no vertex, and a merge
+keeps the graph connected.
 """
 
 from __future__ import annotations
@@ -224,17 +224,6 @@ class BirootedGraph:
         )
 
 
-def linear_graph(w: Word) -> BirootedGraph:
-    """The chain-shaped graph spelling w from alpha to beta.
-
-    A negative letter contributes the positive orientation reversed.  The
-    empty word is admitted and yields the single-vertex graph with
-    alpha = beta.
-    """
-    b = GraphBuilder.from_word(w)
-    return BirootedGraph(b.alpha, b.beta, b)
-
-
 def _linked(
     alpha: int, beta: int, edges: Iterable[Edge], letters: Iterable[Letter] = ()
 ) -> GraphBuilder:
@@ -271,7 +260,7 @@ class GraphBuilder:
     row.  A new vertex appends a row, and _removed counts the rows set to
     None.  Rows take 2 x len(letters) slots a vertex.  log lists, as
     (s, c, t, settled), every edge placed in both rows since its owner
-    last cleared it, by spell, by fold or by the engine's close; a later
+    last cleared it, by link, by fold or by the engine's close; a later
     merge can remove an end or move the edge, which leaves a stale entry
     and logs the moved edge again.  The builder logs every edge it places
     with settled None; only the engine's close, which sews a round's
@@ -305,52 +294,34 @@ class GraphBuilder:
         """The unfolded chain spelling w, vertices 0 to len(w), its placed
         edges logged.
 
-        The builder's letters are the given ones, by default those of w.
+        The builder's letters are the given ones, by default those of w; a
+        letter of w outside them raises KeyError.  Each letter appends a
+        row and links its step onto it, so a backtracking word such as aa^
+        pends the edge whose slot the step before took.
         """
         b = cls({x for x, _ in w.letters} if letters is None else letters)
-        b.beta = b.spell(b.new_vertex(), b.encode(w.letters))
+        rows, codes, width = b._rows, b.codes, 2 * len(b.letters)
+        rows.append([None] * width)
+        for x, sign in w.letters:
+            rows.append([None] * width)
+            b.link(len(rows) - 2, codes[x] + (sign < 0), len(rows) - 1)
+        b.beta = len(rows) - 1
         return b
 
-    def encode(self, letters: Iterable[Step]) -> list[int]:
-        """The step codes of signed letters; KeyError on a letter the
-        builder has no code for."""
-        return [self.codes[x] + (sign < 0) for x, sign in letters]
-
-    def new_vertex(self) -> int:
-        self._rows.append([None] * (2 * len(self.letters)))
-        return len(self._rows) - 1
-
     def link(self, s: int, step: int, t: int) -> None:
-        """Add the edge from s along the step code to t (see spell)."""
-        self.spell(s, (step,), t)
-
-    def spell(self, start: int, steps: Sequence[int], end: int | None = None) -> int:
-        """Add a chain labeled by step codes from start through fresh vertices.
-
-        The last step lands on end if one is given, else on a fresh vertex
-        too; returns the chain's last vertex.  Each edge goes into both
-        rows, and into the log with settled None, when both slots are free,
-        to the pending list when either holds another target, and nowhere
-        when it is already there.
-        """
-        rows, pending, log = self._rows, self._pending, self.log
-        width, last = 2 * len(self.letters), len(steps) - (end is not None)
-        for i, step in enumerate(steps):
-            if i == last:
-                t = end
+        """Add the edge from s along the step code to t: into both rows,
+        and into the log with settled None, when both slots are free; to
+        the pending list when either holds another target; nowhere when it
+        is already there."""
+        rows = self._rows
+        slot = rows[s][step]
+        if slot != t:
+            if slot is None and rows[t][step ^ 1] is None:
+                rows[s][step] = t
+                rows[t][step ^ 1] = s
+                self.log.append((s, step, t, None))
             else:
-                t = len(rows)
-                rows.append([None] * width)
-            slot = rows[start][step]
-            if slot != t:
-                if slot is None and rows[t][step ^ 1] is None:
-                    rows[start][step] = t
-                    rows[t][step ^ 1] = start
-                    log.append((start, step, t, None))
-                else:
-                    pending.append((start, step, t))
-            start = t
-        return start
+                self._pending.append((s, step, t))
 
     def vertex_count(self) -> int:
         return len(self._rows) - self._removed

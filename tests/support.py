@@ -37,6 +37,40 @@ SUBWORD = Presentation(("a", "b"), ((pos("aba"), pos("b")),))
 FREE2 = Presentation(("a", "b"), ())
 
 
+def linear_graph(word: Word) -> BirootedGraph:
+    """The chain-shaped graph spelling word from alpha to beta, unfolded.
+
+    A negative letter contributes the positive orientation reversed.  The
+    empty word yields the single-vertex graph with alpha = beta.
+    """
+    b = GraphBuilder.from_word(word)
+    return BirootedGraph(b.alpha, b.beta, b)
+
+
+def new_vertex(b: GraphBuilder) -> int:
+    """Append an empty row to b and return its id."""
+    v = len(b._rows)
+    b._rows.append([None] * (2 * len(b.letters)))
+    return v
+
+
+def spell(b: GraphBuilder, start: int, letters, end: int | None = None) -> int:
+    """Link a chain labeled by signed letters from start through fresh
+    vertices; returns the chain's last vertex.
+
+    The last step lands on end if one is given, else on a fresh vertex
+    too.  Each fresh vertex is appended before its edge is linked, so this
+    is the reference for the layout GraphBuilder.from_word makes.
+    """
+    steps = [b.codes[x] + (sign < 0) for x, sign in letters]
+    last = len(steps) - (end is not None)
+    for i, step in enumerate(steps):
+        t = end if i == last else new_vertex(b)
+        b.link(start, step, t)
+        start = t
+    return start
+
+
 def reversed_ids(g: BirootedGraph) -> BirootedGraph:
     """The same graph with vertex v renamed max - v.
 
@@ -103,13 +137,7 @@ def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureRes
             break
         b = _linked(g.alpha, g.beta, g.edges, p.alphabet)
         for start, end, (_, sew) in sites:
-            sew = b.encode(sew)
-            prev = start
-            for step in sew[:-1]:
-                nv = b.new_vertex()
-                b.link(prev, step, nv)
-                prev = nv
-            b.link(prev, sew[-1], end)
+            spell(b, start, sew, end)
         fold_events += b.fold()
         g = b.freeze()
         rounds += 1
@@ -177,7 +205,7 @@ def elementary_expansion(g: BirootedGraph, site: tuple) -> BirootedGraph:
     if end in readable_ends(g, start, sew):
         raise StaleSiteError("opposite side already readable between the site's roots")
     b = _linked(g.alpha, g.beta, g.edges, [x for x, _ in sew])
-    b.spell(start, b.encode(sew), end)
+    spell(b, start, sew, end)
     return b.freeze()
 
 
@@ -188,7 +216,7 @@ def full_p_expansion(g: BirootedGraph, p: Presentation) -> BirootedGraph:
     """
     b = _linked(g.alpha, g.beta, g.edges, p.alphabet)
     for start, end, (_, sew) in find_expansions(g, p):
-        b.spell(start, b.encode(sew), end)
+        spell(b, start, sew, end)
     b.fold()
     return b.freeze()
 

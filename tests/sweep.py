@@ -7,8 +7,9 @@ site lists, eq/leq/idem verdict JSON and, for every fifth case, CLI
 result lines with their exit codes.  Raw vertex ids are never printed,
 so two versions of the package that differ only in how they number
 vertices print the same lines.  Sites print as (read side, sewn side,
-start index, end index).  It uses the public API and four functions of
-the package's modules (close, find_expansions, fold, linear_graph), so the
+start index, end index).  It uses the public API, three functions of
+the package's modules (close, find_expansions, fold), the builder's
+from_word and from_graph, and linear_graph from tests/support.py, so the
 same script runs against another checkout that has them:
 
     PYTHONPATH=src python tests/sweep.py > new.txt
@@ -38,7 +39,8 @@ from stephen_kit import (
 )
 from stephen_kit.cli import main as cli_main
 from stephen_kit.engine import close, find_expansions
-from stephen_kit.word_graph import GraphBuilder, fold, linear_graph
+from stephen_kit.word_graph import GraphBuilder, fold
+from support import linear_graph
 
 # A multi-character letter some CLI cases add to the alphabet line: "ab"
 # and "ba" are spelled by declared letters, "x1" and "cd" are not.

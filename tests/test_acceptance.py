@@ -28,7 +28,7 @@ from stephen_kit import (
 from stephen_kit.cli import main
 from stephen_kit.engine import find_expansions
 from stephen_kit.presentation import side_graphs
-from stephen_kit.word_graph import fold, linear_graph
+from stephen_kit.word_graph import fold
 from oracle import brute_force_accepts, brute_force_closure, brute_force_equal, munn_tree
 from support import (
     CASE1,
@@ -41,6 +41,7 @@ from support import (
     all_signed_words,
     full_p_expansion,
     isomorphic,
+    linear_graph,
     pos,
     random_positive_word,
     reversed_ids,

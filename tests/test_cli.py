@@ -34,6 +34,15 @@ def test_check_commutative(comm, capsys):
     assert capsys.readouterr().out == "adian: yes; case: Case4; finiteness: unknown\n"
 
 
+def test_check_reads_past_a_byte_order_mark(comm, tmp_path, capsys):
+    bom = tmp_path / "bom.pres"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "comm.pres").read_bytes())
+    assert main(["check", comm]) == 0
+    plain = capsys.readouterr()
+    assert main(["check", str(bom)]) == 0
+    assert capsys.readouterr() == plain
+
+
 def test_check_subword(sub, capsys):
     assert main(["check", sub]) == 0
     out = capsys.readouterr().out

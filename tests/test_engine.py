@@ -19,7 +19,7 @@ from stephen_kit import (
 )
 from stephen_kit import engine, word_graph
 from stephen_kit.engine import close, find_expansions
-from stephen_kit.word_graph import GraphBuilder, fold, linear_graph
+from stephen_kit.word_graph import GraphBuilder, fold
 from support import (
     CASE1,
     CASE2,
@@ -31,11 +31,14 @@ from support import (
     elementary_expansion,
     full_p_expansion,
     isomorphic,
+    linear_graph,
     multigraphs,
     naive_close,
+    new_vertex,
     pos,
     random_positive_word,
     random_signed_word,
+    spell,
     w,
 )
 
@@ -156,7 +159,7 @@ def test_full_round_order_is_canonical_up_to_iso(word):
         g = fold(linear_graph(word))
         backward = word_graph._linked(g.alpha, g.beta, g.edges, p.alphabet)
         for start, end, (_, sew) in find_expansions(g, p)[::-1]:
-            backward.spell(start, backward.encode(sew), end)
+            spell(backward, start, sew, end)
         backward.fold()
         assert isomorphic(full_p_expansion(g, p), backward.freeze())
 
@@ -638,8 +641,8 @@ def test_spent_builder_cannot_reach_its_graph(monkeypatch):
 
     grow = (
         lambda b, g: b.link(g.alpha, b.codes["b"], g.beta),
-        lambda b, g: b.spell(g.beta, b.encode(w("ab^a"))),
-        lambda b, g: b.spell(g.alpha, b.encode(pos("bb")), g.beta),
+        lambda b, g: spell(b, g.beta, w("ab^a").letters),
+        lambda b, g: spell(b, g.alpha, pos("bb").letters, g.beta),
     )
     grown = 0
     for spend in (closed, folded, relinked):
@@ -746,7 +749,7 @@ def _deduction_closures(closing: list) -> None:
     # A builder made by hand: a link onto a taken slot pends, and the
     # first fold merges its two targets and moves their b edge.
     b = GraphBuilder(("a", "b"))
-    v0, v1, v2 = b.new_vertex(), b.new_vertex(), b.new_vertex()
+    v0, v1, v2 = new_vertex(b), new_vertex(b), new_vertex(b)
     b.link(v0, b.codes["a"], v1)
     b.link(v1, b.codes["b"], v2)
     b.link(v0, b.codes["a"], v2)
@@ -859,20 +862,21 @@ def test_sewn_edges_skip_the_walk_they_settle():
 
 def test_rounds_sew_without_spell(monkeypatch):
     # Counts, not timings.  close sews each round's chains itself, so over
-    # the aba = b closure from ba to 1,000 vertices the one spell is
-    # from_word's chain of the start word; a spell per site made it 500.
+    # the aba = b closure from ba to 1,000 vertices the only links are
+    # from_word's two for the start word's chain, 0 -b-> 1 -a-> 2; a call
+    # per sewn edge would make 1,497 more.
     calls = []
-    spell = GraphBuilder.spell
+    link = GraphBuilder.link
 
     def counted(self, *args):
         calls.append(args)
-        return spell(self, *args)
+        return link(self, *args)
 
-    monkeypatch.setattr(GraphBuilder, "spell", counted)
+    monkeypatch.setattr(GraphBuilder, "link", counted)
     p = parse_presentation("X: a b\nR: aba = b\n")
     result = schutzenberger_automaton(parse_word("ba", p.alphabet), p, Budget(1000, 1000))
     assert (result.rounds, result.vertex_history[-1]) == (499, 1001)
-    assert calls == [(0, [2, 0])]
+    assert calls == [(0, 2, 1), (1, 0, 2)]
 
 
 def test_last_vertex_count_is_the_graph_size():

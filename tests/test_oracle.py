@@ -16,7 +16,7 @@ from stephen_kit import (
     decide_equal,
     schutzenberger_automaton,
 )
-from stephen_kit.word_graph import fold, linear_graph
+from stephen_kit.word_graph import fold
 from oracle import (
     _flat_adjacency,
     _flat_find_site,
@@ -26,7 +26,7 @@ from oracle import (
     brute_force_equal,
     munn_tree,
 )
-from support import CASE1, COMM, isomorphic, pos, w
+from support import CASE1, COMM, isomorphic, linear_graph, pos, w
 
 
 signed_words = st.builds(

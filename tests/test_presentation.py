@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stephen_kit import (
+    Answer,
     OverlapCase,
     CertificateBasis,
     FinitenessVerdict,
@@ -12,6 +13,7 @@ from stephen_kit import (
     Word,
     classify_finiteness,
     count_r_word_occurrences,
+    decide_equal,
     is_adian,
     overlap_profile,
     parse_presentation,
@@ -183,6 +185,25 @@ def test_presentation_invariants():
         Presentation(("a",), ((pos("ab"), pos("a")),))
     with pytest.raises(ValueError, match="identical"):
         Presentation(("a", "b"), ((pos("ab"), pos("ab")),))
+
+
+def test_records_keep_any_iterable_as_tuples():
+    # The checks spend a generator, so a record keeps its input as a tuple
+    # first; kept spent, the relation is lost and ab = ba reads as a wrong
+    # no.  A list would make the record unequal to its tuple form and
+    # unhashable.
+    ab, ba = pos("ab"), pos("ba")
+    p = Presentation((x for x in "ab"), ((u, v) for u, v in [(ab, ba)]))
+    assert p == COMM and hash(p) == hash(COMM)
+    assert decide_equal(ab, ba, p).answer is Answer.YES
+    assert list(Word(x for x in ab.letters)) == list(ab)
+    listed = Presentation(["a", "b"], [(ab, ba)])
+    assert listed == COMM and hash(listed) == hash(COMM)
+    assert Word(list(ab.letters)) == ab and hash(Word(list(ab.letters))) == hash(ab)
+    with pytest.raises(ValueError, match="identical"):
+        Presentation(("a", "b"), (pair for pair in [(ab, ab)]))
+    with pytest.raises(ValueError, match="bad signed letter"):
+        Word(x for x in [("a", 1), ("b", 0)])
 
 
 @pytest.mark.parametrize(

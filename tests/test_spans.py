@@ -9,7 +9,7 @@ from pathlib import Path
 
 import stephen_kit
 from stephen_kit import Answer, engine, word_graph
-from support import COMM, pos, w
+from support import COMM, linear_graph, pos, w
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -31,7 +31,7 @@ def test_tracer_counts_every_layer():
         result = stephen_kit.schutzenberger_automaton(pos("ab"), COMM)
         assert (c["engine.closures"], c["engine.rounds"]) == (1, result.rounds) == (1, 1)
         assert (c["word_graph.freeze_calls"], c["word_graph.freeze_vertices"]) == (1, 4)
-        word_graph.fold(word_graph.linear_graph(w("aa^")))
+        word_graph.fold(linear_graph(w("aa^")))
         assert c["word_graph.fold_merges"] == result.fold_events + 1
         assert c["word_graph.from_graph_vertices"] == 3
         verdict = stephen_kit.decide_equal(pos("ab"), pos("ba"), COMM)
@@ -39,7 +39,7 @@ def test_tracer_counts_every_layer():
         assert (c["decision.queries"], c["decision.closures"]) == (1, 2)
         assert tracer.decided["eq"]["yes"] == 1
         assert c["word_graph.accept_calls"] == 2
-        sites = engine.find_expansions(word_graph.linear_graph(pos("ab")), COMM)
+        sites = engine.find_expansions(linear_graph(pos("ab")), COMM)
         assert (c["engine.sites_found"], c["engine.scan_vertices"]) == (len(sites), 3) == (1, 3)
     finally:
         tracer.uninstall()

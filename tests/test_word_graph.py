@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from collections import defaultdict
 from itertools import chain
 
@@ -7,14 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from stephen_kit import BirootedGraph, Word, schutzenberger_automaton
 from stephen_kit.engine import close
-from stephen_kit.word_graph import GraphBuilder, fold, linear_graph
+from stephen_kit.word_graph import GraphBuilder, fold
 from support import (
     FREE2,
     assert_builder_consistent,
     isomorphic,
+    linear_graph,
     multigraphs,
+    new_vertex,
     pos,
+    random_signed_word,
     reversed_ids,
+    spell,
     w,
 )
 
@@ -125,14 +131,14 @@ def test_gaps_in_vertex_ids_are_kept():
     }
     assert g.canonical_key() == BirootedGraph(0, 1, [(0, "a", 1), (1, "b", 2)]).canonical_key()
     b = GraphBuilder.from_graph(g)
-    assert b.vertex_count() == 3 and b.new_vertex() == 10
+    assert b.vertex_count() == 3 and new_vertex(b) == 10
     folded = fold(BirootedGraph(5, 8, [(5, "a", 8), (9, "a", 8)]))
     assert folded.vertices == {5, 8} and folded.walk(5, pos("a")) == 8
 
 
 def test_disconnected_builder_rejected_on_freeze():
     b = GraphBuilder.from_word(pos("ab"))
-    b.link(b.new_vertex(), b.codes["a"], b.new_vertex())
+    b.link(new_vertex(b), b.codes["a"], new_vertex(b))
     with pytest.raises(ValueError, match="not connected"):
         b.freeze()
 
@@ -164,6 +170,50 @@ def test_unfolded_builder_freezes_every_linked_edge():
     assert b.freeze().edges == edges and (b.alpha, b.beta) == roots
     assert b.vertex_count() == 4
     assert_builder_consistent(b)
+
+
+def _layout(b: GraphBuilder):
+    return b._rows, b._pending, b.log, b.alpha, b.beta, b.letters
+
+
+def test_from_word_keeps_the_spelled_layout():
+    # from_word links its chain one step at a time; the reference spells
+    # the same chain through the test-side speller, and the raw rows,
+    # pending list and log must match, backtracking words included.
+    def spelled(word, letters=None):
+        b = GraphBuilder({x for x, _ in word.letters} if letters is None else letters)
+        b.beta = spell(b, new_vertex(b), word.letters)
+        return b
+
+    rng = random.Random(22)
+    words = [Word(), w("aa^"), w("a^ab"), w("ab^ba^a"), w("b^b^bb")]
+    words += [random_signed_word(rng, "abc", 8) for _ in range(300)]
+    for word in words:
+        assert _layout(GraphBuilder.from_word(word)) == _layout(spelled(word))
+        wider = ("a", "b", "c", "d")
+        assert _layout(GraphBuilder.from_word(word, wider)) == _layout(spelled(word, wider))
+    assert GraphBuilder.from_word(w("aa^")).log == [(0, 0, 1, None)]
+    assert GraphBuilder.from_word(w("aa^"))._pending == [(1, 1, 2)]
+    assert _layout(GraphBuilder.from_word(Word(), "b")) == ([[None, None]], [], [], 0, 0, ("b",))
+    with pytest.raises(KeyError):
+        GraphBuilder.from_word(pos("ab"), "a")
+
+
+def test_link_places_pends_or_skips():
+    b = GraphBuilder.from_word(pos("ab"))
+    a, b_ = b.codes["a"], b.codes["b"]
+    layout = copy.deepcopy(_layout(b))
+    b.link(0, a, 1)  # already there: nothing is placed, pended or logged
+    b.link(1, a ^ 1, 0)  # the same edge read backwards
+    assert _layout(b) == layout
+    b.link(0, a, 2)  # the slot at the source holds 1
+    b.link(2, a, 1)  # the slot at the target holds 0
+    b.link(2, b_ ^ 1, 0)  # an inverse step: the b^ slot at 2 holds 1
+    assert b._pending == [(0, a, 2), (2, a, 1), (2, b_ ^ 1, 0)]
+    assert b._rows == layout[0] and b.log == layout[2]
+    b.link(2, a, 0)  # both slots free: placed and logged
+    assert b._rows[2][a] == 0 and b._rows[0][a ^ 1] == 2
+    assert b.log[-1] == (2, a, 0, None)
 
 
 def test_handed_unfolded_builder_equals_its_freeze():
