@@ -369,7 +369,7 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
         if history[-1] > max_vertices:
             break
     status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
-    graph = BirootedGraph(b.alpha, b.beta, b)
+    graph = BirootedGraph(b)
     return ClosureResult(status, graph, rounds, fold_events, tuple(history))
 
 

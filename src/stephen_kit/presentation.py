@@ -43,6 +43,11 @@ class PresentationError(ValueError):
 _set = object.__setattr__
 
 
+def _tuples(items: tuple) -> tuple:
+    """items with each item a tuple: items itself when each is one already."""
+    return items if all(isinstance(item, tuple) for item in items) else tuple(map(tuple, items))
+
+
 class _Record:
     """Value semantics of a frozen dataclass, from the fields in __match_args__.
 
@@ -111,7 +116,8 @@ class Word(_Record):
     """A word over X and the inverse letters, as (letter, sign) pairs.
 
     Signs are +1 or -1; a word is positive when every sign is +1.  The
-    letters may come from any iterable and are kept as a tuple.
+    letters, and each signed letter, may come from any iterable and are
+    kept as tuples.
     """
 
     __slots__ = __match_args__ = ("letters",)
@@ -121,7 +127,7 @@ class Word(_Record):
         for item in letters:
             if len(item) != 2 or not item[0] or item[1] not in (1, -1):
                 raise ValueError(f"bad signed letter {item!r}")
-        _set(self, "letters", letters)
+        _set(self, "letters", _tuples(letters))
 
     @property
     def is_positive(self) -> bool:
@@ -234,8 +240,8 @@ class Presentation(_Record):
     _steps caches the engine's compiles of the relations into step codes,
     one per set of start letters, made on the first closure from those
     letters, and _known holds the alphabet as a frozenset for check_word;
-    neither is a field.  The alphabet and the relations may come from any
-    iterables and are kept as tuples.
+    neither is a field.  The alphabet, the relations and each relation's
+    pair of sides may come from any iterables and are kept as tuples.
     """
 
     __slots__ = ("alphabet", "relations", "_steps", "_known")
@@ -249,7 +255,7 @@ class Presentation(_Record):
         known = _check_alphabet(alphabet)
         for lhs, rhs in relations:
             _check_relation(lhs, rhs, known)
-        self._adopt(alphabet, relations, known)
+        self._adopt(alphabet, _tuples(relations), known)
 
     def _adopt(
         self, alphabet: tuple[Letter, ...], relations: tuple, known: frozenset

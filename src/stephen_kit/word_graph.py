@@ -7,17 +7,17 @@ codes.  Letter i of the graph's letters, in sorted order, is step 2i and
 its inverse is step 2i + 1, so the inverse of step c is c ^ 1 and code
 order is the canonical order of steps: by letter, positive first.  The
 rows are a list indexed by vertex id, with None for an id that names no
-vertex (one removed by a merge, or a gap in a caller's ids).  A vertex's
-row is a list of 2|X| targets, X the graph's letters, with None where it
-has no edge: an edge p -x-> q sets rows[p][2i] = q and
-rows[q][2i + 1] = p.  A walk along a signed word encodes each letter once
-and reads one slot per step.  A frozen graph decodes codes back to
-letters, numbers its vertices in the canonical breadth-first order and
-lists its edges only when first asked.  Folding (determination) merges
-the endpoints of equally labeled edges leaving one vertex until the
-graph is deterministic; the result is a quotient of the input and,
-because folding is confluent, it is independent of the merge order up
-to root-respecting isomorphism.
+vertex (one removed by a merge, kept as a gap when a graph's edges are
+linked again).  A vertex's row is a list of 2|X| targets, X the graph's
+letters, with None where it has no edge: an edge p -x-> q sets
+rows[p][2i] = q and rows[q][2i + 1] = p.  A walk along a signed word
+encodes each letter once and reads one slot per step.  A frozen graph
+decodes codes back to letters, numbers its vertices in the canonical
+breadth-first order and lists its edges only when first asked.  Folding
+(determination) merges the endpoints of equally labeled edges leaving
+one vertex until the graph is deterministic; the result is a quotient
+of the input and, because folding is confluent, it is independent of
+the merge order up to root-respecting isomorphism.
 
 A row has room for one target per step.  An edge whose slot, at either
 end, already holds another target is kept aside in a pending list; a
@@ -34,20 +34,17 @@ mutated and is safe to share between readers.  GraphBuilder does the two
 things Stephen's procedure does to a graph, linking edges and folding,
 on its rows and pending list, its only record of the graph.
 
-A graph is made one way: its edges are linked into a GraphBuilder, and
-the graph adopts the builder's rows, letters and pending list, which
-spends the builder, with no rows left that a later link could change.
-Edge triples, from a caller or from GraphBuilder.freeze() of a builder
-that goes on growing, are linked into a new builder over the sorted
-letters they use, under their own vertex ids (a repeated triple is one
-edge), and checked: the canonical breadth-first order from alpha, which
-such a graph computes at once and keeps, must reach every vertex.
-close and fold(g) hand over their own builder, folded or not, and the
-graph is deterministic when nothing is pending.  Such a builder needs no
-check, because it is connected by construction: from_word links a
-connected chain, from_graph links a checked graph's edges, close sews
-each chain between existing vertices, link adds no vertex, and a merge
-keeps the graph connected.
+A graph is made one way, from a GraphBuilder: BirootedGraph(b) adopts
+b's roots, rows, letters and pending list, which spends b, with no rows
+left that a later link could change.  close and fold(g) hand over their
+own builder, folded or not, and GraphBuilder.freeze() of a builder that
+goes on growing hands over a new one, its edge triples linked under
+their own vertex ids over the sorted letters they use.  The graph is
+deterministic when nothing is pending.  No graph is checked, because
+every builder is connected by construction: from_word links a connected
+chain, from_graph links a graph's edges, close sews each chain between
+existing vertices, link adds no vertex, and a merge keeps the graph
+connected.
 """
 
 from __future__ import annotations
@@ -108,26 +105,20 @@ def _bfs(rows: Rows, pending: Iterable, alpha: int) -> tuple[int, ...]:
 class BirootedGraph:
     """A finite birooted inverse word graph with roots alpha and beta.
 
-    Every vertex must be reachable from alpha through the underlying
-    undirected edge set; this is validated when the graph is built from
-    edge triples, and a handed-over builder guarantees it.
+    It is made from a GraphBuilder, whose construction keeps every vertex
+    reachable from alpha through the underlying undirected edge set (see
+    the module docstring).
     """
 
-    def __init__(self, alpha: int, beta: int, edges: Iterable[Edge] | GraphBuilder):
-        """Build from (s, x, t) triples, which are linked into a new builder
-        and checked, or from a GraphBuilder, folded or not, which is handed
-        over unchecked (see the module docstring).  The graph adopts the
-        builder's rows and the builder is spent.  Vertices and edges are
-        listed when first read, and so is a handed builder's canonical order.
+    def __init__(self, b: GraphBuilder):
+        """Adopt b's roots, letters, rows and pending list, folded or not,
+        which spends b.  Vertices, edges and the canonical order are listed
+        when first read.
         """
-        self.alpha = alpha
-        self.beta = beta
-        b = edges if isinstance(edges, GraphBuilder) else _linked(alpha, beta, edges)
+        self.alpha, self.beta = b.alpha, b.beta
         self._letters, self._codes = b.letters, b.codes
         self._rows: Rows = b._rows
         self._pending: list[tuple[int, int, int]] = b._pending
-        if b is not edges and len(self._order) != b.vertex_count():
-            raise ValueError("graph is not connected from alpha")
         b._rows = b._pending = b.log = None
         self.is_deterministic = not self._pending
 
@@ -231,11 +222,10 @@ def _linked(
     vertex ids, over the sorted union of letters and the triples' letters,
     with roots alpha and beta and every placed edge logged.  The rows run
     to the largest id, and an id below it that no triple or root names is
-    a removed vertex; a negative id is refused with ValueError."""
+    a removed vertex.  Every caller passes a graph's or a builder's own
+    ids, so none is negative."""
     edges = list(edges)
     ids = {alpha, beta}.union(*[(s, t) for s, _, t in edges])
-    if min(ids) < 0:
-        raise ValueError(f"negative vertex id {min(ids)}")
     b = GraphBuilder({x for _, x, _ in edges}.union(letters))
     rows, width = b._rows, 2 * len(b.letters)
     rows.extend([None] * (max(ids) + 1))
@@ -379,11 +369,11 @@ class GraphBuilder:
         return len(forward)
 
     def freeze(self) -> BirootedGraph:
-        """A checked graph built from the builder's edge triples, pending
-        ones included, so an unfolded builder gives a non-deterministic
-        graph; the builder stays usable, and what it does next does not
-        reach the graph."""
-        return BirootedGraph(self.alpha, self.beta, _edges(self._rows, self._pending, self.letters))
+        """A graph handed a new builder linked from this one's edge triples,
+        pending ones included, over the letters they use, so an unfolded
+        builder gives a non-deterministic graph; this builder stays usable,
+        and what it does next does not reach the graph."""
+        return BirootedGraph(_linked(self.alpha, self.beta, _edges(self._rows, self._pending, self.letters)))
 
 
 def fold(g: BirootedGraph) -> BirootedGraph:
@@ -392,4 +382,4 @@ def fold(g: BirootedGraph) -> BirootedGraph:
     folded builder is handed over, not copied."""
     b = GraphBuilder.from_graph(g)
     b.fold()
-    return BirootedGraph(b.alpha, b.beta, b)
+    return BirootedGraph(b)

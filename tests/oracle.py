@@ -16,6 +16,7 @@ from typing import NamedTuple
 from stephen_kit.decision import Answer
 from stephen_kit.presentation import Presentation, Word
 from stephen_kit.word_graph import BirootedGraph
+from support import graph
 
 
 def munn_tree(w: Word) -> BirootedGraph:
@@ -42,7 +43,7 @@ def munn_tree(w: Word) -> BirootedGraph:
             behind[step][x] = current
         current = step
     edges = [(v, x, t) for v, table in forward.items() for x, t in table.items()]
-    return BirootedGraph(0, current, edges)
+    return graph(0, current, edges)
 
 
 class BruteClosure(NamedTuple):

@@ -37,14 +37,31 @@ SUBWORD = Presentation(("a", "b"), ((pos("aba"), pos("b")),))
 FREE2 = Presentation(("a", "b"), ())
 
 
+def graph(alpha: int, beta: int, edges) -> BirootedGraph:
+    """The graph of the (s, x, t) triples with roots alpha and beta, under
+    their own vertex ids and over the sorted letters they use; a repeated
+    triple is one edge.
+
+    A negative id, which would index the rows from their end, and a vertex
+    that alpha does not reach are refused with ValueError.
+    """
+    edges = list(edges)
+    low = min({alpha, beta}.union(*[(s, t) for s, _, t in edges]))
+    if low < 0:
+        raise ValueError(f"negative vertex id {low}")
+    g = BirootedGraph(_linked(alpha, beta, edges))
+    if len(g.bfs_order()) != len(g.vertices):
+        raise ValueError("graph is not connected from alpha")
+    return g
+
+
 def linear_graph(word: Word) -> BirootedGraph:
     """The chain-shaped graph spelling word from alpha to beta, unfolded.
 
     A negative letter contributes the positive orientation reversed.  The
     empty word yields the single-vertex graph with alpha = beta.
     """
-    b = GraphBuilder.from_word(word)
-    return BirootedGraph(b.alpha, b.beta, b)
+    return BirootedGraph(GraphBuilder.from_word(word))
 
 
 def new_vertex(b: GraphBuilder) -> int:
@@ -79,7 +96,7 @@ def reversed_ids(g: BirootedGraph) -> BirootedGraph:
     """
     top = max(g.vertices)
     edges = [(top - s, x, top - t) for s, x, t in g.edges]
-    return BirootedGraph(top - g.alpha, top - g.beta, edges)
+    return graph(top - g.alpha, top - g.beta, edges)
 
 
 @st.composite
@@ -92,7 +109,7 @@ def multigraphs(draw):
         u, x = draw(st.integers(0, v - 1)), draw(st.sampled_from("ab"))
         edges.append((u, x, v) if draw(st.booleans()) else (v, x, u))
     edges += draw(st.lists(st.tuples(vertex, st.sampled_from("ab"), vertex), max_size=8))
-    return BirootedGraph(0, draw(vertex), edges)
+    return graph(0, draw(vertex), edges)
 
 
 def random_positive_word(rng, alphabet: str, max_len: int, min_len: int = 1) -> Word:
@@ -154,7 +171,7 @@ def assert_builder_consistent(b: GraphBuilder) -> None:
     through its public walk without spending b; the graph is dropped
     before b changes again.
     """
-    view = BirootedGraph(b.alpha, b.beta, copy.copy(b))
+    view = BirootedGraph(copy.copy(b))
     live = view.vertices
     assert b.alpha in live and b.beta in live
     for s, c, t, _ in b.log:

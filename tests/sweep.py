@@ -9,11 +9,11 @@ so two versions of the package that differ only in how they number
 vertices print the same lines.  Sites print as (read side, sewn side,
 start index, end index).  It uses the public API, three functions of
 the package's modules (close, find_expansions, fold), the builder's
-from_word and from_graph, and linear_graph from tests/support.py, so the
-same script runs against another checkout that has them:
+from_word and from_graph, and linear_graph from tests/support.py.  A
+change may move these names, so each checkout runs its own script:
 
     PYTHONPATH=src python tests/sweep.py > new.txt
-    PYTHONPATH=/path/to/other/checkout/src python tests/sweep.py > old.txt
+    (cd /path/to/other/checkout && PYTHONPATH=src python tests/sweep.py) > old.txt
     diff old.txt new.txt
 """
 

@@ -30,6 +30,7 @@ from support import (
     assert_builder_consistent,
     elementary_expansion,
     full_p_expansion,
+    graph,
     isomorphic,
     linear_graph,
     multigraphs,
@@ -103,7 +104,7 @@ def test_elementary_expansion_invalid_site():
 
 def test_elementary_expansion_stale_site():
     # Both sides already join 0 to 2, so the site is stale.
-    g = BirootedGraph(0, 2, [(0, "a", 1), (1, "b", 2), (0, "b", 3), (3, "a", 2)])
+    g = graph(0, 2, [(0, "a", 1), (1, "b", 2), (0, "b", 3), (3, "a", 2)])
     with pytest.raises(StaleSiteError):
         elementary_expansion(g, (0, 2, (AB, BA)))
 
@@ -357,7 +358,7 @@ def test_alphabet_declaration_order_does_not_change_closures(declared, in_order,
         assert one.graph.to_json() == two.graph.to_json()
         assert one.graph.to_dot() == two.graph.to_dot()
         assert one.graph.canonical_key() == two.graph.canonical_key()
-        rebuilt = BirootedGraph(one.graph.alpha, one.graph.beta, one.graph.edges)
+        rebuilt = graph(one.graph.alpha, one.graph.beta, one.graph.edges)
         assert rebuilt.to_json() == one.graph.to_json()
 
 
@@ -491,7 +492,7 @@ def assert_same_as_rebuilt(g: BirootedGraph) -> None:
     # The triples' order is not read, and a repeated triple is one edge.
     edges = list(g.edges)
     for triples in (edges, edges[::-1] + edges[:1]):
-        rebuilt = BirootedGraph(g.alpha, g.beta, triples)
+        rebuilt = graph(g.alpha, g.beta, triples)
         assert "edges" not in vars(rebuilt)
         assert rebuilt.edges == g.edges
         assert rebuilt.vertices == g.vertices
@@ -503,9 +504,9 @@ def assert_same_as_rebuilt(g: BirootedGraph) -> None:
 
 
 def test_frozen_graphs_equal_graphs_rebuilt_from_their_edges():
-    # A frozen graph copies its builder's adjacency, the public constructor
-    # puts edge triples into a table of that form, and either lists its
-    # edges only when they are read.
+    # A frozen graph copies its builder's adjacency, graph() links edge
+    # triples into a builder of that form, and either lists its edges only
+    # when they are read.
     rng = random.Random(11)
     nondeterministic = 0
     for _ in range(300):
@@ -530,7 +531,7 @@ def test_folded_multigraphs_equal_graphs_rebuilt_from_their_edges(g):
     # inputs with self-loops and parallel edges.
     assert_same_as_rebuilt(g)
     assert_same_as_rebuilt(fold(g))
-    handed = BirootedGraph(g.alpha, g.beta, GraphBuilder.from_graph(g))
+    handed = BirootedGraph(GraphBuilder.from_graph(g))
     assert handed.edges == g.edges
     assert_same_as_rebuilt(handed)
 
@@ -624,9 +625,9 @@ def test_spent_builder_cannot_reach_its_graph(monkeypatch):
 
     def closed():
         b = GraphBuilder.from_word(pos("ab"))
-        graph = close(b, COMM).graph
+        g = close(b, COMM).graph
         assert spent(b)
-        return b, graph
+        return b, g
 
     def folded():
         g = fold(linear_graph(w("aa^b")))
@@ -635,9 +636,9 @@ def test_spent_builder_cannot_reach_its_graph(monkeypatch):
 
     def relinked():
         b = GraphBuilder.from_word(pos("aba"))
-        graph = close(b, CASE1).graph
+        g = close(b, CASE1).graph
         assert builders[-1] is not b and spent(builders[-1]) and not spent(b)
-        return b, graph
+        return b, g
 
     grow = (
         lambda b, g: b.link(g.alpha, b.codes["b"], g.beta),
@@ -648,16 +649,16 @@ def test_spent_builder_cannot_reach_its_graph(monkeypatch):
     for spend in (closed, folded, relinked):
         _, reference = spend()
         for attempt in grow:
-            b, graph = spend()
+            b, g = spend()
             try:
-                attempt(b, graph)
+                attempt(b, g)
                 grown += 1
             except TypeError:  # a spent builder has no rows
                 pass
-            assert graph.edges == reference.edges
-            assert graph.vertices == reference.vertices
-            assert graph.to_json() == reference.to_json()
-            assert graph.canonical_key() == reference.canonical_key()
+            assert g.edges == reference.edges
+            assert g.vertices == reference.vertices
+            assert g.to_json() == reference.to_json()
+            assert g.canonical_key() == reference.canonical_key()
     assert grown == len(grow)  # only the builder linked again grows
     # linear_graph hands over the chain it spelled, and freeze a builder
     # of the triples it lists, while the frozen builder goes on.

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from stephen_kit import (
     Answer,
-    BirootedGraph,
     Budget,
     Presentation,
     Status,
@@ -26,7 +25,7 @@ from oracle import (
     brute_force_equal,
     munn_tree,
 )
-from support import CASE1, COMM, isomorphic, linear_graph, pos, w
+from support import CASE1, COMM, graph, isomorphic, linear_graph, pos, w
 
 
 signed_words = st.builds(
@@ -158,7 +157,7 @@ def test_engine_matches_brute_force_on_random_presentations(case):
         if brute.closed:
             assert_closed_graph_invariants(brute.edges, brute.alpha, brute.beta, p, word)
         if result.status is Status.CLOSED and brute.closed:
-            reference = BirootedGraph(brute.alpha, brute.beta, brute.edges)
+            reference = graph(brute.alpha, brute.beta, brute.edges)
             assert g.canonical_key() == reference.canonical_key()
         else:
             closed = False

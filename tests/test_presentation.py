@@ -190,8 +190,9 @@ def test_presentation_invariants():
 def test_records_keep_any_iterable_as_tuples():
     # The checks spend a generator, so a record keeps its input as a tuple
     # first; kept spent, the relation is lost and ab = ba reads as a wrong
-    # no.  A list would make the record unequal to its tuple form and
-    # unhashable.
+    # no.  A list, outside or as a signed letter or a relation, would make
+    # the record unequal to its tuple form and unhashable.  Tuple input is
+    # kept as it is.
     ab, ba = pos("ab"), pos("ba")
     p = Presentation((x for x in "ab"), ((u, v) for u, v in [(ab, ba)]))
     assert p == COMM and hash(p) == hash(COMM)
@@ -200,6 +201,16 @@ def test_records_keep_any_iterable_as_tuples():
     listed = Presentation(["a", "b"], [(ab, ba)])
     assert listed == COMM and hash(listed) == hash(COMM)
     assert Word(list(ab.letters)) == ab and hash(Word(list(ab.letters))) == hash(ab)
+    listed = Word([["a", 1], ["b", 1]])
+    assert listed == ab and hash(listed) == hash(ab)
+    assert listed.letters == (("a", 1), ("b", 1))
+    listed = Presentation(("a", "b"), [[ab, ba]])
+    assert listed == COMM and hash(listed) == hash(COMM)
+    assert listed.relations == ((ab, ba),)
+    assert decide_equal(ab, ba, listed).answer is Answer.YES
+    letters, relations, mixed = (("a", 1),), ((ab, ba),), [("a", 1), ["b", -1]]
+    assert Word(letters).letters is letters and Word(mixed).letters[0] is mixed[0]
+    assert Presentation(("a", "b"), relations).relations is relations
     with pytest.raises(ValueError, match="identical"):
         Presentation(("a", "b"), (pair for pair in [(ab, ab)]))
     with pytest.raises(ValueError, match="bad signed letter"):

@@ -14,7 +14,6 @@ import pytest
 
 from stephen_kit import (
     Answer,
-    BirootedGraph,
     Budget,
     CertificateBasis,
     ClosureResult,
@@ -27,9 +26,9 @@ from stephen_kit import (
     Verdict,
     Word,
 )
-from support import COMM, SUBWORD, pos
+from support import COMM, SUBWORD, graph, pos
 
-G = BirootedGraph(0, 1, [(0, "a", 1)])
+G = graph(0, 1, [(0, "a", 1)])
 
 # class, field names, field values, the values with one field changed
 RECORDS = [
