@@ -104,8 +104,17 @@ def cmd_count_r(args, p: Presentation, w: Word) -> tuple[int, str]:
     return EXIT_OK, str(count)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ValueError, so main reports them
+    on one line and returns EXIT_ERROR as it does every other error;
+    --help still exits through SystemExit.  Subparsers take its class."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stephen-kit",
         description="Schützenberger automata and word-problem decisions "
         "for inverse semigroup presentations.",
@@ -158,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # utf-8-sig drops the byte-order mark some editors write first.
         with open(args.presentation, encoding="utf-8-sig") as f:
             p = parse_presentation(f.read())

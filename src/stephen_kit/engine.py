@@ -9,8 +9,8 @@ start word (any closed endpoint is the automaton); budgets bound the loop
 because the fixpoint can be an infinite graph.  A site is the tuple
 (v1, v2, (read, sew)) of the two vertices and the side read and the side
 sewn; find_expansions reports the sites of a graph with the sides as
-signed letters, close carries them as step codes, with a third member
-settles (see below): (v1, v2, (read, sew, settles)).
+signed letters, close carries them as step codes, with the sewn side's
+links (see below): (v1, v2, (read, sew, first, inner, last)).
 
 A closure's letters are the start letters plus the sewn side's letters
 of every check whose read letters are all among them, repeated to a
@@ -49,16 +49,20 @@ the path's start.
 
 An edge of a sewn chain settles one deduction of its own, and the scan
 skips that one for it.  When check i = (read, sew) is sewn at (start,
-end), the edge that close places at position k of the chain is logged
-with the entry of check i ^ 1 (the same relation read the other way, so
-its read side is this sew) for position k.  While that log entry is live
+end), the edge that close places at position k of the chain settles the
+entry of check i ^ 1 (the same relation read the other way, so its read
+side is this sew) for position k.  While that edge's log entry is live
 its ends keep their ids and the folded graph is deterministic, so the
 walk back from the edge by sew[:k] reaches what start became, and the
 walk on by sew[k + 1:] reaches what end became; read still labels a
 path between those two, because sewing and folding never destroy a
-path, so the entry's walk can find no site.  An edge that a fold moved
-or placed, and every edge a builder logged as it was made, settles
-nothing and is walked against every entry of its letter.
+path, so the entry's walk can find no site.  The compile leaves it out
+once and for all: position k of check i's sewn side is a link (c,
+walks), c the step sewn there and walks every entry of c's table list
+but the settled one, and close logs the chain edge with those walks.
+An edge that a fold moved or placed, and every edge a builder logged as
+it was made, settles nothing: it is logged with None and walked against
+every entry of its letter.
 
 A round sews every site found at its start.  Folding is confluent, and a
 chain sewn beside a path with the same label folds onto that path, so
@@ -67,13 +71,14 @@ count, and a site that earlier sewing in the round made readable leaves
 the graph as it would be without that site.
 
 close's loop sews each round's chains straight into the builder's rows
-and folds only when an edge pends.  It appends a row for each inner
-vertex of a chain, in order, and places each edge by GraphBuilder.link's
-rule, but logs a chain edge with the deduction it settles.  Every vertex
-inside a chain is new and a sewn side is positive, so its slot for the
-next step is free and its row is made with the step back already linked;
-only the chain's first step, at the site's start, and its last, at the
-site's end, can find a slot taken.
+and folds only when an edge pends.  It reads a chain from the check's
+links, appends a row for each inner vertex of it, in order, each a copy
+of one blank row, and places each edge by GraphBuilder.link's rule, but
+logs a chain edge with its link's walks.  Every vertex inside a chain is
+new and a sewn side is positive, so its slot for the next step is free
+and its row is made with the step back already linked; only the chain's
+first step, at the site's start, and its last, at the site's end, can
+find a slot taken.
 """
 
 from __future__ import annotations
@@ -156,8 +161,10 @@ class ClosureResult(_MutableRecord):
 Letters = tuple[tuple[str, int], ...]
 Check = tuple[Letters, Letters]
 Codes = tuple[int, ...]
-Sewable = tuple[Codes, Codes, list]  # (read, sew, settles), settles a list of Deductions
-Deduction = tuple[int, Codes, Codes, Sewable]
+Link = tuple[int, list]  # (c, walks): the step sewn and the Deductions its edge walks
+# (read, sew, first, inner, last): a check and the links of its sewn side
+Sewable = tuple[Codes, Codes, Link, tuple[Link, ...], Link | None]
+Deduction = tuple[int, Codes, Codes, Codes, Sewable]  # (i, back, rest, sew, check)
 Steps = tuple[tuple[str, ...], list[list[Deduction]]]
 Site = tuple[int, int, Sewable]
 
@@ -182,12 +189,16 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
     Relation sides are positive, so the table is indexed by positive step
     code: table[c] lists, for each such check, i its index in _checks
     order, and each position k at which its read side holds c, the entry
-    (i, back, rest, check), where back walks back over the read steps
-    before k and rest reads those after it.  A check is (read, sew,
-    settles): settles[k] is the entry of check i ^ 1 for position k, the
-    one that the chain edge sewn at position k settles (see the module
-    docstring).  Check i ^ 1 reads only the closure's letters whenever
-    check i does, since its read side is check i's sewn side.
+    (i, back, rest, sew, check), where back walks back over the read
+    steps before k, rest reads those after it and sew is the check's sewn
+    side.  A check is (read, sew, first, inner, last), the links of its
+    sewn side: first for position 0, inner a tuple for positions 1 to
+    L - 2 and last for position L - 1, or None when the side is one step.
+    The link (c, walks) at position k holds the step code there and
+    table[c] without the entry of check i ^ 1 for position k, by
+    identity, the one that the chain edge sewn there settles (see the
+    module docstring).  Check i ^ 1 reads only the closure's letters
+    whenever check i does, since its read side is check i's sewn side.
     """
     steps = p._steps.get(start)
     if steps is None:
@@ -205,21 +216,25 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
                     grown = True
         letters, codes = _step_codes(used)
         table = [[] for _ in range(2 * len(letters))]
-        entries = {}  # i: check i and its entries, by read position
+        entries, links = {}, {}  # i: check i's entries and its links, by position
         for i, (read, sew) in enumerate(pairs):
             if all(x in codes for x, _ in read):
                 read = tuple([codes[x] for x, _ in read])
-                check = read, tuple([codes[x] for x, _ in sew]), []
-                entries[i] = check, []
+                sew = tuple([codes[x] for x, _ in sew])
+                sewn = links[i] = [(c, []) for c in sew]
+                last = sewn[-1] if len(sewn) > 1 else None
+                check = read, sew, sewn[0], tuple(sewn[1:-1]), last
+                entries[i] = []
                 for k, c in enumerate(read):
                     back = tuple([d ^ 1 for d in reversed(read[:k])])
-                    entry = i, back, read[k + 1 :], check
-                    entries[i][1].append(entry)
+                    entry = i, back, read[k + 1 :], sew, check
+                    entries[i].append(entry)
                     table[c].append(entry)
-        # The one mutable step: check i's settles are entries of check
-        # i ^ 1, which hold check i ^ 1, whose settles are entries of check i.
-        for i, (check, _) in entries.items():
-            check[2].extend(entries[i ^ 1][1])
+        # The one mutable step: check i's walks leave out entries of check
+        # i ^ 1, which hold check i ^ 1, whose walks leave out entries of i.
+        for i, sewn in links.items():
+            for (c, walks), settled in zip(sewn, entries[i ^ 1]):
+                walks.extend([entry for entry in table[c] if entry is not settled])
         steps = p._steps[start] = p._steps[letters] = (letters, table)
     return steps
 
@@ -230,23 +245,24 @@ def _deduced(rows: list, log: list, table: list[list[Deduction]]) -> list[Site]:
     every edge the builder placed, as after close's first fold, or every
     edge the last round placed (see the module docstring).
 
-    An entry is live while its source is a vertex whose slot still names
-    its target; a merge that moved the edge logged it again.  An edge
-    logged against its letter is turned round to read forward.  A live
-    entry skips the deduction it settles, whose walk finds no site.  Only
-    sites are keyed for the once: a walk that finds none finds none again.
+    A log entry (s, c, t, walks) is live while s is a vertex whose slot
+    still names t; a merge that moved the edge logged it again.  A sewn
+    chain edge carries its link's walks, which leave out the deduction it
+    settles, whose walk finds no site.  Any other edge is logged with
+    None: it is turned round to read forward when logged against its
+    letter, and walks every entry of table[c].  Only sites are keyed for
+    the once: a walk that finds none finds none again.
     """
     sites, seen = [], set()
-    for s, c, t, settled in log:
+    for s, c, t, walks in log:
         row = rows[s]
         if row is None or row[c] != t:
             continue
-        if c & 1:
-            s, c, t = t, c ^ 1, s
-        for entry in table[c]:
-            if entry is settled:
-                continue
-            i, back, rest, check = entry
+        if walks is None:
+            if c & 1:
+                s, c, t = t, c ^ 1, s
+            walks = table[c]
+        for i, back, rest, sew, check in walks:
             start = s
             for d in back:
                 start = rows[start][d]
@@ -260,7 +276,7 @@ def _deduced(rows: list, log: list, table: list[list[Deduction]]) -> list[Site]:
                         break
                 else:
                     v = start
-                    for d in check[1]:
+                    for d in sew:
                         v = rows[v][d]
                         if v is None:
                             break
@@ -320,45 +336,44 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     rounds = fold_events = 0
     max_rounds, max_vertices = budget.max_rounds, budget.max_vertices
     rows, log, pending = b._rows, b.log, b._pending  # the builder never replaces them
-    width = 2 * len(letters)
+    blank = [None] * (2 * len(letters))
     sites = _deduced(rows, log, table)
     while sites and rounds < max_rounds:
         log.clear()
-        for s, t, (_, sew, settles) in sites:
-            c, last = sew[0], len(sew) - 1
-            if not last:
+        for s, t, (_, _, (c, walks), inner, last) in sites:
+            if last is None:
                 slot = rows[s][c]
                 if slot != t:
                     if slot is None and rows[t][c ^ 1] is None:
                         rows[s][c] = t
                         rows[t][c ^ 1] = s
-                        log.append((s, c, t, settles[0]))
+                        log.append((s, c, t, walks))
                     else:
                         pending.append((s, c, t))
                 continue
             # The chain's inner vertices are new: only its end steps can clash.
             v = len(rows)
-            row = [None] * width
+            row = blank.copy()
             rows.append(row)
             if rows[s][c] is None:
                 rows[s][c] = v
                 row[c ^ 1] = s
-                log.append((s, c, v, settles[0]))
+                log.append((s, c, v, walks))
             else:
                 pending.append((s, c, v))
-            for k in range(1, last):
-                s, c = v, sew[k]
+            for c, walks in inner:
+                s = v
                 v = len(rows)
                 row[c] = v
-                row = [None] * width
+                row = blank.copy()
                 row[c ^ 1] = s
                 rows.append(row)
-                log.append((s, c, v, settles[k]))
-            c = sew[last]
+                log.append((s, c, v, walks))
+            c, walks = last
             if rows[t][c ^ 1] is None:
                 row[c] = t
                 rows[t][c ^ 1] = v
-                log.append((v, c, t, settles[last]))
+                log.append((v, c, t, walks))
             else:
                 pending.append((v, c, t))
         if pending:

@@ -249,13 +249,13 @@ class GraphBuilder:
     vertex id the builder holds outside a fold, the log aside, names a
     row.  A new vertex appends a row, and _removed counts the rows set to
     None.  Rows take 2 x len(letters) slots a vertex.  log lists, as
-    (s, c, t, settled), every edge placed in both rows since its owner
+    (s, c, t, walks), every edge placed in both rows since its owner
     last cleared it, by link, by fold or by the engine's close; a later
     merge can remove an end or move the edge, which leaves a stale entry
     and logs the moved edge again.  The builder logs every edge it places
-    with settled None; only the engine's close, which sews a round's
+    with walks None; only the engine's close, which sews a round's
     chains into the rows itself, logs a chain edge with the deduction
-    entry it settles (see the engine module docstring).  close reads
+    entries its scan walks (see the engine module docstring).  close reads
     round 0's sites from the live entries, and each later round's from
     the entries of the round before, so the log must hold every edge the
     builder placed: every way of making a builder logs its edges, and
@@ -271,7 +271,7 @@ class GraphBuilder:
         self._pending: list[tuple[int, int, int]] = []
         self.alpha: int = 0
         self.beta: int = 0
-        self.log: list[tuple[int, int, int, tuple | None]] = []
+        self.log: list[tuple[int, int, int, list | None]] = []
 
     @classmethod
     def from_graph(cls, g: BirootedGraph) -> "GraphBuilder":
@@ -300,7 +300,7 @@ class GraphBuilder:
 
     def link(self, s: int, step: int, t: int) -> None:
         """Add the edge from s along the step code to t: into both rows,
-        and into the log with settled None, when both slots are free; to
+        and into the log with walks None, when both slots are free; to
         the pending list when either holds another target; nowhere when it
         is already there."""
         rows = self._rows

@@ -246,6 +246,27 @@ def test_internal_fault_exits_2_with_one_line(fault, comm, monkeypatch, capsys):
     assert captured.err == f"error: internal: {type(fault).__name__}: {fault}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eq", "{comm}", "a"], "stephen-kit eq: the following arguments are required: v"),
+        (
+            ["graph", "{comm}", "ab", "--max-rounds", "two"],
+            "stephen-kit graph: argument --max-rounds: invalid int value: 'two'",
+        ),
+        (["check", "{comm}", "--bogus"], "stephen-kit: unrecognized arguments: --bogus"),
+    ],
+    ids=["missing-word", "non-int-max-rounds", "unknown-flag"],
+)
+def test_usage_error_exits_2_with_one_line(argv, message, comm, capsys):
+    # A usage error reads like every other error: one line, exit 2, no
+    # usage block and no SystemExit.
+    assert main([arg.format(comm=comm) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_help_lists_exit_codes(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

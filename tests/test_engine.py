@@ -776,7 +776,7 @@ def test_deduced_sites_equal_find_expansions_every_round():
         # A check is one tuple object per relation side, so a relation
         # stated twice gives two equal checks that are two sites.
         assert len({(s, id(check)) for s, _, check in sites}) == len(sites)
-        found = [(s, e, (decoded(read), decoded(sew))) for s, e, (read, sew, _) in sites]
+        found = [(s, e, (decoded(read), decoded(sew))) for s, e, (read, sew, *_) in sites]
         assert sorted(found) == sorted(find_expansions(b.freeze(), p))
         return sites
 
@@ -802,15 +802,17 @@ def test_deductions_a_sewn_edge_settles_hold():
 
     def checked_deduced(rows, log, table):
         nonlocal skipped, sewn_stale
-        for s, c, t, settled in log:
-            if settled is None:
+        for s, c, t, walks in log:
+            if walks is None:
                 continue
             row = rows[s]
             if row is None or row[c] != t:
                 sewn_stale += 1
                 continue
-            assert not c & 1 and any(entry is settled for entry in table[c])
-            _, back, rest, (_, sew, _) = settled
+            assert not c & 1
+            missing = [entry for entry in table[c] if not any(e is entry for e in walks)]
+            assert len(missing) == 1 and len(walks) == len(table[c]) - 1
+            _, back, rest, sew, _ = missing[0]
             start = s
             for d in back:
                 start = rows[start][d]
@@ -833,11 +835,18 @@ def test_deductions_a_sewn_edge_settles_hold():
     assert sewn_stale > 1000
 
 
-def test_sewn_edges_skip_the_walk_they_settle():
-    # Counts, not timings.  Each table entry the scan walks is taken apart
-    # once, so entries that count their unpacking count the walks.  Over
-    # the aba = b closure from ba to 1,000 vertices, every sewn edge skips
-    # the one walk it settles: without the skip the scan walks 2,998.
+def chain_links(check):
+    """The links (c, walks) of a compiled check's sewn side, in order."""
+    _, _, first, inner, last = check
+    return [first, *inner] + ([] if last is None else [last])
+
+
+def counted_walks(p: Presentation, word: Word, budget: Budget):
+    """The closure of word over p and the number of table entries its
+    scans walked.  Each entry a scan walks is taken apart once, so entries
+    that count their unpacking count the walks; they replace the entries
+    both in the table and in every link's walk list."""
+
     class Counted(tuple):
         walks = 0
 
@@ -845,20 +854,100 @@ def test_sewn_edges_skip_the_walk_they_settle():
             Counted.walks += 1
             return super().__iter__()
 
-    p = parse_presentation("X: a b\nR: aba = b\n")
-    _, table = engine._compile(p, ("a", "b"))
+    _, table = engine._compile(p, tuple(sorted({x for x, _ in word.letters})))
     counted = {id(entry): Counted(entry) for row in table for entry in row}
     for row in table:
         row[:] = [counted[id(entry)] for entry in row]
-    for check in {id(entry[3]): entry[3] for row in table for entry in row}.values():
-        check[2][:] = [counted[id(entry)] for entry in check[2]]
-    result = schutzenberger_automaton(parse_word("ba", p.alphabet), p, Budget(1000, 1000))
+    for check in {id(entry[4]): entry[4] for row in table for entry in row}.values():
+        for _, walks in chain_links(check):
+            walks[:] = [counted[id(entry)] for entry in walks]
+    return schutzenberger_automaton(word, p, budget), Counted.walks
+
+
+def test_sewn_edges_skip_the_walk_they_settle():
+    # Counts, not timings.  Over the aba = b closure from ba to 1,000
+    # vertices, every sewn edge skips the one walk it settles: without
+    # the skip the scan walks 2,998.
+    p = parse_presentation("X: a b\nR: aba = b\n")
+    result, walks = counted_walks(p, parse_word("ba", p.alphabet), Budget(1000, 1000))
     assert (result.status, result.rounds, result.vertex_history[-1]) == (
         Status.BUDGET_EXCEEDED,
         499,
         1001,
     )
-    assert Counted.walks == 1501
+    assert walks == 1501
+
+
+def test_walk_counts_are_pinned():
+    # Counts, not timings: a closing closure with three relations, and a
+    # merging one whose sewn chains fold, each walk the entries they did
+    # when a sewn edge first skipped the walk it settles.
+    comm3 = Presentation(
+        ("a", "b", "c"), ((pos("ab"), pos("ba")), (pos("bc"), pos("cb")), (pos("ac"), pos("ca")))
+    )
+    bbb = Presentation(("a", "b"), ((pos("b"), pos("bbb")), (pos("bb"), pos("aaa"))))
+    result, walks = counted_walks(comm3, pos("aaaabbbbcccc"), Budget())
+    assert (result.status, result.rounds, result.vertex_history[-1], walks) == (
+        Status.CLOSED,
+        11,
+        125,
+        976,
+    )
+    result, walks = counted_walks(bbb, pos("b"), Budget(max_vertices=2000))
+    assert (result.status, result.rounds, result.vertex_history[-1], walks) == (
+        Status.BUDGET_EXCEEDED,
+        17,
+        2042,
+        13272,
+    )
+
+
+def test_links_walk_all_but_the_entry_their_edge_settles():
+    # The edge sewn at position k of check i's sewn side settles check
+    # i ^ 1's entry at k, so the link there walks table[c] less exactly
+    # that entry, in table order.  A one-step side has no last link.
+    rng = random.Random(31)
+    twice = Presentation(("a", "b"), ((pos("ab"), pos("ba")), (pos("ba"), pos("ab"))))
+    one_step = parse_presentation("X: a b\nR: aba = b\n")
+    one_step_sides = links = 0
+    for p in (twice, one_step, *(random_presentation(rng) for _ in range(200))):
+        _, table = engine._compile(p, ("a", "b"))
+        entries = {}  # (i, k): check i's entry at read position k
+        for row in table:
+            for entry in row:
+                entries[entry[0], len(entry[1])] = entry
+        for (i, k), entry in entries.items():
+            if k:
+                continue
+            check = entry[4]
+            _, sew, _, _, last = check
+            assert (last is None) == (len(sew) == 1)
+            one_step_sides += last is None
+            assert [c for c, _ in chain_links(check)] == list(sew)
+            for position, (c, walks) in enumerate(chain_links(check)):
+                settled = entries[i ^ 1, position]
+                others = [e for e in table[c] if e is not settled]
+                assert len(others) == len(table[c]) - 1
+                assert len(walks) == len(others)
+                assert all(a is b for a, b in zip(walks, others))
+                links += 1
+    assert one_step_sides > 50 and links > 1000
+
+
+def test_closed_rows_are_distinct_lists():
+    # Every new row is a copy of one blank row, so no two live rows of a
+    # closed graph may be one list.
+    rng = random.Random(37)
+    bbb = Presentation(("a", "b"), ((pos("b"), pos("bbb")), (pos("bb"), pos("aaa"))))
+    thin = parse_presentation("X: a b\nR: aba = b\n")
+    closures = [(thin, pos("ba"), Budget(1000, 1000)), (bbb, pos("b"), Budget(max_vertices=500))]
+    for _ in range(100):
+        word = random_signed_word(rng, "ab", 8)
+        closures.append((random_presentation(rng), word, Budget(8, 300)))
+    for p, word, budget in closures:
+        rows = schutzenberger_automaton(word, p, budget).graph._rows
+        live = [row for row in rows if row is not None]
+        assert len({id(row) for row in live}) == len(live)
 
 
 def test_rounds_sew_without_spell(monkeypatch):
