@@ -10,7 +10,7 @@ because the fixpoint can be an infinite graph.  A site is the tuple
 (v1, v2, (read, sew)) of the two vertices and the side read and the side
 sewn; find_expansions reports the sites of a graph with the sides as
 signed letters, close carries them as step codes, with the sewn side's
-links (see below): (v1, v2, (read, sew, first, inner, last)).
+links (see below): (v1, v2, (read, sew, head, last)).
 
 A closure's letters are the start letters plus the sewn side's letters
 of every check whose read letters are all among them, repeated to a
@@ -71,14 +71,17 @@ count, and a site that earlier sewing in the round made readable leaves
 the graph as it would be without that site.
 
 close's loop sews each round's chains straight into the builder's rows
-and folds only when an edge pends.  It reads a chain from the check's
-links, appends a row for each inner vertex of it, in order, each a copy
-of one blank row, and places each edge by GraphBuilder.link's rule, but
-logs a chain edge with its link's walks.  Every vertex inside a chain is
-new and a sewn side is positive, so its slot for the next step is free
-and its row is made with the step back already linked; only the chain's
-first step, at the site's start, and its last, at the site's end, can
-find a slot taken.
+and folds only when an edge pends.  A sewn side of L steps is a chain of
+L edges through L - 1 new vertices, one for each head link, and a
+one-step side is that chain with no new vertex, so one loop sews every
+site.  Each head link appends a row, a copy of one blank row, and places
+its edge from the chain's current vertex to that row, or pends it when
+the current vertex's slot is taken.  A new row holds only its step back,
+and a sewn side is positive, so only the first head step, at the site's
+start, can find its slot taken.  The last link places its edge to the
+site's end by GraphBuilder.link's rule: into both rows when both slots
+are free, nowhere when it is already there, and to the pending list
+otherwise.  Every chain edge is logged with its link's walks.
 """
 
 from __future__ import annotations
@@ -162,8 +165,8 @@ Letters = tuple[tuple[str, int], ...]
 Check = tuple[Letters, Letters]
 Codes = tuple[int, ...]
 Link = tuple[int, list]  # (c, walks): the step sewn and the Deductions its edge walks
-# (read, sew, first, inner, last): a check and the links of its sewn side
-Sewable = tuple[Codes, Codes, Link, tuple[Link, ...], Link | None]
+# (read, sew, head, last): a check and the links of its sewn side
+Sewable = tuple[Codes, Codes, tuple[Link, ...], Link]
 Deduction = tuple[int, Codes, Codes, Codes, Sewable]  # (i, back, rest, sew, check)
 Steps = tuple[tuple[str, ...], list[list[Deduction]]]
 Site = tuple[int, int, Sewable]
@@ -191,9 +194,9 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
     order, and each position k at which its read side holds c, the entry
     (i, back, rest, sew, check), where back walks back over the read
     steps before k, rest reads those after it and sew is the check's sewn
-    side.  A check is (read, sew, first, inner, last), the links of its
-    sewn side: first for position 0, inner a tuple for positions 1 to
-    L - 2 and last for position L - 1, or None when the side is one step.
+    side.  A check is (read, sew, head, last), the links of its sewn side:
+    head a tuple of the links at positions 0 to L - 2, empty when the side
+    is one step, and last the link at position L - 1.
     The link (c, walks) at position k holds the step code there and
     table[c] without the entry of check i ^ 1 for position k, by
     identity, the one that the chain edge sewn there settles (see the
@@ -222,8 +225,7 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
                 read = tuple([codes[x] for x, _ in read])
                 sew = tuple([codes[x] for x, _ in sew])
                 sewn = links[i] = [(c, []) for c in sew]
-                last = sewn[-1] if len(sewn) > 1 else None
-                check = read, sew, sewn[0], tuple(sewn[1:-1]), last
+                check = read, sew, tuple(sewn[:-1]), sewn[-1]
                 entries[i] = []
                 for k, c in enumerate(read):
                     back = tuple([d ^ 1 for d in reversed(read[:k])])
@@ -315,9 +317,9 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     The merges of the first fold count in neither fold_events nor rounds.
     Every site scan is a call of _deduced that reads b's log: round 0 reads
     every edge b placed since it was made, and each later scan only the
-    edges the round before it logged.  A round clears the log and sews its
-    sites' chains itself, checking slots only at each chain's two ends,
-    and folds when an edge pends (see the module docstring).
+    edges the round before it logged.  A round clears the log, sews every
+    site's chain itself through one loop, whatever its length, and folds
+    when an edge pends (see the module docstring).
     The vertex limit is checked after each round's site scan, so a round
     that leaves no site is closed even when it crosses the limit.  The
     result graph takes over the rows of the builder that closes, so b is
@@ -340,42 +342,26 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     sites = _deduced(rows, log, table)
     while sites and rounds < max_rounds:
         log.clear()
-        for s, t, (_, _, (c, walks), inner, last) in sites:
-            if last is None:
-                slot = rows[s][c]
-                if slot != t:
-                    if slot is None and rows[t][c ^ 1] is None:
-                        rows[s][c] = t
-                        rows[t][c ^ 1] = s
-                        log.append((s, c, t, walks))
-                    else:
-                        pending.append((s, c, t))
-                continue
-            # The chain's inner vertices are new: only its end steps can clash.
-            v = len(rows)
-            row = blank.copy()
-            rows.append(row)
-            if rows[s][c] is None:
-                rows[s][c] = v
-                row[c ^ 1] = s
-                log.append((s, c, v, walks))
-            else:
-                pending.append((s, c, v))
-            for c, walks in inner:
-                s = v
+        for s, t, (_, _, head, (c, walks)) in sites:
+            row = rows[s]
+            for d, head_walks in head:  # every vertex the head adds is new
                 v = len(rows)
-                row[c] = v
-                row = blank.copy()
-                row[c ^ 1] = s
-                rows.append(row)
-                log.append((s, c, v, walks))
-            c, walks = last
-            if rows[t][c ^ 1] is None:
+                new = blank.copy()
+                rows.append(new)
+                if row[d] is None:
+                    row[d] = v
+                    new[d ^ 1] = s
+                    log.append((s, d, v, head_walks))
+                else:
+                    pending.append((s, d, v))
+                s, row = v, new
+            slot = row[c]
+            if slot is None and rows[t][c ^ 1] is None:
                 row[c] = t
-                rows[t][c ^ 1] = v
-                log.append((v, c, t, walks))
-            else:
-                pending.append((v, c, t))
+                rows[t][c ^ 1] = s
+                log.append((s, c, t, walks))
+            elif slot != t:
+                pending.append((s, c, t))
         if pending:
             fold_events += b.fold()
         rounds += 1

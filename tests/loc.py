@@ -3,8 +3,11 @@
 For each module of the package and for the total, prints its lines and
 its code lines: the lines that hold a token other than a comment, outside
 docstrings.  Blank lines, comment lines and docstrings are not code; a
-string that is not a docstring is.  Run from the repository root, or
-point it at another checkout's package directory:
+string that is not a docstring is.  Under that table it prints the
+package's ten largest top-level functions and class methods by code
+lines, nested functions counted in the function that holds them.  Run
+from the repository root, or point it at another checkout's package
+directory:
 
     python tests/loc.py
     python tests/loc.py /path/to/other/checkout/src/stephen_kit
@@ -45,27 +48,53 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def counts(path: Path) -> tuple[int, int]:
-    """(lines, code lines) of one source file."""
+def functions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of every top-level function and every method of a
+    top-level class, a method named Class.method."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.append((f"{node.name}.{item.name}", item))
+    return found
+
+
+def counts(path: Path) -> tuple[int, int, list[tuple[str, int]]]:
+    """(lines, code lines, (function name, code lines) of each function)
+    of one source file."""
     text = path.read_text(encoding="utf-8")
-    docstrings = docstring_lines(ast.parse(text))
+    tree = ast.parse(text)
     code = set()
     for token in tokenize.generate_tokens(io.StringIO(text).readline):
         if token.type not in NOT_CODE:
             code.update(range(token.start[0], token.end[0] + 1))
-    return len(text.splitlines()), len(code - docstrings)
+    code -= docstring_lines(tree)
+    sizes = [
+        (name, len(code.intersection(range(node.lineno, node.end_lineno + 1))))
+        for name, node in functions(tree)
+    ]
+    return len(text.splitlines()), len(code), sizes
 
 
 def main(argv: list[str]) -> None:
     package = Path(argv[0]) if argv else PACKAGE
     total_lines = total_code = 0
+    largest = []
     print(f"{'module':<16} {'lines':>6} {'code':>6}")
     for path in sorted(package.glob("*.py")):
-        lines, code = counts(path)
+        lines, code, sizes = counts(path)
         total_lines += lines
         total_code += code
+        largest += [(size, f"{path.stem}.{name}") for name, size in sizes]
         print(f"{path.name:<16} {lines:>6} {code:>6}")
     print(f"{'total':<16} {total_lines:>6} {total_code:>6}")
+    print()
+    print(f"{'largest functions':<40} {'code':>6}")
+    for size, name in sorted(largest, key=lambda item: (-item[0], item[1]))[:10]:
+        print(f"{name:<40} {size:>6}")
 
 
 if __name__ == "__main__":

@@ -837,15 +837,18 @@ def test_deductions_a_sewn_edge_settles_hold():
 
 def chain_links(check):
     """The links (c, walks) of a compiled check's sewn side, in order."""
-    _, _, first, inner, last = check
-    return [first, *inner] + ([] if last is None else [last])
+    _, _, head, last = check
+    return [*head, last]
 
 
 def counted_walks(p: Presentation, word: Word, budget: Budget):
     """The closure of word over p and the number of table entries its
     scans walked.  Each entry a scan walks is taken apart once, so entries
     that count their unpacking count the walks; they replace the entries
-    both in the table and in every link's walk list."""
+    both in the table and in every link's walk list.  close reads the
+    compile kept under the closure's letters, which is another table than
+    the one under the start letters when p was compiled earlier from a
+    start with all of the closure's letters."""
 
     class Counted(tuple):
         walks = 0
@@ -854,7 +857,8 @@ def counted_walks(p: Presentation, word: Word, budget: Budget):
             Counted.walks += 1
             return super().__iter__()
 
-    _, table = engine._compile(p, tuple(sorted({x for x, _ in word.letters})))
+    letters, _ = engine._compile(p, tuple(sorted({x for x, _ in word.letters})))
+    _, table = engine._compile(p, letters)
     counted = {id(entry): Counted(entry) for row in table for entry in row}
     for row in table:
         row[:] = [counted[id(entry)] for entry in row]
@@ -879,9 +883,10 @@ def test_sewn_edges_skip_the_walk_they_settle():
 
 
 def test_walk_counts_are_pinned():
-    # Counts, not timings: a closing closure with three relations, and a
-    # merging one whose sewn chains fold, each walk the entries they did
-    # when a sewn edge first skipped the walk it settles.
+    # Counts, not timings: a closing closure with three relations, a
+    # merging one whose sewn chains fold, and two closing closures of one
+    # round, one of which sews a one-step side, each walk the entries they
+    # did when a sewn edge first skipped the walk it settles.
     comm3 = Presentation(
         ("a", "b", "c"), ((pos("ab"), pos("ba")), (pos("bc"), pos("cb")), (pos("ac"), pos("ca")))
     )
@@ -900,12 +905,20 @@ def test_walk_counts_are_pinned():
         2042,
         13272,
     )
+    for p, word, vertices, count in ((CASE1, "abacab" * 6, 49, 66), (CASE2, "aab" * 40, 201, 360)):
+        result, walks = counted_walks(p, pos(word), Budget())
+        assert (result.status, result.rounds, result.vertex_history[-1], walks) == (
+            Status.CLOSED,
+            1,
+            vertices,
+            count,
+        )
 
 
 def test_links_walk_all_but_the_entry_their_edge_settles():
     # The edge sewn at position k of check i's sewn side settles check
     # i ^ 1's entry at k, so the link there walks table[c] less exactly
-    # that entry, in table order.  A one-step side has no last link.
+    # that entry, in table order.  A one-step side has no head links.
     rng = random.Random(31)
     twice = Presentation(("a", "b"), ((pos("ab"), pos("ba")), (pos("ba"), pos("ab"))))
     one_step = parse_presentation("X: a b\nR: aba = b\n")
@@ -920,9 +933,9 @@ def test_links_walk_all_but_the_entry_their_edge_settles():
             if k:
                 continue
             check = entry[4]
-            _, sew, _, _, last = check
-            assert (last is None) == (len(sew) == 1)
-            one_step_sides += last is None
+            _, sew, head, _ = check
+            assert len(head) == len(sew) - 1
+            one_step_sides += not head
             assert [c for c, _ in chain_links(check)] == list(sew)
             for position, (c, walks) in enumerate(chain_links(check)):
                 settled = entries[i ^ 1, position]
@@ -967,6 +980,93 @@ def test_rounds_sew_without_spell(monkeypatch):
     result = schutzenberger_automaton(parse_word("ba", p.alphabet), p, Budget(1000, 1000))
     assert (result.rounds, result.vertex_history[-1]) == (499, 1001)
     assert calls == [(0, 2, 1), (1, 0, 2)]
+
+
+def test_close_sews_by_links_rule_id_for_id():
+    # close sews every site through one loop.  A round loop that sews each
+    # site with spell, so that every edge goes through GraphBuilder.link
+    # and new_vertex, must make the same rows (ids and None gaps), roots
+    # and log (s, c, t) entries, in order, at every scan, and the same
+    # result; sites whose first or last step finds its slot taken are
+    # where the two ways of placing an edge could part.
+    deduced = engine._deduced
+    first_taken = last_taken = budget_hit = 0
+
+    def snapshot(b, rows, log):
+        raw = [None if row is None else list(row) for row in rows]
+        return raw, b.alpha, b.beta, [(s, c, t) for s, c, t, _ in log]
+
+    def sewn_by_link(b, p, budget, scans):
+        nonlocal first_taken, last_taken
+        letters, table = engine._compile(p, b.letters)
+        b.fold()
+        history = [b.vertex_count()]
+        rounds = fold_events = 0
+        rows, log, pending = b._rows, b.log, b._pending
+        scans.append(snapshot(b, rows, log))
+        sites = deduced(rows, log, table)
+        while sites and rounds < budget.max_rounds:
+            log.clear()
+            for s, t, (_, sew, *_) in sites:
+                c = sew[-1]
+                if len(sew) > 1:
+                    first_taken += rows[s][sew[0]] is not None
+                    last_taken += rows[t][c ^ 1] is not None
+                else:
+                    last_taken += rows[s][c] is not None or rows[t][c ^ 1] is not None
+                spell(b, s, [(letters[d >> 1], 1) for d in sew], t)
+            if pending:
+                fold_events += b.fold()
+            rounds += 1
+            history.append(len(rows) - b._removed)
+            scans.append(snapshot(b, rows, log))
+            sites = deduced(rows, log, table)
+            if history[-1] > budget.max_vertices:
+                break
+        status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
+        return engine.ClosureResult(status, BirootedGraph(b), rounds, fold_events, tuple(history))
+
+    rng = random.Random(5)
+    for i in range(300):
+        p = random_presentation(rng)
+        word = random_signed_word(rng, "ab", 10) if i % 3 else random_positive_word(rng, "ab", 8)
+        budget = Budget(rng.randint(1, 12), rng.randint(1, 200))
+        scans, reference_scans = [], []
+        b = closing_builder(word, p)
+
+        def scan(rows, log, table, b=b, scans=scans):
+            scans.append(snapshot(b, rows, log))
+            return deduced(rows, log, table)
+
+        with mock.patch.object(engine, "_deduced", scan):
+            result = close(b, p, budget)
+        reference = sewn_by_link(closing_builder(word, p), p, budget, reference_scans)
+        assert scans == reference_scans
+        assert result.to_json() == reference.to_json()
+        assert result.graph.to_json() == reference.graph.to_json()
+        budget_hit += result.status is Status.BUDGET_EXCEEDED
+    assert budget_hit > 20
+    assert first_taken > 600 and last_taken > 600
+
+
+def test_placed_one_step_edge_pends_nothing(monkeypatch):
+    # Counts, not timings.  A relation stated twice finds two sites at the
+    # start of ab, each sewing the one step c from 0 to 2; the second finds
+    # the edge the first placed and pends nothing, so GraphBuilder.fold
+    # runs once, for close's first fold, and no round folds.
+    calls = []
+    builder_fold = GraphBuilder.fold
+
+    def counted(self):
+        calls.append(self)
+        return builder_fold(self)
+
+    monkeypatch.setattr(GraphBuilder, "fold", counted)
+    p = parse_presentation("X: a b c\nR: ab = c\nR: ab = c\n")
+    result = schutzenberger_automaton(parse_word("ab", p.alphabet), p)
+    assert (result.status, result.rounds, result.fold_events) == (Status.CLOSED, 1, 0)
+    assert result.vertex_history == (3, 3)
+    assert len(calls) == 1
 
 
 def test_last_vertex_count_is_the_graph_size():
