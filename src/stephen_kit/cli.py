@@ -4,15 +4,17 @@ Commands: check, graph, eq, leq, idem, count-r.  Exit codes encode the
 verdict so batch experiments need no output parsing: 0 yes/closed/ok,
 1 no, 2 parse, validation or internal error, 3 unknown/budget-exceeded.
 
-The budgeted commands (graph, eq, leq, idem) import the engine and the
-decisions in their handlers, so check and count-r load neither.
+One table, COMMANDS, gives each command's words, flags, help and
+handler: parse_args reads argv by it, print_help prints it for --help,
+and main calls the handler.  The budgeted commands (graph, eq, leq,
+idem) import the engine and the decisions in their handlers, so check
+and count-r load neither.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import sys
+from functools import partial
 
 from . import _MAX_ROUNDS, _MAX_VERTICES
 from .presentation import (
@@ -27,10 +29,7 @@ from .presentation import (
     parse_word,
 )
 
-EXIT_OK = 0
-EXIT_NO = 1
-EXIT_ERROR = 2
-EXIT_UNKNOWN = 3
+EXIT_OK, EXIT_NO, EXIT_ERROR, EXIT_UNKNOWN = 0, 1, 2, 3
 
 _ANSWER_EXIT = {"yes": EXIT_OK, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}
 
@@ -43,45 +42,35 @@ def _write_json(path: str | None, payload: dict) -> None:
             f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _finiteness_text(cert) -> str:
-    if cert.basis is CertificateBasis.NONE:
-        return cert.verdict.value
-    return f"{cert.verdict.value} ({cert.basis.value.replace('-', ' ')})"
-
-
 # Each handler writes its output files and returns the exit code and the
 # result line, which main prints only once every file is written.
 
 
-def cmd_check(args, p: Presentation) -> tuple[int, str]:
+def cmd_check(opts: dict, p: Presentation) -> tuple[int, str]:
     adian = is_adian(p)
-    parts = [f"adian: {'yes' if adian else 'no'}"]
+    line = f"adian: {'yes' if adian else 'no'}"
     payload: dict = {"adian": adian, "case": None, "finiteness": None}
     if adian and len(p.relations) == 1:
-        u, v = p.relations[0]
-        profile = overlap_profile(u, v)
+        case = payload["case"] = overlap_profile(*p.relations[0]).case_label.value
         cert = classify_finiteness(p)
-        parts.append(f"case: {profile.case_label.value}")
-        parts.append(f"finiteness: {_finiteness_text(cert)}")
-        payload["case"] = profile.case_label.value
-        payload["finiteness"] = {
-            "verdict": cert.verdict.value,
-            "basis": None if cert.basis is CertificateBasis.NONE else cert.basis.value,
-        }
-    _write_json(args.json, payload)
-    return EXIT_OK, "; ".join(parts)
+        basis = None if cert.basis is CertificateBasis.NONE else cert.basis.value
+        payload["finiteness"] = {"verdict": cert.verdict.value, "basis": basis}
+        detail = f" ({basis.replace('-', ' ')})" if basis else ""
+        line += f"; case: {case}; finiteness: {cert.verdict.value}{detail}"
+    _write_json(opts.get("--json"), payload)
+    return EXIT_OK, line
 
 
-def cmd_graph(args, p: Presentation, w: Word) -> tuple[int, str]:
+def cmd_graph(opts: dict, p: Presentation, w: Word) -> tuple[int, str]:
     from .engine import Budget, Status, schutzenberger_automaton
 
-    result = schutzenberger_automaton(w, p, Budget(args.max_rounds, args.max_vertices))
+    result = schutzenberger_automaton(w, p, Budget(opts["--max-rounds"], opts["--max-vertices"]))
     g = result.graph
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as f:
+    if opts.get("--dot"):
+        with open(opts["--dot"], "w", encoding="utf-8") as f:
             f.write(g.to_dot())
-    if args.json:
-        _write_json(args.json, {**result.to_json(), "graph": g.to_json()})
+    if opts.get("--json"):
+        _write_json(opts.get("--json"), {**result.to_json(), "graph": g.to_json()})
     line = (
         f"{result.status.value}; rounds={result.rounds}; "
         f"vertices={result.vertex_history[-1]}; edges={len(g.edges)}"
@@ -89,91 +78,109 @@ def cmd_graph(args, p: Presentation, w: Word) -> tuple[int, str]:
     return (EXIT_OK if result.status is Status.CLOSED else EXIT_UNKNOWN), line
 
 
-def cmd_verdict(decide: str, args, p: Presentation, *words: Word) -> tuple[int, str]:
+def cmd_verdict(decide: str, opts: dict, p: Presentation, *words: Word) -> tuple[int, str]:
     from . import decision
     from .engine import Budget
 
-    verdict = getattr(decision, decide)(*words, p, Budget(args.max_rounds, args.max_vertices))
-    _write_json(args.json, verdict.to_json())
+    budget = Budget(opts["--max-rounds"], opts["--max-vertices"])
+    verdict = getattr(decision, decide)(*words, p, budget)
+    _write_json(opts.get("--json"), verdict.to_json())
     return _ANSWER_EXIT[verdict.answer.value], verdict.answer.value
 
 
-def cmd_count_r(args, p: Presentation, w: Word) -> tuple[int, str]:
+def cmd_count_r(opts: dict, p: Presentation, w: Word) -> tuple[int, str]:
     count = count_r_word_occurrences(w, p)
-    _write_json(args.json, {"word": str(w), "count": count})
+    _write_json(opts.get("--json"), {"word": str(w), "count": count})
     return EXIT_OK, str(count)
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors raise ValueError, so main reports them
-    on one line and returns EXIT_ERROR as it does every other error;
-    --help still exits through SystemExit.  Subparsers take its class."""
+_BUDGET = {"--max-rounds": _MAX_ROUNDS, "--max-vertices": _MAX_VERTICES}  # int flags, defaults
+_HELP = ("-h", "--help")
 
-    def error(self, message):
-        raise ValueError(f"{self.prog}: {message}")
+# name: (the words after the presentation file, the flags besides --json,
+# help, handler); _BUDGET stands for its own keys.  A handler takes the
+# flags by name, the presentation and the parsed words.
+COMMANDS = {
+    "check": ((), (), "Adian property, overlap case, finiteness certificate", cmd_check),
+    "graph": (("word",), (*_BUDGET, "--dot"),
+              "build the Schützenberger automaton of a word", cmd_graph),
+    "eq": (("u", "v"), _BUDGET, "decide u = v", partial(cmd_verdict, "decide_equal")),
+    "leq": (("lower", "candidate"), _BUDGET, "decide candidate >= lower in the natural order",
+            partial(cmd_verdict, "decide_natural_leq")),
+    "idem": (("word",), _BUDGET, "decide whether a word is idempotent",
+             partial(cmd_verdict, "is_idempotent")),
+    "count-r": (("word",), (), "count relation-side occurrences in a positive word", cmd_count_r),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="stephen-kit",
-        description="Schützenberger automata and word-problem decisions "
-        "for inverse semigroup presentations.",
-        epilog="exit codes: 0 yes/closed/ok, 1 no, 2 parse, validation or "
-        "internal error, 3 unknown/budget-exceeded",
+def print_help() -> None:
+    """Print every command with its arguments, flags and help, what the
+    flags do and the exit codes, and exit 0."""
+    print("usage: stephen-kit COMMAND PRESENTATION [WORD ...] [--FLAG VALUE ...]\n")
+    for name, (words, flags, text, _) in COMMANDS.items():
+        usage = [name, "PRESENTATION", *map(str.upper, words)]
+        usage += [f"[{f} {_BUDGET.get(f, 'PATH')}]" for f in (*flags, "--json")]
+        print(f"  {' '.join(usage)}\n      {text}")
+    print(
+        "\n--max-rounds and --max-vertices bound each closure (defaults shown); --dot writes\n"
+        "the automaton as DOT and --json the result as JSON.  A flag takes its value as\n"
+        "--FLAG VALUE or --FLAG=VALUE, and -- ends the flags.  A word inverts a letter with\n"
+        "a trailing ^.\n\nexit codes: 0 yes/closed/ok, 1 no, 2 parse, validation or internal\n"
+        "error, 3 unknown/budget-exceeded"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # name, help, positionals with their help (the first is the presentation
-    # file, the rest are words), budget flags, extra PATH flags, handler
-    commands = (
-        ("check", "Adian property, overlap case, finiteness certificate",
-         {"presentation": "presentation file"}, False, {}, cmd_check),
-        ("graph", "build the Schützenberger automaton of a word",
-         {"presentation": None, "word": "query word; invert letters with a trailing ^"},
-         True, {"--dot": "write the automaton as DOT"}, cmd_graph),
-        ("eq", "decide u = v",
-         {"presentation": None, "u": None, "v": None},
-         True, {}, functools.partial(cmd_verdict, "decide_equal")),
-        ("leq", "decide candidate >= lower in the natural order",
-         {"presentation": None, "lower": None, "candidate": None},
-         True, {}, functools.partial(cmd_verdict, "decide_natural_leq")),
-        ("idem", "decide whether a word is idempotent",
-         {"presentation": None, "word": None},
-         True, {}, functools.partial(cmd_verdict, "is_idempotent")),
-        ("count-r", "count relation-side occurrences in a positive word",
-         {"presentation": None, "word": None}, False, {}, cmd_count_r),
-    )
-    for name, help_text, positionals, budgeted, extra, run in commands:
-        sp = sub.add_parser(name, help=help_text)
-        for arg, arg_help in positionals.items():
-            sp.add_argument(arg, help=arg_help)
-        if budgeted:
-            sp.add_argument(
-                "--max-rounds",
-                type=int,
-                default=_MAX_ROUNDS,
-                help=f"closure round budget (default {_MAX_ROUNDS})",
-            )
-            sp.add_argument(
-                "--max-vertices",
-                type=int,
-                default=_MAX_VERTICES,
-                help=f"closure vertex budget (default {_MAX_VERTICES})",
-            )
-        for flag, flag_help in extra.items():
-            sp.add_argument(flag, metavar="PATH", help=flag_help)
-        sp.add_argument("--json", metavar="PATH")
-        sp.set_defaults(run=run, words=tuple(positionals)[1:])
-    return parser
+    raise SystemExit(0)
+
+
+def parse_args(argv: list[str]):
+    """The handler, the positional arguments (the presentation file, then
+    the words) and the flags by name that argv gives, read by COMMANDS.
+    A usage error raises ValueError with a message that names the
+    command and the argument at fault; -h or --help, as the command or
+    after it but before --, prints the help and exits 0."""
+    if not argv:
+        raise ValueError("stephen-kit: the following arguments are required: command")
+    name, rest = argv[0], iter(argv[1:])
+    if name not in COMMANDS:
+        if name in _HELP:
+            print_help()
+        choices = "choose from " + ", ".join(map(repr, COMMANDS))
+        raise ValueError(f"stephen-kit: argument command: invalid choice: {name!r} ({choices})")
+    words, flags, _, run = COMMANDS[name]
+    prog, flags, names = f"stephen-kit {name}", (*flags, "--json"), ("presentation", *words)
+    args, extra, opts = [], [], dict(_BUDGET)
+    for arg in rest:
+        flag, eq, value = arg.partition("=")
+        if arg == "--":
+            args += rest
+        elif arg in _HELP:
+            print_help()
+        elif flag not in flags:
+            (extra if arg.startswith("--") or len(args) == len(names) else args).append(arg)
+        else:
+            value = value if eq else next(rest, "--")
+            if not eq and value.startswith("--"):
+                raise ValueError(f"{prog}: argument {flag}: expected one argument")
+            if flag in _BUDGET:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(f"{prog}: argument {flag}: invalid int value: {value!r}")
+            opts[flag] = value
+    missing, extra = names[len(args) :], extra + args[len(names) :]
+    if missing:
+        raise ValueError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise ValueError(f"stephen-kit: unrecognized arguments: {' '.join(extra)}")
+    return run, args, opts
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        run, (path, *words), opts = parse_args(sys.argv[1:] if argv is None else argv)
         # utf-8-sig drops the byte-order mark some editors write first.
-        with open(args.presentation, encoding="utf-8-sig") as f:
+        with open(path, encoding="utf-8-sig") as f:
             p = parse_presentation(f.read())
-        words = [parse_word(getattr(args, name), p.alphabet) for name in args.words]
-        code, line = args.run(args, p, *words)
+        code, line = run(opts, p, *[parse_word(w, p.alphabet) for w in words])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -17,17 +17,18 @@ of every check whose read letters are all among them, repeated to a
 fixpoint.  No other letter can label an edge, because a site needs its
 read side readable, so the closure's builder, its compile and its result
 graph use only those letters, and a row takes 2 slots per letter.  A
-presentation is compiled once per set of start letters, and the compile
-is kept on it: the closure's sorted letters and a deduction table of
-the relation checks that read only those letters, as step codes over
-them, letter i as step 2i and its inverse as 2i + 1 (see word_graph).  A
-closure runs on one GraphBuilder from the start word to the result:
-schutzenberger_automaton spells the word's chain in it over the
-closure's letters, and close folds it there and, at the end, hands the
-builder's rows to the result graph without a copy, which spends the
-builder.  A builder that lacks some of the closure's letters is first
-linked again into a new builder over them, which is the one that
-closes.  Every walk of the loop reads one list slot a step.
+presentation is compiled once per set of closure letters, and the
+compile is kept on it under those letters and under every set of start
+letters that reaches them: the closure's sorted letters and a
+deduction table of the relation checks that read only those letters,
+as step codes over them, letter i as step 2i and its inverse as 2i + 1
+(see word_graph).  A closure runs on one GraphBuilder from the start
+word to the result: schutzenberger_automaton spells the word's chain in
+it over the closure's letters, and close folds it there and, at the
+end, hands the builder's rows to the result graph without a copy, which
+spends the builder.  A builder that lacks some of the closure's letters
+is first linked again into a new builder over them, which is the one
+that closes.  Every walk of the loop reads one list slot a step.
 
 Every site scan works from the builder's log of placed edges, as coset
 enumeration works from its deduction stack: for each live logged edge,
@@ -186,8 +187,9 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
     """The sorted letters of a closure over p from the sorted start letters,
     and the deduction table of the relation checks that read only those
     letters, as step codes over them.  The compile is kept on p under the
-    start letters and under the closure's letters; a start letter outside
-    the alphabet is refused with ValueError.
+    closure's letters and under the start letters, so start letters that
+    reach the same closure letters share one compile; a start letter
+    outside the alphabet is refused with ValueError.
 
     Relation sides are positive, so the table is indexed by positive step
     code: table[c] lists, for each such check, i its index in _checks
@@ -204,20 +206,23 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
     whenever check i does, since its read side is check i's sewn side.
     """
     steps = p._steps.get(start)
+    if steps is not None:
+        return steps
+    outside = [x for x in start if x not in p.alphabet]
+    if outside:
+        raise ValueError(f"letter {outside[0]!r} is not in the alphabet")
+    pairs = _checks(p)
+    sides = [({x for x, _ in read}, {x for x, _ in sew}) for read, sew in pairs]
+    used, grown = set(start), True
+    while grown:
+        grown = False
+        for read, sew in sides:
+            if read <= used and not sew <= used:
+                used |= sew
+                grown = True
+    letters, codes = _step_codes(used)
+    steps = p._steps.get(letters)
     if steps is None:
-        outside = [x for x in start if x not in p.alphabet]
-        if outside:
-            raise ValueError(f"letter {outside[0]!r} is not in the alphabet")
-        pairs = _checks(p)
-        sides = [({x for x, _ in read}, {x for x, _ in sew}) for read, sew in pairs]
-        used, grown = set(start), True
-        while grown:
-            grown = False
-            for read, sew in sides:
-                if read <= used and not sew <= used:
-                    used |= sew
-                    grown = True
-        letters, codes = _step_codes(used)
         table = [[] for _ in range(2 * len(letters))]
         entries, links = {}, {}  # i: check i's entries and its links, by position
         for i, (read, sew) in enumerate(pairs):
@@ -237,7 +242,8 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
         for i, sewn in links.items():
             for (c, walks), settled in zip(sewn, entries[i ^ 1]):
                 walks.extend([entry for entry in table[c] if entry is not settled])
-        steps = p._steps[start] = p._steps[letters] = (letters, table)
+        steps = p._steps[letters] = (letters, table)
+    p._steps[start] = steps
     return steps
 
 

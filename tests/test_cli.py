@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,8 +256,35 @@ def test_internal_fault_exits_2_with_one_line(fault, comm, monkeypatch, capsys):
             "stephen-kit graph: argument --max-rounds: invalid int value: 'two'",
         ),
         (["check", "{comm}", "--bogus"], "stephen-kit: unrecognized arguments: --bogus"),
+        ([], "stephen-kit: the following arguments are required: command"),
+        (
+            ["bogus", "{comm}"],
+            "stephen-kit: argument command: invalid choice: 'bogus' "
+            "(choose from 'check', 'graph', 'eq', 'leq', 'idem', 'count-r')",
+        ),
+        (["check"], "stephen-kit check: the following arguments are required: presentation"),
+        (
+            ["graph", "{comm}", "ab", "--max-rounds"],
+            "stephen-kit graph: argument --max-rounds: expected one argument",
+        ),
+        (["eq", "{comm}", "a", "b", "c"], "stephen-kit: unrecognized arguments: c"),
+        (["check", "{comm}", "--dot", "x"], "stephen-kit: unrecognized arguments: --dot x"),
+        (["graph", "{comm}", "ab", "--max-rounds", "-3"], "budget limits must be positive"),
+        (["eq", "{comm}", "a", "b", "--max-rounds", "0"], "budget limits must be positive"),
     ],
-    ids=["missing-word", "non-int-max-rounds", "unknown-flag"],
+    ids=[
+        "missing-word",
+        "non-int-max-rounds",
+        "unknown-flag",
+        "no-command",
+        "unknown-command",
+        "check-without-file",
+        "flag-without-value",
+        "extra-word",
+        "flag-of-another-command",
+        "negative-max-rounds",
+        "zero-max-rounds",
+    ],
 )
 def test_usage_error_exits_2_with_one_line(argv, message, comm, capsys):
     # A usage error reads like every other error: one line, exit 2, no
@@ -267,21 +295,46 @@ def test_usage_error_exits_2_with_one_line(argv, message, comm, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "{comm}", "ab", "--max-rounds=5"],
+        ["graph", "{comm}", "--", "ab"],
+        ["graph", "{comm}", "ab", "--max-rounds", " 7"],
+    ],
+    ids=["flag-equals-value", "double-dash", "int-with-space"],
+)
+def test_flag_and_word_spellings_accepted(argv, comm, capsys):
+    assert main([arg.format(comm=comm) for arg in argv]) == 0
+    assert capsys.readouterr().out == "closed; rounds=1; vertices=4; edges=4\n"
+
+
 def test_help_lists_exit_codes(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     assert "2 parse, validation or internal error" in " ".join(capsys.readouterr().out.split())
 
 
+def test_readme_shows_the_one_help_text(comm, capsys):
+    # --help prints one text for every command, the one the README shows.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    for argv in (["--help"], ["-h"], ["graph", comm, "ab", "-h"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert f"```\n{capsys.readouterr().out}```\n" in readme
+
+
 def test_cli_import_loads_no_test_code():
     # sys.modules is read before the probe imports json itself.  No command
-    # needs dataclasses, inspect, json, typing or pathlib on import, and
-    # each adds milliseconds to every start.  -S keeps site, and any .pth
+    # needs dataclasses, inspect, json, typing, pathlib or argparse and what
+    # it loads (re, shutil, gettext, locale) on import, and each adds
+    # milliseconds to every start.  -S keeps site, and any .pth
     # file it runs, from loading them first.
     probe = (
         "import sys, stephen_kit.cli\n"
-        "heavy = [m for m in ('dataclasses', 'inspect', 'json', 'typing', 'pathlib')"
-        " if m in sys.modules]\n"
+        "heavy = [m for m in ('dataclasses', 'inspect', 'json', 'typing', 'pathlib',"
+        " 'argparse', 're', 'shutil', 'gettext', 'locale') if m in sys.modules]\n"
         "modules = sorted(m for m in sys.modules if m.split('.')[0] == 'stephen_kit')\n"
         "missing = [n for n in stephen_kit.__all__ if not hasattr(stephen_kit, n)]\n"
         "import json\n"
@@ -317,3 +370,18 @@ def test_check_and_count_r_load_no_engine(comm):
     ).stdout.splitlines()
     assert out[:2] == ["adian: yes; case: Case4; finiteness: unknown", "1"]
     assert out[2] == str(["stephen_kit", "stephen_kit.cli", "stephen_kit.presentation"])
+
+
+def test_main_reads_sys_argv(comm):
+    # The console script calls main() with no argv, so main reads sys.argv.
+    run = subprocess.run(
+        [sys.executable, "-S", "-m", "stephen_kit.cli", "graph", comm, "ab", "--max-rounds=1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (
+        0,
+        "closed; rounds=1; vertices=4; edges=4\n",
+        "",
+    )

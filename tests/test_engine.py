@@ -581,6 +581,16 @@ def test_closure_letters_grow_to_a_fixpoint():
         assert wide.graph.canonical_key() == result.graph.canonical_key()
 
 
+def test_start_letters_that_reach_one_closure_share_its_compile():
+    # ab and bc both reach the letters abc under aab = bcc, so closures
+    # from either start read the one table compiled for abc.
+    p = parse_presentation("X: a b c\nR: aab = bcc\n")
+    compiled = engine._compile(p, ("a", "b"))
+    assert compiled[0] == ("a", "b", "c")
+    assert engine._compile(p, ("b", "c")) is compiled
+    assert engine._compile(p, ("a", "b", "c")) is compiled
+
+
 def test_closure_rows_span_only_the_closures_letters():
     # From x0 x1 under x0 x1 x0 = x1 no edge can carry another letter, so
     # over 300 letters the rows have 4 slots, and the traced peak of the
@@ -845,10 +855,8 @@ def counted_walks(p: Presentation, word: Word, budget: Budget):
     """The closure of word over p and the number of table entries its
     scans walked.  Each entry a scan walks is taken apart once, so entries
     that count their unpacking count the walks; they replace the entries
-    both in the table and in every link's walk list.  close reads the
-    compile kept under the closure's letters, which is another table than
-    the one under the start letters when p was compiled earlier from a
-    start with all of the closure's letters."""
+    both in the table and in every link's walk list, in the compile that
+    the closure reads."""
 
     class Counted(tuple):
         walks = 0
@@ -857,8 +865,7 @@ def counted_walks(p: Presentation, word: Word, budget: Budget):
             Counted.walks += 1
             return super().__iter__()
 
-    letters, _ = engine._compile(p, tuple(sorted({x for x, _ in word.letters})))
-    _, table = engine._compile(p, letters)
+    _, table = engine._compile(p, tuple(sorted({x for x, _ in word.letters})))
     counted = {id(entry): Counted(entry) for row in table for entry in row}
     for row in table:
         row[:] = [counted[id(entry)] for entry in row]
