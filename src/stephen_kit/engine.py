@@ -71,18 +71,10 @@ the order of the sites changes neither the folded graph nor its merge
 count, and a site that earlier sewing in the round made readable leaves
 the graph as it would be without that site.
 
-close's loop sews each round's chains straight into the builder's rows
-and folds only when an edge pends.  A sewn side of L steps is a chain of
-L edges through L - 1 new vertices, one for each head link, and a
-one-step side is that chain with no new vertex, so one loop sews every
-site.  Each head link appends a row, a copy of one blank row, and places
-its edge from the chain's current vertex to that row, or pends it when
-the current vertex's slot is taken.  A new row holds only its step back,
-and a sewn side is positive, so only the first head step, at the site's
-start, can find its slot taken.  The last link places its edge to the
-site's end by GraphBuilder.link's rule: into both rows when both slots
-are free, nowhere when it is already there, and to the pending list
-otherwise.  Every chain edge is logged with its link's walks.
+close sews each chain straight into the builder's rows and places its
+last edge by GraphBuilder.link's rule.  A new row holds only its step back, and a sewn side is positive,
+so a head edge needs no check at its new end, and only the first head
+step, at the site's start, can find its slot taken.
 """
 
 from __future__ import annotations
@@ -198,12 +190,12 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
     steps before k, rest reads those after it and sew is the check's sewn
     side.  A check is (read, sew, head, last), the links of its sewn side:
     head a tuple of the links at positions 0 to L - 2, empty when the side
-    is one step, and last the link at position L - 1.
-    The link (c, walks) at position k holds the step code there and
-    table[c] without the entry of check i ^ 1 for position k, by
-    identity, the one that the chain edge sewn there settles (see the
-    module docstring).  Check i ^ 1 reads only the closure's letters
-    whenever check i does, since its read side is check i's sewn side.
+    is one step, and last the link at position L - 1, each a link as the
+    module docstring describes.  Link k of check i leaves out the entry of
+    check i ^ 1 whose back walk has k steps: check and position name the
+    settled entry, even for a relation stated twice, whose copies are
+    other checks.  Check i ^ 1 reads only the closure's letters whenever
+    check i does, since its read side is check i's sewn side.
     """
     steps = p._steps.get(start)
     if steps is not None:
@@ -224,24 +216,21 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
     steps = p._steps.get(letters)
     if steps is None:
         table = [[] for _ in range(2 * len(letters))]
-        entries, links = {}, {}  # i: check i's entries and its links, by position
+        links = {}  # i: check i's links, by position
         for i, (read, sew) in enumerate(pairs):
             if all(x in codes for x, _ in read):
                 read = tuple([codes[x] for x, _ in read])
                 sew = tuple([codes[x] for x, _ in sew])
                 sewn = links[i] = [(c, []) for c in sew]
                 check = read, sew, tuple(sewn[:-1]), sewn[-1]
-                entries[i] = []
                 for k, c in enumerate(read):
                     back = tuple([d ^ 1 for d in reversed(read[:k])])
-                    entry = i, back, read[k + 1 :], sew, check
-                    entries[i].append(entry)
-                    table[c].append(entry)
+                    table[c].append((i, back, read[k + 1 :], sew, check))
         # The one mutable step: check i's walks leave out entries of check
         # i ^ 1, which hold check i ^ 1, whose walks leave out entries of i.
         for i, sewn in links.items():
-            for (c, walks), settled in zip(sewn, entries[i ^ 1]):
-                walks.extend([entry for entry in table[c] if entry is not settled])
+            for k, (c, walks) in enumerate(sewn):
+                walks.extend([e for e in table[c] if e[0] != i ^ 1 or len(e[1]) != k])
         steps = p._steps[letters] = (letters, table)
     p._steps[start] = steps
     return steps
@@ -321,13 +310,14 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     budget limit trips.
 
     The merges of the first fold count in neither fold_events nor rounds.
-    Every site scan is a call of _deduced that reads b's log: round 0 reads
-    every edge b placed since it was made, and each later scan only the
-    edges the round before it logged.  A round clears the log, sews every
-    site's chain itself through one loop, whatever its length, and folds
-    when an edge pends (see the module docstring).
-    The vertex limit is checked after each round's site scan, so a round
-    that leaves no site is closed even when it crosses the limit.  The
+    Each pass of the loop records the vertex count and scans b's log once
+    for sites: the first pass every edge b placed since it was made, each
+    later pass only the edges the round before it logged.  The loop stops
+    when the scan finds no site, when max_rounds rounds have run, or when
+    a round has left more than max_vertices vertices; so a round that
+    leaves no site is closed even when it crosses the limit, and round 1
+    runs even when the start graph is over it.  Otherwise the pass clears
+    the log, sews every site's chain and folds when an edge pends.  The
     result graph takes over the rows of the builder that closes, so b is
     spent; a caller that holds a graph passes GraphBuilder.from_graph(g).
     A b that lacks some of the closure's letters is linked again into a
@@ -340,13 +330,16 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     if b.letters != letters:
         b = _linked(b.alpha, b.beta, _edges(b._rows, b._pending, b.letters), letters)
     b.fold()
-    history = [b.vertex_count()]
-    rounds = fold_events = 0
+    history, fold_events = [], 0
     max_rounds, max_vertices = budget.max_rounds, budget.max_vertices
     rows, log, pending = b._rows, b.log, b._pending  # the builder never replaces them
     blank = [None] * (2 * len(letters))
-    sites = _deduced(rows, log, table)
-    while sites and rounds < max_rounds:
+    while True:
+        history.append(len(rows) - b._removed)
+        sites = _deduced(rows, log, table)
+        rounds = len(history) - 1
+        if not sites or rounds >= max_rounds or rounds and history[-1] > max_vertices:
+            break
         log.clear()
         for s, t, (_, _, head, (c, walks)) in sites:
             row = rows[s]
@@ -370,14 +363,8 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
                 pending.append((s, c, t))
         if pending:
             fold_events += b.fold()
-        rounds += 1
-        history.append(len(rows) - b._removed)
-        sites = _deduced(rows, log, table)
-        if history[-1] > max_vertices:
-            break
     status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
-    graph = BirootedGraph(b)
-    return ClosureResult(status, graph, rounds, fold_events, tuple(history))
+    return ClosureResult(status, BirootedGraph(b), rounds, fold_events, tuple(history))
 
 
 def schutzenberger_automaton(

@@ -111,9 +111,8 @@ class BirootedGraph:
     """
 
     def __init__(self, b: GraphBuilder):
-        """Adopt b's roots, letters, rows and pending list, folded or not,
-        which spends b.  Vertices, edges and the canonical order are listed
-        when first read.
+        """Adopt b, folded or not (see the module docstring).  Vertices,
+        edges and the canonical order are listed when first read.
         """
         self.alpha, self.beta = b.alpha, b.beta
         self._letters, self._codes = b.letters, b.codes
@@ -143,12 +142,12 @@ class BirootedGraph:
 
         Only meaningful on deterministic graphs, where paths are unique.
         A letter the graph has no edge for labels no path.  A start that
-        is not a vertex raises ValueError.
+        is not a vertex, a bool included, raises ValueError.
         """
         if not self.is_deterministic:
             raise ValueError("walk() requires a deterministic graph")
         rows = self._rows
-        if not (isinstance(start, int) and 0 <= start < len(rows)) or rows[start] is None:
+        if not (type(start) is int and 0 <= start < len(rows)) or rows[start] is None:
             raise ValueError(f"vertex {start!r} is not in the graph")
         codes, v = self._codes, start
         for x, sign in w:
@@ -259,9 +258,7 @@ class GraphBuilder:
     round 0's sites from the live entries, and each later round's from
     the entries of the round before, so the log must hold every edge the
     builder placed: every way of making a builder logs its edges, and
-    only close clears the log, at the start of a round.  Handing a
-    builder to BirootedGraph spends it: the graph takes the rows, and
-    the builder keeps no rows, pending list or log.
+    only close clears the log, at the start of a round.
     """
 
     def __init__(self, letters: Iterable[Letter] = ()):

@@ -210,6 +210,29 @@ def test_close_round_that_closes_past_vertex_limit_is_closed():
         assert result.vertex_history == (3, 4)
 
 
+@pytest.mark.parametrize(
+    "word, p, budget, status, rounds, history",
+    [
+        # The start graph is over the vertex limit, yet round 1 still runs.
+        ("aba", SUBWORD, Budget(64, 2), Status.BUDGET_EXCEEDED, 1, (4, 6)),
+        ("ab", COMM, Budget(1, 1000), Status.CLOSED, 1, (3, 4)),
+        ("ab", SUBWORD, Budget(3, 1000), Status.BUDGET_EXCEEDED, 3, (3, 5, 7, 9)),
+    ],
+)
+def test_stop_rule_at_its_edges(word, p, budget, status, rounds, history):
+    # One site scan before round 1 and one after every round.
+    deduced, scans = engine._deduced, []
+
+    def counted(rows, log, table):
+        scans.append(None)
+        return deduced(rows, log, table)
+
+    with mock.patch.object(engine, "_deduced", counted):
+        result = schutzenberger_automaton(pos(word), p, budget)
+    assert (result.status, result.rounds, result.vertex_history) == (status, rounds, history)
+    assert len(scans) == rounds + 1
+
+
 def test_closedness_is_stable():
     first = close(GraphBuilder.from_word(pos("ab")), COMM)
     again = close(GraphBuilder.from_graph(first.graph), COMM)

@@ -355,8 +355,8 @@ def test_walk_from_interior_vertex():
 
 def test_walk_from_an_id_that_is_no_vertex():
     # Rows sit in a list, so a negative id would index from its end, one
-    # past the last would overrun it, a gap would read an empty row, and an
-    # id that is no int could not index it.
+    # past the last would overrun it, a gap would read an empty row, an id
+    # that is no int could not index it, and a bool would index it as 0 or 1.
     g = graph(0, 1, [(0, "a", 1)])
     gap = graph(0, 3, [(0, "a", 3)])
     for made, start, word in [
@@ -367,6 +367,8 @@ def test_walk_from_an_id_that_is_no_vertex():
         (gap, 1, pos("a")),
         (gap, 2, Word()),
         (g, "0", pos("a")),
+        (g, True, w("a^")),
+        (g, False, pos("a")),
     ]:
         with pytest.raises(ValueError, match=f"^vertex {start!r} is not in the graph$"):
             made.walk(start, word)
