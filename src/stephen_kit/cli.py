@@ -177,8 +177,7 @@ def parse_args(argv: list[str]):
 def main(argv: list[str] | None = None) -> int:
     try:
         run, (path, *words), opts = parse_args(sys.argv[1:] if argv is None else argv)
-        # utf-8-sig drops the byte-order mark some editors write first.
-        with open(path, encoding="utf-8-sig") as f:
+        with open(path, encoding="utf-8") as f:
             p = parse_presentation(f.read())
         code, line = run(opts, p, *[parse_word(w, p.alphabet) for w in words])
     except (ValueError, OSError) as exc:

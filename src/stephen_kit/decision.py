@@ -61,7 +61,8 @@ def _acceptance(start: Word, w: Word, p: Presentation, budget: Budget) -> tuple[
     """Does A(start) accept w?  The verdict and the witness fields it rests on."""
     result = schutzenberger_automaton(start, p, budget)
     accepted = result.graph.accepts(w)
-    witness = {"accepted": accepted, "closure": _closure_stats(result), "budget": _budget_info(budget)}
+    closure = _closure_stats(result)
+    witness = {"accepted": accepted, "closure": closure, "budget": _budget_info(budget)}
     return _answer((accepted, result)), witness
 
 

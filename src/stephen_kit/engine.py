@@ -72,9 +72,10 @@ count, and a site that earlier sewing in the round made readable leaves
 the graph as it would be without that site.
 
 close sews each chain straight into the builder's rows and places its
-last edge by GraphBuilder.link's rule.  A new row holds only its step back, and a sewn side is positive,
-so a head edge needs no check at its new end, and only the first head
-step, at the site's start, can find its slot taken.
+last edge by GraphBuilder.link's rule.  A new row holds only its step
+back, and a sewn side is positive, so a head edge needs no check at its
+new end, and only the first head step, at the site's start, can find
+its slot taken.
 """
 
 from __future__ import annotations

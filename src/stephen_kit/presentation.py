@@ -11,6 +11,9 @@ File format (UTF-8, line oriented, ``#`` starts a comment)::
     X: a b          # alphabet, whitespace separated letters
     R: ab = ba      # one relation per line, both sides positive
 
+A leading byte-order mark is ignored, and a parse error names its line
+(see PresentationError).
+
 Letters are maximal runs of non-space characters; ``=``, ``:``, ``^`` and
 ``#`` are reserved, and no multi-character letter may be spelled by
 declared letters (``X: a b ab`` is rejected).  Words are written either as
@@ -31,13 +34,12 @@ RESERVED_CHARS = frozenset("=:^#")
 
 
 class PresentationError(ValueError):
-    """Malformed presentation or word text; carries the offending line."""
+    """Malformed presentation or word text.
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    parse_presentation alone numbers lines: an error it raises on a line
+    starts ``line N: `` and has line N; any other has line None."""
+
+    line: int | None = None
 
 
 _set = object.__setattr__
@@ -125,7 +127,7 @@ class Word(_Record):
     def __init__(self, letters: tuple[tuple[Letter, int], ...] = ()):
         letters = tuple(letters)
         for item in letters:
-            if len(item) != 2 or not item[0] or item[1] not in (1, -1):
+            if len(item) != 2 or not item[0] or type(item[1]) is not int or item[1] not in (1, -1):
                 raise ValueError(f"bad signed letter {item!r}")
         _set(self, "letters", _tuples(letters))
 
@@ -155,7 +157,7 @@ class Word(_Record):
         return " ".join(tokens)
 
 
-def parse_word(text: str, alphabet: Iterable[Letter], *, line: int | None = None) -> Word:
+def parse_word(text: str, alphabet: Iterable[Letter]) -> Word:
     """Parse a word against a declared alphabet.
 
     With embedded whitespace the text is split into letter tokens; so is a
@@ -174,7 +176,7 @@ def parse_word(text: str, alphabet: Iterable[Letter], *, line: int | None = None
         for ch in text:
             if ch == "^":
                 if not tokens:
-                    raise PresentationError("'^' with no preceding letter", line)
+                    raise PresentationError("'^' with no preceding letter")
                 tokens[-1] += "^"
             else:
                 tokens.append(ch)
@@ -184,14 +186,14 @@ def parse_word(text: str, alphabet: Iterable[Letter], *, line: int | None = None
         if token.endswith("^"):
             sign, token = -1, token[:-1]
         if not token or any(ch in RESERVED_CHARS for ch in token):
-            raise PresentationError(f"malformed letter token {token!r}", line)
+            raise PresentationError(f"malformed letter token {token!r}")
         if token not in known:
-            raise PresentationError(f"undeclared letter {token!r}", line)
+            raise PresentationError(f"undeclared letter {token!r}")
         letters.append((token, sign))
     return Word(tuple(letters))
 
 
-def _check_alphabet(letters: tuple[Letter, ...], line: int | None = None) -> frozenset:
+def _check_alphabet(letters: tuple[Letter, ...]) -> frozenset:
     """Letters non-empty, free of whitespace and reserved characters, and
     distinct, and no multi-character letter spelled by declared letters:
     over ``a b ab`` the text ``ab`` could mean either word.  Returns the
@@ -199,49 +201,47 @@ def _check_alphabet(letters: tuple[Letter, ...], line: int | None = None) -> fro
     known = frozenset(letters)
     for letter in letters:
         if not letter:
-            raise PresentationError("empty letter", line)
+            raise PresentationError("empty letter")
         if any(ch.isspace() for ch in letter):
-            raise PresentationError(f"letter {letter!r} contains whitespace", line)
+            raise PresentationError(f"letter {letter!r} contains whitespace")
         if any(ch in RESERVED_CHARS for ch in letter):
-            raise PresentationError(f"letter {letter!r} uses a reserved character", line)
+            raise PresentationError(f"letter {letter!r} uses a reserved character")
         if len(letter) > 1 and set(letter) <= known:
-            raise PresentationError(f"letter {letter!r} is spelled by declared letters", line)
+            raise PresentationError(f"letter {letter!r} is spelled by declared letters")
     if not letters:
-        raise PresentationError("alphabet declares no letters", line)
+        raise PresentationError("alphabet declares no letters")
     if len(known) != len(letters):
-        raise PresentationError("duplicate letter declaration", line)
+        raise PresentationError("duplicate letter declaration")
     return known
 
 
-def _check_relation(
-    lhs: Word, rhs: Word, known: Container[Letter], line: int | None = None
-) -> None:
+def _check_relation(lhs: Word, rhs: Word, known: Container[Letter]) -> None:
     """Both sides non-empty, positive and over known letters, and distinct.
 
     Presentation and parse_presentation share this and _check_alphabet; the
-    parser passes the line it read the relation from, and its result is
-    not checked again.
+    parser's result is not checked again.
     """
     for side in (lhs, rhs):
         if len(side) == 0:
-            raise PresentationError("empty relation side", line)
+            raise PresentationError("empty relation side")
         if not side.is_positive:
-            raise PresentationError(f"non-positive relation side '{side}'", line)
+            raise PresentationError(f"non-positive relation side '{side}'")
         for x, _ in side:
             if x not in known:
-                raise PresentationError(f"undeclared letter {x!r}", line)
+                raise PresentationError(f"undeclared letter {x!r}")
     if lhs == rhs:
-        raise PresentationError("relation sides are identical", line)
+        raise PresentationError("relation sides are identical")
 
 
 class Presentation(_Record):
     """A positive presentation: an alphabet and relations between positive words.
 
     _steps caches the engine's compiles of the relations into step codes,
-    one per set of start letters, made on the first closure from those
-    letters, and _known holds the alphabet as a frozenset for check_word;
-    neither is a field.  The alphabet, the relations and each relation's
-    pair of sides may come from any iterables and are kept as tuples.
+    one per set of closure letters, kept under those letters and under
+    each set of start letters that reaches them, and _known holds the
+    alphabet as a frozenset for check_word; neither is a field.  The
+    alphabet, the relations and each relation's pair of sides may come
+    from any iterables and are kept as tuples.
     """
 
     __slots__ = ("alphabet", "relations", "_steps", "_known")
@@ -283,29 +283,32 @@ def parse_presentation(text: str) -> Presentation:
     """Parse presentation source text; see the module docstring for the format."""
     alphabet: tuple[Letter, ...] | None = None
     relations: list[tuple[Word, Word]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if alphabet is None:
-            if not line.startswith("X:"):
-                raise PresentationError("expected alphabet line 'X: ...'", lineno)
-            alphabet = tuple(line[2:].split())
-            known = _check_alphabet(alphabet, lineno)
-            continue
-        if not line.startswith("R:"):
-            raise PresentationError("expected relation line 'R: <word> = <word>'", lineno)
-        body = line[2:]
-        if body.count("=") != 1:
-            raise PresentationError("relation needs exactly one '='", lineno)
-        left_text, right_text = body.split("=")
-        lhs = parse_word(left_text, alphabet, line=lineno)
-        rhs = parse_word(right_text, alphabet, line=lineno)
-        _check_relation(lhs, rhs, known, lineno)
+        try:
+            if alphabet is None:
+                if not line.startswith("X:"):
+                    raise PresentationError("expected alphabet line 'X: ...'")
+                alphabet = tuple(line[2:].split())
+                known = _check_alphabet(alphabet)
+                continue
+            if not line.startswith("R:"):
+                raise PresentationError("expected relation line 'R: <word> = <word>'")
+            sides = line[2:].split("=")
+            if len(sides) != 2:
+                raise PresentationError("relation needs exactly one '='")
+            lhs, rhs = [parse_word(side, alphabet) for side in sides]
+            _check_relation(lhs, rhs, known)
+        except PresentationError as exc:
+            error = PresentationError(f"line {lineno}: {exc}")
+            error.line = lineno
+            raise error from None
         relations.append((lhs, rhs))
     if alphabet is None:
         raise PresentationError("no alphabet line")
-    # Every line is checked above, with its number, so the record is not.
+    # Every line is checked above, so the record is not.
     return object.__new__(Presentation)._adopt(alphabet, tuple(relations), known)
 
 

@@ -310,9 +310,6 @@ class GraphBuilder:
             else:
                 self._pending.append((s, step, t))
 
-    def vertex_count(self) -> int:
-        return len(self._rows) - self._removed
-
     def fold(self) -> int:
         """Place every pending edge, merging until deterministic; returns the
         number of merges performed, which is the drop in vertex count.
@@ -370,7 +367,8 @@ class GraphBuilder:
         pending ones included, over the letters they use, so an unfolded
         builder gives a non-deterministic graph; this builder stays usable,
         and what it does next does not reach the graph."""
-        return BirootedGraph(_linked(self.alpha, self.beta, _edges(self._rows, self._pending, self.letters)))
+        edges = _edges(self._rows, self._pending, self.letters)
+        return BirootedGraph(_linked(self.alpha, self.beta, edges))
 
 
 def fold(g: BirootedGraph) -> BirootedGraph:

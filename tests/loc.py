@@ -3,7 +3,10 @@
 For each module of the package and for the total, prints its lines and
 its code lines: the lines that hold a token other than a comment, outside
 docstrings.  Blank lines, comment lines and docstrings are not code; a
-string that is not a docstring is.  Under that table it prints the
+string that is not a docstring is.  Beside them it prints the module's
+optional parameters: the parameters of its functions, methods and
+lambdas that have a default, keyword-only ones included, the count of
+options a simplicity change also reports.  Under that table it prints the
 package's ten largest top-level functions and class methods by code
 lines, nested functions counted in the function that holds them.  Run
 from the repository root, or point it at another checkout's package
@@ -62,9 +65,18 @@ def functions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return found
 
 
-def counts(path: Path) -> tuple[int, int, list[tuple[str, int]]]:
-    """(lines, code lines, (function name, code lines) of each function)
-    of one source file."""
+def optional_parameters(tree: ast.Module) -> int:
+    """The parameters with a default of every function and lambda in tree."""
+    return sum(
+        len(node.args.defaults) + sum(default is not None for default in node.args.kw_defaults)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+    )
+
+
+def counts(path: Path) -> tuple[int, int, int, list[tuple[str, int]]]:
+    """(lines, code lines, optional parameters, (function name, code
+    lines) of each function) of one source file."""
     text = path.read_text(encoding="utf-8")
     tree = ast.parse(text)
     code = set()
@@ -76,21 +88,22 @@ def counts(path: Path) -> tuple[int, int, list[tuple[str, int]]]:
         (name, len(code.intersection(range(node.lineno, node.end_lineno + 1))))
         for name, node in functions(tree)
     ]
-    return len(text.splitlines()), len(code), sizes
+    return len(text.splitlines()), len(code), optional_parameters(tree), sizes
 
 
 def main(argv: list[str]) -> None:
     package = Path(argv[0]) if argv else PACKAGE
-    total_lines = total_code = 0
+    total_lines = total_code = total_options = 0
     largest = []
-    print(f"{'module':<16} {'lines':>6} {'code':>6}")
+    print(f"{'module':<16} {'lines':>6} {'code':>6} {'options':>8}")
     for path in sorted(package.glob("*.py")):
-        lines, code, sizes = counts(path)
+        lines, code, options, sizes = counts(path)
         total_lines += lines
         total_code += code
+        total_options += options
         largest += [(size, f"{path.stem}.{name}") for name, size in sizes]
-        print(f"{path.name:<16} {lines:>6} {code:>6}")
-    print(f"{'total':<16} {total_lines:>6} {total_code:>6}")
+        print(f"{path.name:<16} {lines:>6} {code:>6} {options:>8}")
+    print(f"{'total':<16} {total_lines:>6} {total_code:>6} {total_options:>8}")
     print()
     print(f"{'largest functions':<40} {'code':>6}")
     for size, name in sorted(largest, key=lambda item: (-item[0], item[1]))[:10]:

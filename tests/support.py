@@ -71,6 +71,11 @@ def new_vertex(b: GraphBuilder) -> int:
     return v
 
 
+def vertex_count(b: GraphBuilder) -> int:
+    """The number of vertices b holds: its rows less those folds removed."""
+    return len(b._rows) - b._removed
+
+
 def spell(b: GraphBuilder, start: int, letters, end: int | None = None) -> int:
     """Link a chain labeled by signed letters from start through fresh
     vertices; returns the chain's last vertex.

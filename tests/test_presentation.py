@@ -101,27 +101,58 @@ def test_parse_zero_relations_allowed():
     assert p.relations == ()
 
 
+# Every error text can reach: the text, a fragment of the message, and the
+# line the error names (None for a file with no alphabet line).
+PARSE_ERRORS = [
+    ("R: ab = ba", "expected alphabet", 1),
+    ("X: a b\nab = ba", "expected relation", 2),
+    ("X: a b\nR: ab = ba = a", "exactly one '='", 2),
+    ("X: a b\nR:  = ba", "empty relation side", 2),
+    ("X: a b\nR: ab^ = ba", "non-positive", 2),
+    ("X: a b\nR: ab = ab", "identical", 2),
+    ("X: a b\nR: ^a = b", "with no preceding letter", 2),
+    ("X: a b\nR: a ^ = b", "malformed letter token ''", 2),
+    ("X: a b\nR: ac = b", "undeclared letter 'c'", 2),
+    ("X: a a\nR: aa = a", "duplicate", 1),
+    ("# a comment\nX: a a", "duplicate letter declaration", 2),
+    ("X: a=b\nR: aa = a", "reserved", 1),
+    ("X: a b ab\nR: a = b", "'ab' is spelled by declared letters", 1),
+    ("X:\nR: a = b", "alphabet declares no letters", 1),
+    ("X: a b\n\n# c\nR: ab = ba\nR: b = ", "empty relation side", 5),
+    ("", "no alphabet", None),
+]
+
+
 @pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("R: ab = ba", "expected alphabet"),
-        ("X: a b\nab = ba", "expected relation"),
-        ("X: a b\nR: ab = ba = a", "exactly one '='"),
-        ("X: a b\nR:  = ba", "empty relation side"),
-        ("X: a b\nR: ab^ = ba", "non-positive"),
-        ("X: a b\nR: ab = ab", "identical"),
-        ("X: a a\nR: aa = a", "duplicate"),
-        ("X: a=b\nR: aa = a", "reserved"),
-        ("X: a b ab\nR: a = b", "'ab' is spelled by declared letters"),
-        ("", "no alphabet"),
-    ],
+    "text,fragment,line",
+    PARSE_ERRORS,
+    ids=[f"{text}-{fragment}" for text, fragment, _ in PARSE_ERRORS],
 )
-def test_parse_errors(text, fragment):
+def test_parse_errors(text, fragment, line):
     with pytest.raises(PresentationError, match=fragment) as excinfo:
         parse_presentation(text)
-    if text.startswith("X: a b\n"):
-        assert excinfo.value.line == 2
-        assert str(excinfo.value).startswith("line 2: ")
+    assert excinfo.value.line == line
+    if line is None:
+        assert not str(excinfo.value).startswith("line ")
+    else:
+        assert str(excinfo.value).startswith(f"line {line}: ")
+
+
+def test_errors_outside_a_file_name_no_line():
+    for build, fragment in [
+        (lambda: parse_word("c", "ab"), "undeclared letter 'c'"),
+        (lambda: Presentation(("a", "a")), "duplicate letter declaration"),
+    ]:
+        with pytest.raises(PresentationError, match=f"^{fragment}$") as excinfo:
+            build()
+        assert excinfo.value.line is None
+
+
+def test_parse_ignores_a_leading_byte_order_mark():
+    text = "X: a b\nR: ab = ba\n"
+    assert parse_presentation("\ufeff" + text) == parse_presentation(text)
+    with pytest.raises(PresentationError, match="^line 2: undeclared letter"):
+        parse_presentation("\ufeffX: a\nR: ab = ba\n")
 
 
 def test_parse_error_reports_line():

@@ -125,6 +125,8 @@ def test_budget_defaults():
         (lambda: Word((("a", 2),)), "bad signed letter ('a', 2)"),
         (lambda: Word((("", 1),)), "bad signed letter ('', 1)"),
         (lambda: Word((("a", 1, 1),)), "bad signed letter ('a', 1, 1)"),
+        (lambda: Word((("a", True),)), "bad signed letter ('a', True)"),
+        (lambda: Word((("a", 1.0),)), "bad signed letter ('a', 1.0)"),
         (lambda: Presentation(()), "alphabet declares no letters"),
         (lambda: Presentation(("a", "a")), "duplicate letter declaration"),
         (lambda: Presentation(("a",), ((pos("a"), pos("a")),)), "relation sides are identical"),
