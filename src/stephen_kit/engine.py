@@ -31,22 +31,26 @@ is first linked again into a new builder over them, which is the one
 that closes.  Every walk of the loop reads one list slot a step.
 
 Every site scan works from the builder's log of placed edges, as coset
-enumeration works from its deduction stack: for each live logged edge,
-and each check and position k of its read side that the edge's letter
+enumeration works from its deduction stack: for each logged edge, and
+each check and position k of its read side that the edge's letter
 fills, walk back from the edge's source by the first k read steps to a
 start, and walk on from the edge's target by the rest of the read side.
-Round 0 reads the log the builder kept since it was made.  Every way of
-making a builder logs each edge it places, and the first fold logs each
-edge a merge moves, so every edge of the folded graph has a live entry,
-and every read path holds one, because relation sides are non-empty.
-Each later round reads the log of the edges the last round placed, and
-that finds every site too.  Sewing and folding never destroy a path,
-and an edge that no live log entry names was an edge a round earlier
-under the same ids, so a read path made only of such old edges was
-readable a round earlier, that round sewed its site, and the other side
-is readable now.  Any other read path holds a logged edge, and walking
-back from that edge's source by the prefix before its position reaches
-the path's start.
+An entry goes stale when a merge removes an end of its edge or moves
+the edge, which the merge logs again; only a fold merges, so close
+drops the stale entries once after each fold, the first included, and
+a scan reads live entries only.  A round that folds nothing rewrites
+no entry.  Round 0 reads the log the builder kept since it was made.
+Every way of making a builder logs each edge it places, and the first
+fold logs each edge a merge moves, so every edge of the folded graph
+has a live entry, and every read path holds one, because relation
+sides are non-empty.  Each later round reads the log of the edges the
+last round placed, and that finds every site too.  Sewing and folding
+never destroy a path, and an edge that no live log entry names was an
+edge a round earlier under the same ids, so a read path made only of
+such old edges was readable a round earlier, that round sewed its
+site, and the other side is readable now.  Any other read path holds a
+logged edge, and walking back from that edge's source by the prefix
+before its position reaches the path's start.
 
 An edge of a sewn chain settles one deduction of its own, and the scan
 skips that one for it.  When check i = (read, sew) is sewn at (start,
@@ -62,8 +66,10 @@ once and for all: position k of check i's sewn side is a link (c,
 walks), c the step sewn there and walks every entry of c's table list
 but the settled one, and close logs the chain edge with those walks.
 An edge that a fold moved or placed, and every edge a builder logged as
-it was made, settles nothing: it is logged with None and walked against
-every entry of its letter.
+it was made, settles nothing: it is logged with None, and the same
+rewrite after the fold turns it round to read forward when it was
+logged against its letter and gives it every entry of its letter's
+table list as its walks.
 
 A round sews every site found at its start.  Folding is confluent, and a
 chain sewn beside a path with the same label folds onto that path, so
@@ -237,29 +243,44 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
     return steps
 
 
-def _deduced(rows: list, log: list, table: list[list[Deduction]]) -> list[Site]:
-    """The sites of folded rows whose read path holds a live edge of log,
-    each (start, check) once.  These are all the sites when log holds
-    every edge the builder placed, as after close's first fold, or every
-    edge the last round placed (see the module docstring).
+def _live(rows: list, log: list, table: list[list[Deduction]]) -> None:
+    """Rewrite log in place to its live entries, in log order, each read
+    forward with its walks (see the module docstring).
 
     A log entry (s, c, t, walks) is live while s is a vertex whose slot
-    still names t; a merge that moved the edge logged it again.  A sewn
-    chain edge carries its link's walks, which leave out the deduction it
-    settles, whose walk finds no site.  Any other edge is logged with
-    None: it is turned round to read forward when logged against its
-    letter, and walks every entry of table[c].  Only sites are keyed for
-    the once: a walk that finds none finds none again.
+    still names t.  A live entry logged with walks None is turned round
+    when c is an inverse step, and walks every entry of table[c]; a sewn
+    chain edge's entry is kept as it is, with its link's walks.
     """
-    sites, seen = [], set()
-    for s, c, t, walks in log:
+    live = []
+    for entry in log:
+        s, c, t, walks = entry
         row = rows[s]
-        if row is None or row[c] != t:
-            continue
-        if walks is None:
-            if c & 1:
-                s, c, t = t, c ^ 1, s
-            walks = table[c]
+        if row is not None and row[c] == t:
+            if walks is not None:
+                live.append(entry)
+            elif c & 1:
+                live.append((t, c ^ 1, s, table[c ^ 1]))
+            else:
+                live.append((s, c, t, table[c]))
+    log[:] = live
+
+
+def _deduced(rows: list, log: list, table: list[list[Deduction]]) -> dict[tuple[int, int], Site]:
+    """The sites of folded rows whose read path holds an edge of log, keyed
+    by (start, i), the check's index, in the order first found.  These are
+    all the sites when log holds every edge the builder placed, as after
+    close's first fold, or every edge the last round placed (see the
+    module docstring).
+
+    log holds only live entries that read forward with their walks, as
+    _live leaves it.  A sewn chain edge's walks leave out the deduction it
+    settles, whose walk finds no site.  The rows are deterministic, so a
+    site found again is found with the same end, and keying it again
+    keeps its place and its value.
+    """
+    sites = {}
+    for s, _, t, walks in log:
         for i, back, rest, sew, check in walks:
             start = s
             for d in back:
@@ -278,9 +299,8 @@ def _deduced(rows: list, log: list, table: list[list[Deduction]]) -> list[Site]:
                         v = rows[v][d]
                         if v is None:
                             break
-                    if v != end and (start, i) not in seen:
-                        seen.add((start, i))
-                        sites.append((start, end, check))
+                    if v != end:
+                        sites[start, i] = start, end, check
     return sites
 
 
@@ -318,7 +338,9 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     a round has left more than max_vertices vertices; so a round that
     leaves no site is closed even when it crosses the limit, and round 1
     runs even when the start graph is over it.  Otherwise the pass clears
-    the log, sews every site's chain and folds when an edge pends.  The
+    the log, sews every site's chain and folds when an edge pends.  After
+    the first fold and each round's fold, _live rewrites the log to the
+    live entries, each read forward with its walks.  The
     result graph takes over the rows of the builder that closes, so b is
     spent; a caller that holds a graph passes GraphBuilder.from_graph(g).
     A b that lacks some of the closure's letters is linked again into a
@@ -334,7 +356,9 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     history, fold_events = [], 0
     max_rounds, max_vertices = budget.max_rounds, budget.max_vertices
     rows, log, pending = b._rows, b.log, b._pending  # the builder never replaces them
+    add_row, log_edge = rows.append, log.append
     blank = [None] * (2 * len(letters))
+    _live(rows, log, table)
     while True:
         history.append(len(rows) - b._removed)
         sites = _deduced(rows, log, table)
@@ -342,16 +366,16 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
         if not sites or rounds >= max_rounds or rounds and history[-1] > max_vertices:
             break
         log.clear()
-        for s, t, (_, _, head, (c, walks)) in sites:
+        for s, t, (_, _, head, (c, walks)) in sites.values():
             row = rows[s]
             for d, head_walks in head:  # every vertex the head adds is new
                 v = len(rows)
                 new = blank.copy()
-                rows.append(new)
+                add_row(new)
                 if row[d] is None:
                     row[d] = v
                     new[d ^ 1] = s
-                    log.append((s, d, v, head_walks))
+                    log_edge((s, d, v, head_walks))
                 else:
                     pending.append((s, d, v))
                 s, row = v, new
@@ -359,11 +383,12 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
             if slot is None and rows[t][c ^ 1] is None:
                 row[c] = t
                 rows[t][c ^ 1] = s
-                log.append((s, c, t, walks))
+                log_edge((s, c, t, walks))
             elif slot != t:
                 pending.append((s, c, t))
         if pending:
             fold_events += b.fold()
+            _live(rows, log, table)
     status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
     return ClosureResult(status, BirootedGraph(b), rounds, fold_events, tuple(history))
 

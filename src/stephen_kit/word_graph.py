@@ -254,11 +254,13 @@ class GraphBuilder:
     and logs the moved edge again.  The builder logs every edge it places
     with walks None; only the engine's close, which sews a round's
     chains into the rows itself, logs a chain edge with the deduction
-    entries its scan walks (see the engine module docstring).  close reads
-    round 0's sites from the live entries, and each later round's from
-    the entries of the round before, so the log must hold every edge the
-    builder placed: every way of making a builder logs its edges, and
-    only close clears the log, at the start of a round.
+    entries its scan walks (see the engine module docstring).  close is
+    the log's reader, and it cleans what it reads: after each fold it
+    drops the stale entries and gives each None entry its walks.  It
+    reads round 0's sites from the entries left after its first fold, and
+    each later round's from the entries of the round before, so the log
+    must hold every edge the builder placed: every way of making a
+    builder logs its edges, and only close clears or rewrites the log.
     """
 
     def __init__(self, letters: Iterable[Letter] = ()):

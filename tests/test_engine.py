@@ -710,7 +710,10 @@ def test_round_site_order_does_not_change_closure():
     # Each scan's sites are the ones the next round sews, if one runs.
     deduced = engine._deduced
     rng = random.Random(5)
-    reorders = (lambda sites: sites[::-1], lambda sites: rng.sample(sites, len(sites)))
+    reorders = (
+        lambda sites: dict(reversed(sites.items())),
+        lambda sites: dict(rng.sample(list(sites.items()), len(sites))),
+    )
     reordered_rounds = 0
 
     def reordered(reorder, sizes):
@@ -792,13 +795,30 @@ def _deduction_closures(closing: list) -> None:
     checked_unfolded(b, COMM)
 
 
+def dropping_live(dropped: list):
+    """engine._live, appending to dropped each entry that it drops: the
+    ones whose source is no vertex or whose slot no longer names the
+    target."""
+    live = engine._live
+
+    def counted(rows, log, table):
+        stale = [e for e in log if rows[e[0]] is None or rows[e[0]][e[1]] != e[2]]
+        before = len(log)
+        live(rows, log, table)
+        assert len(log) == before - len(stale)
+        dropped.extend(stale)
+
+    return counted
+
+
 def test_deduced_sites_equal_find_expansions_every_round():
     # Round 0 takes its sites from every edge the builder logged, the first
     # fold's moves included, and later rounds from the edges the last round
     # logged; each scan must find what find_expansions finds on the frozen
-    # graph, each (start, check) once.
+    # graph, each (start, check) once.  Each fold's stale entries are
+    # dropped once, after it, so no scan reads one.
     deduced = engine._deduced
-    rounds, stale = [], []
+    rounds, stale, dropped = [], [], []
     closing = []  # the builder and presentation of the closure under way
 
     def compared(sites):
@@ -809,8 +829,9 @@ def test_deduced_sites_equal_find_expansions_every_round():
 
         # A check is one tuple object per relation side, so a relation
         # stated twice gives two equal checks that are two sites.
-        assert len({(s, id(check)) for s, _, check in sites}) == len(sites)
-        found = [(s, e, (decoded(read), decoded(sew))) for s, e, (read, sew, *_) in sites]
+        values = sites.values()
+        assert len({(s, id(check)) for s, _, check in values}) == len(sites)
+        found = [(s, e, (decoded(read), decoded(sew))) for s, e, (read, sew, *_) in values]
         assert sorted(found) == sorted(find_expansions(b.freeze(), p))
         return sites
 
@@ -821,23 +842,28 @@ def test_deduced_sites_equal_find_expansions_every_round():
         return sites
 
     with mock.patch.object(engine, "_deduced", checked_deduced):
-        _deduction_closures(closing)
+        with mock.patch.object(engine, "_live", dropping_live(dropped)):
+            _deduction_closures(closing)
     assert len(rounds) > 500
-    assert sum(stale) > 100
+    assert sum(stale) == 0
+    assert len(dropped) > 100
 
 
 def test_deductions_a_sewn_edge_settles_hold():
     # The scan skips, for a live edge of a sewn chain, the entry of the
     # reverse check at the edge's position.  Walk each skipped entry by
     # hand: every step must land, and the check must hold, so the walk
-    # could not have found a site.
+    # could not have found a site.  A scan reads only live, forward
+    # entries, every one that is no chain edge walking its whole table
+    # list, and the stale chain edges were dropped after their fold.
     deduced = engine._deduced
-    skipped, sewn_stale = 0, 0
+    skipped, sewn_stale, dropped = 0, 0, []
 
     def checked_deduced(rows, log, table):
         nonlocal skipped, sewn_stale
         for s, c, t, walks in log:
-            if walks is None:
+            assert walks is not None
+            if walks is table[c]:
                 continue
             row = rows[s]
             if row is None or row[c] != t:
@@ -864,9 +890,47 @@ def test_deductions_a_sewn_edge_settles_hold():
         return deduced(rows, log, table)
 
     with mock.patch.object(engine, "_deduced", checked_deduced):
-        _deduction_closures([])
+        with mock.patch.object(engine, "_live", dropping_live(dropped)):
+            _deduction_closures([])
     assert skipped > 100_000
-    assert sewn_stale > 1000
+    assert sewn_stale == 0
+    assert sum(walks is not None for *_, walks in dropped) > 1000
+
+
+def test_live_keeps_live_entries_in_order_and_turns_the_rest_forward():
+    # aba^ab logs its third step against its letter, and the first fold
+    # merges the ends of its fourth and moves its fifth; the one round over
+    # ab = ba then folds a sewn chain edge away and logs a moved edge
+    # against its letter.  Each rebuild drops exactly the entries whose
+    # source is no vertex or whose slot no longer names the target, keeps
+    # the rest in log order, turns each entry logged with None to read
+    # forward with its whole table list, and leaves each chain edge's
+    # entry as it was.
+    live = engine._live
+    tallies = []
+
+    def checked(rows, log, table):
+        before = list(log)
+        live(rows, log, table)
+        kept = [e for e in before if rows[e[0]] is not None and rows[e[0]][e[1]] == e[2]]
+        assert len(log) == len(kept)
+        turned = chained = 0
+        for (s, c, t, walks), entry in zip(kept, log):
+            if walks is not None:
+                assert entry == (s, c, t, walks) and entry[3] is walks
+                chained += 1
+            elif c & 1:
+                assert entry == (t, c ^ 1, s, table[c ^ 1]) and entry[3] is table[c ^ 1]
+                turned += 1
+            else:
+                assert entry == (s, c, t, table[c]) and entry[3] is table[c]
+        tallies.append((len(before) - len(kept), turned, chained))
+
+    with mock.patch.object(engine, "_live", checked):
+        result = close(GraphBuilder.from_word(w("aba^ab"), COMM.alphabet), COMM)
+    assert (result.status, result.rounds) == (Status.CLOSED, 1)
+    assert result.fold_events > 0
+    assert tallies == [(1, 1, 0), (1, 1, 2)]  # (dropped, turned, chain edges kept)
 
 
 def chain_links(check):
@@ -1034,11 +1098,12 @@ def test_close_sews_by_links_rule_id_for_id():
         history = [vertex_count(b)]
         rounds = fold_events = 0
         rows, log, pending = b._rows, b.log, b._pending
+        engine._live(rows, log, table)
         scans.append(snapshot(b, rows, log))
         sites = deduced(rows, log, table)
         while sites and rounds < budget.max_rounds:
             log.clear()
-            for s, t, (_, sew, *_) in sites:
+            for s, t, (_, sew, *_) in sites.values():
                 c = sew[-1]
                 if len(sew) > 1:
                     first_taken += rows[s][sew[0]] is not None
@@ -1048,6 +1113,9 @@ def test_close_sews_by_links_rule_id_for_id():
                 spell(b, s, [(letters[d >> 1], 1) for d in sew], t)
             if pending:
                 fold_events += b.fold()
+            # link logs every edge with walks None, so the log is rebuilt
+            # after every round, a round that folds nothing included.
+            engine._live(rows, log, table)
             rounds += 1
             history.append(len(rows) - b._removed)
             scans.append(snapshot(b, rows, log))
