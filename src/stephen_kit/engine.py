@@ -30,11 +30,14 @@ spends the builder.  A builder that lacks some of the closure's letters
 is first linked again into a new builder over them, which is the one
 that closes.  Every walk of the loop reads one list slot a step.
 
-Every site scan works from the builder's log of placed edges, as coset
-enumeration works from its deduction stack: for each logged edge, and
-each check and position k of its read side that the edge's letter
-fills, walk back from the edge's source by the first k read steps to a
-start, and walk on from the edge's target by the rest of the read side.
+Each pass of close's loop starts with a site scan, which works from the
+builder's log of placed edges, as coset enumeration works from its
+deduction stack: for each logged edge, and each check and position k of
+its read side that the edge's letter fills, walk back from the edge's
+source by the first k read steps to a start, and walk on from the
+edge's target by the rest of the read side; a site is kept once under
+(start, i), i the check's index, in the order first found.  The rows
+are deterministic, so a site found again has the same end.
 An entry goes stale when a merge removes an end of its edge or moves
 the edge, which the merge logs again; only a fold merges, so close
 drops the stale entries once after each fold, the first included, and
@@ -169,7 +172,6 @@ Link = tuple[int, list]  # (c, walks): the step sewn and the Deductions its edge
 Sewable = tuple[Codes, Codes, tuple[Link, ...], Link]
 Deduction = tuple[int, Codes, Codes, Codes, Sewable]  # (i, back, rest, sew, check)
 Steps = tuple[tuple[str, ...], list[list[Deduction]]]
-Site = tuple[int, int, Sewable]
 
 
 def _checks(p: Presentation) -> list[Check]:
@@ -245,7 +247,8 @@ def _compile(p: Presentation, start: tuple[str, ...]) -> Steps:
 
 def _live(rows: list, log: list, table: list[list[Deduction]]) -> None:
     """Rewrite log in place to its live entries, in log order, each read
-    forward with its walks (see the module docstring).
+    forward with its walks (see the module docstring), as close's site
+    scan reads them.
 
     A log entry (s, c, t, walks) is live while s is a vertex whose slot
     still names t.  A live entry logged with walks None is turned round
@@ -264,44 +267,6 @@ def _live(rows: list, log: list, table: list[list[Deduction]]) -> None:
             else:
                 live.append((s, c, t, table[c]))
     log[:] = live
-
-
-def _deduced(rows: list, log: list, table: list[list[Deduction]]) -> dict[tuple[int, int], Site]:
-    """The sites of folded rows whose read path holds an edge of log, keyed
-    by (start, i), the check's index, in the order first found.  These are
-    all the sites when log holds every edge the builder placed, as after
-    close's first fold, or every edge the last round placed (see the
-    module docstring).
-
-    log holds only live entries that read forward with their walks, as
-    _live leaves it.  A sewn chain edge's walks leave out the deduction it
-    settles, whose walk finds no site.  The rows are deterministic, so a
-    site found again is found with the same end, and keying it again
-    keeps its place and its value.
-    """
-    sites = {}
-    for s, _, t, walks in log:
-        for i, back, rest, sew, check in walks:
-            start = s
-            for d in back:
-                start = rows[start][d]
-                if start is None:
-                    break
-            else:
-                end = t
-                for d in rest:
-                    end = rows[end][d]
-                    if end is None:
-                        break
-                else:
-                    v = start
-                    for d in sew:
-                        v = rows[v][d]
-                        if v is None:
-                            break
-                    if v != end:
-                        sites[start, i] = start, end, check
-    return sites
 
 
 def find_expansions(g: BirootedGraph, p: Presentation) -> list[tuple[int, int, Check]]:
@@ -331,40 +296,63 @@ def close(b: GraphBuilder, p: Presentation, budget: Budget = Budget()) -> Closur
     budget limit trips.
 
     The merges of the first fold count in neither fold_events nor rounds.
-    Each pass of the loop records the vertex count and scans b's log once
-    for sites: the first pass every edge b placed since it was made, each
-    later pass only the edges the round before it logged.  The loop stops
-    when the scan finds no site, when max_rounds rounds have run, or when
-    a round has left more than max_vertices vertices; so a round that
-    leaves no site is closed even when it crosses the limit, and round 1
-    runs even when the start graph is over it.  Otherwise the pass clears
-    the log, sews every site's chain and folds when an edge pends.  After
-    the first fold and each round's fold, _live rewrites the log to the
-    live entries, each read forward with its walks.  The
-    result graph takes over the rows of the builder that closes, so b is
-    spent; a caller that holds a graph passes GraphBuilder.from_graph(g).
-    A b that lacks some of the closure's letters is linked again into a
-    new builder over them, which closes instead, and b is left as it was;
-    a b with a letter outside the alphabet is refused with ValueError.
-    On budget exhaustion the returned graph is the last completed round's
+    Each pass of the loop records the vertex count and scans b's log
+    for sites (see the module docstring): the first pass every edge b
+    placed since it was made, each later pass only the edges the round
+    before it logged.  The loop stops when the scan finds no site, when
+    max_rounds rounds have run, or when a round has left more than
+    max_vertices vertices; so a round that leaves no site is closed even
+    when it crosses the limit, and round 1 runs even when the start graph
+    is over it.  Otherwise the pass clears the log, sews every site's
+    chain and folds when an edge pends.  After the first fold and each
+    round's fold, _live rewrites the log to the live entries, each read
+    forward with its walks, so every scan reads only those.  The result
+    graph takes over the rows of the builder that closes, so b is spent;
+    a caller that holds a graph passes GraphBuilder.from_graph(g).  A b
+    that lacks some of the closure's letters is linked again into a new
+    builder over them, which closes instead, and b is left as it was; a
+    b with a letter outside the alphabet is refused with ValueError.  On
+    budget exhaustion the returned graph is the last completed round's
     approximation; that is a status, not an error.
     """
     letters, table = _compile(p, b.letters)
     if b.letters != letters:
         b = _linked(b.alpha, b.beta, _edges(b._rows, b._pending, b.letters), letters)
     b.fold()
-    history, fold_events = [], 0
     max_rounds, max_vertices = budget.max_rounds, budget.max_vertices
     rows, log, pending = b._rows, b.log, b._pending  # the builder never replaces them
     add_row, log_edge = rows.append, log.append
     blank = [None] * (2 * len(letters))
+    history, rounds, fold_events, removed = [], 0, 0, b._removed  # removed before round 1
     _live(rows, log, table)
     while True:
-        history.append(len(rows) - b._removed)
-        sites = _deduced(rows, log, table)
-        rounds = len(history) - 1
-        if not sites or rounds >= max_rounds or rounds and history[-1] > max_vertices:
+        vertices = len(rows) - removed - fold_events
+        history.append(vertices)
+        sites = {}  # (start, i): (start, end, check), in the order first found
+        for s, _, t, walks in log:
+            for i, back, rest, sew, check in walks:
+                start = s
+                for d in back:
+                    start = rows[start][d]
+                    if start is None:
+                        break
+                else:
+                    end = t
+                    for d in rest:
+                        end = rows[end][d]
+                        if end is None:
+                            break
+                    else:
+                        v = start
+                        for d in sew:
+                            v = rows[v][d]
+                            if v is None:
+                                break
+                        if v != end:
+                            sites[start, i] = start, end, check
+        if not sites or rounds >= max_rounds or rounds and vertices > max_vertices:
             break
+        rounds += 1
         log.clear()
         for s, t, (_, _, head, (c, walks)) in sites.values():
             row = rows[s]

@@ -8,9 +8,12 @@ optional parameters: the parameters of its functions, methods and
 lambdas that have a default, keyword-only ones included, the count of
 options a simplicity change also reports.  Under that table it prints the
 package's ten largest top-level functions and class methods by code
-lines, nested functions counted in the function that holds them.  Run
-from the repository root, or point it at another checkout's package
-directory:
+lines, nested functions counted in the function that holds them.  Last,
+for each test module beside the package, it prints how many of its
+test functions name a private engine or builder name (_compile, _live,
+_rows, _pending, _deduced or an attribute log) in their own body, and
+how many test functions it has.  Run from the repository root, or point
+it at another checkout's package directory, whose tests it then reads:
 
     python tests/loc.py
     python tests/loc.py /path/to/other/checkout/src/stephen_kit
@@ -25,6 +28,7 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stephen_kit"
+PRIVATE = {"_compile", "_live", "_rows", "_pending", "_deduced"}
 NOT_CODE = {
     tokenize.COMMENT,
     tokenize.NL,
@@ -91,6 +95,29 @@ def counts(path: Path) -> tuple[int, int, int, list[tuple[str, int]]]:
     return len(text.splitlines()), len(code), optional_parameters(tree), sizes
 
 
+def private_readers(path: Path) -> tuple[int, int]:
+    """(test functions that name a private name, test functions) of one
+    test module: a private name read as a name or an attribute, an
+    attribute log, or a string equal to a private name, as a patch names
+    its target."""
+    tests = [
+        node
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+    ]
+    readers = 0
+    for test in tests:
+        for node in ast.walk(test):
+            if (
+                isinstance(node, ast.Attribute) and (node.attr in PRIVATE or node.attr == "log")
+                or isinstance(node, ast.Name) and node.id in PRIVATE
+                or isinstance(node, ast.Constant) and node.value in PRIVATE
+            ):
+                readers += 1
+                break
+    return readers, len(tests)
+
+
 def main(argv: list[str]) -> None:
     package = Path(argv[0]) if argv else PACKAGE
     total_lines = total_code = total_options = 0
@@ -108,6 +135,11 @@ def main(argv: list[str]) -> None:
     print(f"{'largest functions':<40} {'code':>6}")
     for size, name in sorted(largest, key=lambda item: (-item[0], item[1]))[:10]:
         print(f"{name:<40} {size:>6}")
+    print()
+    print(f"{'tests naming private names':<32} {'private':>7} {'tests':>6}")
+    for path in sorted((package.parent.parent / "tests").glob("test_*.py")):
+        readers, tests = private_readers(path)
+        print(f"{path.name:<32} {readers:>7} {tests:>6}")
 
 
 if __name__ == "__main__":

@@ -140,22 +140,27 @@ def all_positive_words(alphabet: str, max_len: int, min_len: int = 1):
             yield Word(tuple((x, 1) for x in combo))
 
 
-def naive_close(g: BirootedGraph, p: Presentation, budget: Budget) -> ClosureResult:
+def naive_close(
+    g: BirootedGraph, p: Presentation, budget: Budget, each_round: list | None = None
+) -> ClosureResult:
     """Reference closure that rebuilds, rescans and refreezes every round.
 
     Each round sews the missing side of every site of the frozen graph,
-    folds the whole graph and freezes it again.
+    folds the whole graph and freezes it again.  each_round, when given,
+    gets after round k, at index k (the start graph at index 0), the
+    result that a round limit of k would stop with: the graph, vertex
+    history and merges so far, closed when no site is left.
     """
     history = [len(g.vertices)]
     rounds = fold_events = 0
     while True:
         sites = find_expansions(g, p)
-        if not sites:
-            status = Status.CLOSED
-            break
+        status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
+        if each_round is not None:
+            each_round.append(ClosureResult(status, g, rounds, fold_events, tuple(history)))
         # The vertex limit applies from the end of round 1 on.
-        if rounds >= budget.max_rounds or (rounds and len(g.vertices) > budget.max_vertices):
-            status = Status.BUDGET_EXCEEDED
+        over = rounds and len(g.vertices) > budget.max_vertices
+        if not sites or rounds >= budget.max_rounds or over:
             break
         b = _linked(g.alpha, g.beta, g.edges, p.alphabet)
         for start, end, (_, sew) in sites:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from stephen_kit import (
     BirootedGraph,
     Budget,
+    ClosureResult,
     Presentation,
     Status,
     Word,
@@ -221,17 +222,14 @@ def test_close_round_that_closes_past_vertex_limit_is_closed():
     ],
 )
 def test_stop_rule_at_its_edges(word, p, budget, status, rounds, history):
-    # One site scan before round 1 and one after every round.
-    deduced, scans = engine._deduced, []
-
-    def counted(rows, log, table):
-        scans.append(None)
-        return deduced(rows, log, table)
-
-    with mock.patch.object(engine, "_deduced", counted):
-        result = schutzenberger_automaton(pos(word), p, budget)
+    # One site scan before round 1 and one after every round: each case's
+    # scans walk the pinned number of table entries (keyed by its vertex
+    # history), and a second scan in a pass would walk its log again.  The
+    # walks are counted on a copy of p, whose compile counted_walks rewrites.
+    walks = {(4, 6): 10, (3, 4): 6, (3, 5, 7, 9): 13}[history]
+    result, walked = counted_walks(Presentation(p.alphabet, p.relations), pos(word), budget)
     assert (result.status, result.rounds, result.vertex_history) == (status, rounds, history)
-    assert len(scans) == rounds + 1
+    assert walked == walks
 
 
 def test_closedness_is_stable():
@@ -416,6 +414,7 @@ def assert_same_closure(result, reference):
 @given(small_presentations, signed_words, small_budgets)
 @example(COMM, pos("ab"), Budget(64, 3))  # closes in the round that crosses the limit
 @example(SUBWORD, pos("ab"), Budget(64, 1))  # over the limit before round 1
+@example(SUBWORD, pos("ab"), Budget(64, 5))  # at the limit, not over it, after round 1
 @settings(max_examples=150)
 def test_close_matches_rebuilding_reference(p, word, budget):
     g = fold(linear_graph(word))
@@ -450,17 +449,14 @@ def test_close_folds_a_handed_builder_first():
 @given(small_presentations, signed_words, small_budgets)
 @settings(max_examples=100)
 def test_builder_consistent_after_every_round(p, word, budget):
-    # close scans after round 0's fold and after every round.
-    deduced = engine._deduced
+    # close scans after round 0's fold and after every round: the builder
+    # is checked after the first fold, and as a round limit of k leaves it
+    # at the scan after round k.
     b = closing_builder(word, p)
-
-    def checked(rows, log, table):
-        assert rows is b._rows and log is b.log
+    b.fold()
+    assert_builder_consistent(b)
+    for _, b in each_stop(lambda: closing_builder(word, p), p, budget):
         assert_builder_consistent(b)
-        return deduced(rows, log, table)
-
-    with mock.patch.object(engine, "_deduced", checked):
-        close(b, p, budget)
 
 
 def test_close_sews_sites_that_earlier_sewing_made_readable():
@@ -510,6 +506,31 @@ def closing_builder(word, p: Presentation) -> GraphBuilder:
     chain over the closure's letters, which close does not link again."""
     letters = engine._compile(p, tuple(sorted({x for x, _ in word.letters})))[0]
     return GraphBuilder.from_word(word, letters)
+
+
+def each_stop(make, p: Presentation, budget: Budget) -> list:
+    """(result, b) for each k from 1 to the rounds close runs on make()
+    under budget: the result of close under a round limit of k, which
+    stops it at the scan after round k, and the builder it closed, given
+    back the rows, pending list and log that the result took over.  close
+    never replaces them, so b reads as it stood at that scan; make()
+    must build over the closure's letters, so that close closes it."""
+    stops = []
+    for k in range(1, close(make(), p, budget).rounds + 1):
+        b = make()
+        rows, pending, log = b._rows, b._pending, b.log
+        result = close(b, p, Budget(k, budget.max_vertices))
+        assert b._rows is None and result.rounds == k
+        b._rows, b._pending, b.log = rows, pending, log
+        stops.append((result, b))
+    return stops
+
+
+def logged_edges(b: GraphBuilder) -> set:
+    """The edges b's log entries name, as (source, letter, target)."""
+    return {
+        (t, b.letters[c >> 1], s) if c & 1 else (s, b.letters[c >> 1], t) for s, c, t, _ in b.log
+    }
 
 
 def assert_same_as_rebuilt(g: BirootedGraph) -> None:
@@ -706,54 +727,44 @@ def test_spent_builder_cannot_reach_its_graph(monkeypatch):
 
 def test_round_site_order_does_not_change_closure():
     # Folding is confluent and a chain sewn beside a path with its label
-    # folds onto that path, so a round may sew its sites in any order.
-    # Each scan's sites are the ones the next round sews, if one runs.
-    deduced = engine._deduced
+    # folds onto that path, so a round may sew its sites in any order.  A
+    # scan meets the sites that one log entry starts in the order of the
+    # relations and of their sides, so reversing the relations, or
+    # shuffling them and swapping the sides of some, sews such sites in
+    # another order: the closure is the same, and where chains with new
+    # vertices trade places, its raw vertex ids are not.  Closures over
+    # ab = ba, bc = cb, ac = ca meet several sites at one entry most often.
     rng = random.Random(5)
-    reorders = (
-        lambda sites: dict(reversed(sites.items())),
-        lambda sites: dict(rng.sample(list(sites.items()), len(sites))),
+    comm3 = Presentation(
+        ("a", "b", "c"), ((pos("ab"), pos("ba")), (pos("bc"), pos("cb")), (pos("ac"), pos("ca")))
     )
-    reordered_rounds = 0
-
-    def reordered(reorder, sizes):
-        def scan(rows, log, table):
-            sites = reorder(deduced(rows, log, table))
-            sizes.append(len(sites))
-            return sites
-
-        return scan
-
-    for _ in range(300):
-        p = random_presentation(rng)
-        word = random_signed_word(rng, "ab", 6)
+    cases = [(random_presentation(rng), random_signed_word(rng, "ab", 6)) for _ in range(300)]
+    cases += [(comm3, random_positive_word(rng, "abc", 8)) for _ in range(300)]
+    renumbered = 0
+    for p, word in cases:
         budget = Budget(rng.randint(1, 16), rng.randint(1, 300))
         result = schutzenberger_automaton(word, p, budget)
-        for reorder in reorders:
-            sizes = []
-            with mock.patch.object(engine, "_deduced", reordered(reorder, sizes)):
-                other = schutzenberger_automaton(word, p, budget)
-            reordered_rounds += sum(n > 1 for n in sizes[: other.rounds])
+        shuffled = rng.sample(p.relations, len(p.relations))
+        swapped = [(r, l) if rng.random() < 0.5 else (l, r) for l, r in shuffled]
+        for relations in (p.relations[::-1], swapped):
+            q = Presentation(p.alphabet, tuple(relations))
+            other = schutzenberger_automaton(word, q, budget)
             assert other.to_json() == result.to_json()
             assert other.graph.to_json() == result.graph.to_json()
             assert other.graph.canonical_key() == result.graph.canonical_key()
-    assert reordered_rounds > 300
+            renumbered += other.graph.edges != result.graph.edges
+    assert renumbered > 100
 
 
-def _deduction_closures(closing: list) -> None:
-    """Close the presentations and words that exercise the deduction scan,
-    appending each closing builder and its presentation to closing first:
-    400 random closures, merging ones where logged edges go stale inside a
-    fold, a cascading fold, a relation stated twice, and unfolded builders
-    whose first fold merges."""
-
-    def checked_close(g, p, budget=Budget()):
-        # A builder over the alphabet closes itself; close would link
-        # one over fewer letters again, and scan that one.
-        b = word_graph._linked(g.alpha, g.beta, g.edges, p.alphabet)
-        closing.append((b, p))
-        return close(b, p, budget)
-
+def _deduction_closures() -> list:
+    """(make, p, budget) for each closure that exercises the deduction
+    scan, make() a new builder over p's alphabet, which close closes
+    without linking it again: 400 random closures, merging ones where
+    logged edges go stale inside a fold, a cascading fold, a relation
+    stated twice, and unfolded builders whose first fold merges.  A
+    graph's edges are linked in sorted order, so vertex ids, log order and
+    every count over these closures are the same under every hash seed."""
+    closures = []
     rng = random.Random(2)
     bbb = Presentation(("a", "b"), ((pos("b"), pos("bbb")), (pos("bb"), pos("aaa"))))
     comm3 = Presentation(
@@ -762,114 +773,72 @@ def _deduction_closures(closing: list) -> None:
     twice = Presentation(("a", "b"), ((pos("ab"), pos("ba")), (pos("ba"), pos("ab"))))
     cascade = Presentation(("a", "b", "c"), ((pos("bc"), pos("bcc")),))
 
-    def checked_unfolded(b, p):
+    def folded(g, p, budget=Budget()):
+        edges = sorted(g.edges)
+        closures.append((lambda: word_graph._linked(g.alpha, g.beta, edges, p.alphabet), p, budget))
+
+    def unfolded(make, p):
         # The first fold merges, so round 0 reads a log that it rewrote.
+        b = make()
         before = vertex_count(b)
-        closing.append((b, p))
-        assert close(b, p, Budget(8, 200)).vertex_history[0] < before
+        b.fold()
+        assert vertex_count(b) < before
+        closures.append((make, p, Budget(8, 200)))
 
     # This round's fold cascades, and a site appears at a later merge
     # survivor that no sewn chain reaches.
-    checked_close(fold(linear_graph(w("babaa^cb^a^cac^a^"))), cascade)
+    folded(fold(linear_graph(w("babaa^cb^a^cac^a^"))), cascade)
     # Merging closures, where logged edges go stale inside a fold.
-    checked_close(linear_graph(pos("b")), bbb)
-    checked_close(linear_graph(pos("aabbcc")), comm3)
-    checked_close(linear_graph(w("ab^c^ba^c")), comm3)
-    checked_close(linear_graph(pos("abab")), twice)
+    folded(linear_graph(pos("b")), bbb)
+    folded(linear_graph(pos("aabbcc")), comm3)
+    folded(linear_graph(w("ab^c^ba^c")), comm3)
+    folded(linear_graph(pos("abab")), twice)
     for i in range(400):
         p = (SUBWORD, bbb)[i % 2] if i % 4 == 0 else random_presentation(rng)
         word = random_signed_word(rng, "ab", 12) if i % 3 else random_positive_word(rng, "ab", 8)
-        checked_close(fold(linear_graph(word)), p, Budget(rng.randint(1, 12), 200))
+        folded(fold(linear_graph(word)), p, Budget(rng.randint(1, 12), 200))
     for word in ("aa^bab^", "ab^ba^ab", "bb^aab^ba^", "a^abb^a"):
         for p in (COMM, SUBWORD, bbb, twice):
-            checked_unfolded(GraphBuilder.from_word(w(word), p.alphabet), p)
-        checked_unfolded(GraphBuilder.from_word(w(word + "c"), comm3.alphabet), comm3)
-    # A builder made by hand: a link onto a taken slot pends, and the
-    # first fold merges its two targets and moves their b edge.
-    b = GraphBuilder(("a", "b"))
-    v0, v1, v2 = new_vertex(b), new_vertex(b), new_vertex(b)
-    b.link(v0, b.codes["a"], v1)
-    b.link(v1, b.codes["b"], v2)
-    b.link(v0, b.codes["a"], v2)
-    b.beta = v2
-    checked_unfolded(b, COMM)
+            unfolded(lambda word=word, p=p: GraphBuilder.from_word(w(word), p.alphabet), p)
+        unfolded(lambda word=word: GraphBuilder.from_word(w(word + "c"), comm3.alphabet), comm3)
+
+    def by_hand():
+        # A link onto a taken slot pends, and the first fold merges its two
+        # targets and moves their b edge.
+        b = GraphBuilder(("a", "b"))
+        v0, v1, v2 = new_vertex(b), new_vertex(b), new_vertex(b)
+        b.link(v0, b.codes["a"], v1)
+        b.link(v1, b.codes["b"], v2)
+        b.link(v0, b.codes["a"], v2)
+        b.beta = v2
+        return b
+
+    unfolded(by_hand, COMM)
+    return closures
 
 
-def dropping_live(dropped: list):
-    """engine._live, appending to dropped each entry that it drops: the
-    ones whose source is no vertex or whose slot no longer names the
-    target."""
+def dropping_live(dropped: list, settled: list):
+    """engine._live, checking each rewrite of the log after a fold.
+
+    It must drop exactly the entries whose source is no vertex or whose
+    slot no longer names the target, which it appends to dropped, and
+    leave only live entries that read forward with their walks.  A live
+    chain edge's walks leave out the one entry of its table list that the
+    edge settles; each such entry is walked by hand, appended to settled,
+    and every step must land and the check must hold, so skipping it
+    loses no site."""
     live = engine._live
 
-    def counted(rows, log, table):
+    def checked(rows, log, table):
         stale = [e for e in log if rows[e[0]] is None or rows[e[0]][e[1]] != e[2]]
         before = len(log)
         live(rows, log, table)
         assert len(log) == before - len(stale)
         dropped.extend(stale)
-
-    return counted
-
-
-def test_deduced_sites_equal_find_expansions_every_round():
-    # Round 0 takes its sites from every edge the builder logged, the first
-    # fold's moves included, and later rounds from the edges the last round
-    # logged; each scan must find what find_expansions finds on the frozen
-    # graph, each (start, check) once.  Each fold's stale entries are
-    # dropped once, after it, so no scan reads one.
-    deduced = engine._deduced
-    rounds, stale, dropped = [], [], []
-    closing = []  # the builder and presentation of the closure under way
-
-    def compared(sites):
-        b, p = closing[-1]
-
-        def decoded(codes):
-            return tuple((b.letters[c >> 1], -1 if c & 1 else 1) for c in codes)
-
-        # A check is one tuple object per relation side, so a relation
-        # stated twice gives two equal checks that are two sites.
-        values = sites.values()
-        assert len({(s, id(check)) for s, _, check in values}) == len(sites)
-        found = [(s, e, (decoded(read), decoded(sew))) for s, e, (read, sew, *_) in values]
-        assert sorted(found) == sorted(find_expansions(b.freeze(), p))
-        return sites
-
-    def checked_deduced(rows, log, table):
-        stale.append(sum(rows[s] is None or rows[t] is None for s, _, t, _ in log))
-        sites = compared(deduced(rows, log, table))
-        rounds.append(len(sites))
-        return sites
-
-    with mock.patch.object(engine, "_deduced", checked_deduced):
-        with mock.patch.object(engine, "_live", dropping_live(dropped)):
-            _deduction_closures(closing)
-    assert len(rounds) > 500
-    assert sum(stale) == 0
-    assert len(dropped) > 100
-
-
-def test_deductions_a_sewn_edge_settles_hold():
-    # The scan skips, for a live edge of a sewn chain, the entry of the
-    # reverse check at the edge's position.  Walk each skipped entry by
-    # hand: every step must land, and the check must hold, so the walk
-    # could not have found a site.  A scan reads only live, forward
-    # entries, every one that is no chain edge walking its whole table
-    # list, and the stale chain edges were dropped after their fold.
-    deduced = engine._deduced
-    skipped, sewn_stale, dropped = 0, 0, []
-
-    def checked_deduced(rows, log, table):
-        nonlocal skipped, sewn_stale
         for s, c, t, walks in log:
-            assert walks is not None
+            assert rows[s] is not None and rows[s][c] == t and not c & 1
             if walks is table[c]:
                 continue
-            row = rows[s]
-            if row is None or row[c] != t:
-                sewn_stale += 1
-                continue
-            assert not c & 1
             missing = [entry for entry in table[c] if not any(e is entry for e in walks)]
             assert len(missing) == 1 and len(walks) == len(table[c]) - 1
             _, back, rest, sew, _ = missing[0]
@@ -886,15 +855,104 @@ def test_deductions_a_sewn_edge_settles_hold():
                 v = rows[v][d]
                 assert v is not None
             assert v == end
-            skipped += 1
-        return deduced(rows, log, table)
+            settled.append(missing[0])
 
-    with mock.patch.object(engine, "_deduced", checked_deduced):
-        with mock.patch.object(engine, "_live", dropping_live(dropped)):
-            _deduction_closures([])
-    assert skipped > 100_000
-    assert sewn_stale == 0
+    return checked
+
+
+def test_deduced_sites_equal_find_expansions_every_round():
+    # A round limit of k stops close at the scan after round k.  Round 0
+    # takes its sites from every edge the builder logged, the first fold's
+    # moves included, and later rounds from the edges the last round
+    # logged; each scan must find a site exactly when find_expansions finds
+    # one on the graph, and the next round must sew each site
+    # find_expansions finds once: one round of naive_close from the
+    # graph makes the same graph and the same merges.  Each fold's stale
+    # entries are dropped once, after it, so no scan reads one.
+    rounds = stale = 0
+    for make, p, budget in _deduction_closures():
+        budget = Budget(budget.max_rounds, min(budget.max_vertices, 4000))
+        b = make()
+        b.fold()
+        graph, fold_events = BirootedGraph(b), 0
+        for result, b in each_stop(make, p, budget):
+            one = naive_close(graph, p, Budget(1, budget.max_vertices))
+            assert one.graph.to_json() == result.graph.to_json()
+            assert one.fold_events == result.fold_events - fold_events
+            vertices = result.graph.vertices
+            stale += sum(s not in vertices or t not in vertices for s, _, t, _ in b.log)
+            sites = find_expansions(result.graph, p)
+            assert (result.status is Status.BUDGET_EXCEEDED) == bool(sites)
+            rounds += 1
+            graph, fold_events = result.graph, result.fold_events
+    assert rounds > 500
+    assert stale == 0
+
+
+def test_deductions_a_sewn_edge_settles_hold():
+    # The scan skips, for a live edge of a sewn chain, the entry of the
+    # reverse check at the edge's position.  A fold can move an edge's
+    # ends, so after every fold, the first included, each skipped entry of
+    # the log the next scan reads is walked by hand.  Each fold's stale
+    # entries, stale chain edges among them, are dropped once, after it,
+    # so no scan reads one.
+    dropped, settled = [], []
+    with mock.patch.object(engine, "_live", dropping_live(dropped, settled)):
+        for make, p, budget in _deduction_closures():
+            close(make(), p, budget)
+    assert len(settled) > 500
+    assert len(dropped) > 100
     assert sum(walks is not None for *_, walks in dropped) > 1000
+
+
+def test_close_matches_the_reference_round_by_round():
+    # close under a round limit of k, for every k up to the rounds the
+    # reference runs, gives what naive_close gives after round k: the
+    # reference sews the sites find_expansions finds on the whole graph
+    # every round, so each round of close must find every site and sew
+    # each site's chain, by the taken-slot rules at its two ends, into
+    # the same graph.  The closures are the deduction closures and closures
+    # of random words whose sites often find a slot taken at the start or
+    # at the end of their chain.
+    cases = _deduction_closures()
+    rng = random.Random(5)
+    for i in range(300):
+        p = random_presentation(rng)
+        word = random_signed_word(rng, "ab", 10) if i % 3 else random_positive_word(rng, "ab", 8)
+        budget = Budget(rng.randint(1, 12), rng.randint(1, 200))
+        cases.append((lambda word=word, p=p: closing_builder(word, p), p, budget))
+    rounds = first_taken = last_taken = budget_hit = 0
+    for make, p, budget in cases:
+        # The reference refreezes the whole graph every round, so no
+        # closure here runs past 4,000 vertices (bbb from b would reach
+        # 131,066 under its default budget).
+        budget = Budget(budget.max_rounds, min(budget.max_vertices, 4000))
+        b = make()
+        b.fold()
+        each_round = []
+        reference = naive_close(BirootedGraph(b), p, budget, each_round)
+        for k in range(1, reference.rounds + 1):
+            result = close(make(), p, Budget(k, budget.max_vertices))
+            assert_same_closure(result, each_round[k])
+            assert result.graph.to_json() == each_round[k].graph.to_json()
+        result = close(make(), p, budget)
+        assert_same_closure(result, reference)
+        assert result.graph.to_json() == reference.graph.to_json()
+        rounds += reference.rounds
+        budget_hit += reference.status is Status.BUDGET_EXCEEDED
+        for before in each_round[: reference.rounds]:
+            g = before.graph
+            for start, end, (_, sew) in find_expansions(g, p):
+                x, sign = sew[-1]
+                last = g.walk(end, ((x, -sign),)) is not None
+                if len(sew) > 1:
+                    first_taken += g.walk(start, sew[:1]) is not None
+                else:
+                    last |= g.walk(start, sew) is not None
+                last_taken += last
+    assert rounds > 500
+    assert budget_hit > 20
+    assert first_taken > 600 and last_taken > 600
 
 
 def test_live_keeps_live_entries_in_order_and_turns_the_rest_forward():
@@ -1078,18 +1136,35 @@ def test_rounds_sew_without_spell(monkeypatch):
 
 
 def test_close_sews_by_links_rule_id_for_id():
-    # close sews every site through one loop.  A round loop that sews each
-    # site with spell, so that every edge goes through GraphBuilder.link
-    # and new_vertex, must make the same rows (ids and None gaps), roots
-    # and log (s, c, t) entries, in order, at every scan, and the same
-    # result; sites whose first or last step finds its slot taken are
-    # where the two ways of placing an edge could part.
-    deduced = engine._deduced
+    # close sews every site through one loop.  A round loop that scans the
+    # log as the module docstring says and sews each site with spell, so
+    # that every edge goes through GraphBuilder.link and new_vertex, must
+    # make the same rows (ids and None gaps), roots and log (s, c, t)
+    # entries, in order, at the scan after every round, which a round
+    # limit of k stops close at, and the same result; sites whose first
+    # or last step finds its slot taken are where the two ways of placing
+    # an edge could part.
     first_taken = last_taken = budget_hit = 0
 
-    def snapshot(b, rows, log):
-        raw = [None if row is None else list(row) for row in rows]
-        return raw, b.alpha, b.beta, [(s, c, t) for s, c, t, _ in log]
+    def snapshot(b):
+        raw = [None if row is None else list(row) for row in b._rows]
+        return raw, b.alpha, b.beta, [(s, c, t) for s, c, t, _ in b.log]
+
+    def walked(rows, v, steps):
+        for d in steps:
+            v = rows[v][d]
+            if v is None:
+                return None
+        return v
+
+    def scanned(rows, log):
+        sites = {}
+        for s, _, t, walks in log:
+            for i, back, rest, sew, check in walks:
+                start, end = walked(rows, s, back), walked(rows, t, rest)
+                if start is not None and end is not None and walked(rows, start, sew) != end:
+                    sites[start, i] = start, end, check
+        return sites
 
     def sewn_by_link(b, p, budget, scans):
         nonlocal first_taken, last_taken
@@ -1099,8 +1174,7 @@ def test_close_sews_by_links_rule_id_for_id():
         rounds = fold_events = 0
         rows, log, pending = b._rows, b.log, b._pending
         engine._live(rows, log, table)
-        scans.append(snapshot(b, rows, log))
-        sites = deduced(rows, log, table)
+        sites = scanned(rows, log)
         while sites and rounds < budget.max_rounds:
             log.clear()
             for s, t, (_, sew, *_) in sites.values():
@@ -1118,29 +1192,23 @@ def test_close_sews_by_links_rule_id_for_id():
             engine._live(rows, log, table)
             rounds += 1
             history.append(len(rows) - b._removed)
-            scans.append(snapshot(b, rows, log))
-            sites = deduced(rows, log, table)
+            scans.append(snapshot(b))
+            sites = scanned(rows, log)
             if history[-1] > budget.max_vertices:
                 break
         status = Status.BUDGET_EXCEEDED if sites else Status.CLOSED
-        return engine.ClosureResult(status, BirootedGraph(b), rounds, fold_events, tuple(history))
+        return ClosureResult(status, BirootedGraph(b), rounds, fold_events, tuple(history))
 
     rng = random.Random(5)
     for i in range(300):
         p = random_presentation(rng)
         word = random_signed_word(rng, "ab", 10) if i % 3 else random_positive_word(rng, "ab", 8)
         budget = Budget(rng.randint(1, 12), rng.randint(1, 200))
-        scans, reference_scans = [], []
-        b = closing_builder(word, p)
-
-        def scan(rows, log, table, b=b, scans=scans):
-            scans.append(snapshot(b, rows, log))
-            return deduced(rows, log, table)
-
-        with mock.patch.object(engine, "_deduced", scan):
-            result = close(b, p, budget)
+        reference_scans = []
         reference = sewn_by_link(closing_builder(word, p), p, budget, reference_scans)
-        assert scans == reference_scans
+        stops = each_stop(lambda: closing_builder(word, p), p, budget)
+        assert [snapshot(b) for _, b in stops] == reference_scans
+        result = close(closing_builder(word, p), p, budget)
         assert result.to_json() == reference.to_json()
         assert result.graph.to_json() == reference.graph.to_json()
         budget_hit += result.status is Status.BUDGET_EXCEEDED
@@ -1189,37 +1257,25 @@ def test_last_vertex_count_is_the_graph_size():
 
 def test_round_logs_every_edge_it_adds():
     # The deduction rests on this: an edge of the graph after a round that
-    # was not an edge before it, under the same ids, is a live entry of
-    # the builder's log, in either orientation.  close scans after round
-    # 0's fold, when every edge must be logged, and after every round.
-    deduced = engine._deduced
+    # was not an edge before it, under the same ids, is an entry of the
+    # log the next scan reads, in either orientation.  Every edge of the
+    # builder after close's first fold is logged, and a round limit of k
+    # stops close at the scan after round k.
     checked_edges = 0
-
-    def checked(b):
-        before = None
-
-        def scan(rows, log, table):
-            nonlocal before, checked_edges
-            assert rows is b._rows and log is b.log
-            edges = b.freeze().edges
-            logged = set()
-            for s, c, t, _ in log:
-                logged.add((t, b.letters[c >> 1], s) if c & 1 else (s, b.letters[c >> 1], t))
-            for edge in edges - (before or frozenset()):
-                assert edge in logged
-                checked_edges += before is not None
-            before = edges
-            return deduced(rows, log, table)
-
-        return scan
-
     rng = random.Random(17)
     for _ in range(300):
         p = random_presentation(rng)
         word = random_signed_word(rng, "ab", 10)
+        budget = Budget(rng.randint(1, 12), rng.randint(1, 200))
         b = closing_builder(word, p)
-        with mock.patch.object(engine, "_deduced", checked(b)):
-            close(b, p, Budget(rng.randint(1, 12), rng.randint(1, 200)))
+        b.fold()
+        before = b.freeze().edges
+        assert before <= logged_edges(b)
+        for result, b in each_stop(lambda: closing_builder(word, p), p, budget):
+            edges = result.graph.edges
+            assert edges - before <= logged_edges(b)
+            checked_edges += len(edges - before)
+            before = edges
     assert checked_edges > 1000
 
 
