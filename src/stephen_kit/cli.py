@@ -165,6 +165,8 @@ def parse_args(argv: list[str]):
                     value = int(value)
                 except ValueError:
                     raise ValueError(f"{prog}: argument {flag}: invalid int value: {value!r}")
+            elif not value:  # an empty path names no file
+                raise ValueError(f"{prog}: argument {flag}: expected one argument")
             opts[flag] = value
     missing, extra = names[len(args) :], extra + args[len(names) :]
     if missing:

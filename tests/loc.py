@@ -10,10 +10,11 @@ options a simplicity change also reports.  Under that table it prints the
 package's ten largest top-level functions and class methods by code
 lines, nested functions counted in the function that holds them.  Last,
 for each test module beside the package, it prints how many of its
-test functions name a private engine or builder name (_compile, _live,
-_rows, _pending, _deduced or an attribute log) in their own body, and
-how many test functions it has.  Run from the repository root, or point
-it at another checkout's package directory, whose tests it then reads:
+test functions name a private engine or builder name (one of PRIVATE or
+an attribute log), in their own body or in a top-level function of the
+same module that they reach, how many test functions it has and its
+lines.  Run from the repository root, or point it at another checkout's
+package directory, whose tests it then reads:
 
     python tests/loc.py
     python tests/loc.py /path/to/other/checkout/src/stephen_kit
@@ -28,7 +29,21 @@ import tokenize
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "stephen_kit"
-PRIVATE = {"_compile", "_live", "_rows", "_pending", "_deduced"}
+PRIVATE = {
+    "_compile",
+    "_live",
+    "_rows",
+    "_pending",
+    "_deduced",
+    "_linked",
+    "_removed",
+    "_letters",
+    "_order",
+    "_edges",
+    "_bfs",
+    "_steps",
+    "_known",
+}
 NOT_CODE = {
     tokenize.COMMENT,
     tokenize.NL,
@@ -95,27 +110,42 @@ def counts(path: Path) -> tuple[int, int, int, list[tuple[str, int]]]:
     return len(text.splitlines()), len(code), optional_parameters(tree), sizes
 
 
-def private_readers(path: Path) -> tuple[int, int]:
-    """(test functions that name a private name, test functions) of one
-    test module: a private name read as a name or an attribute, an
-    attribute log, or a string equal to a private name, as a patch names
-    its target."""
-    tests = [
-        node
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
-    ]
+def names_private(node: ast.AST) -> bool:
+    """Whether node reads a private name as a name or an attribute, an
+    attribute log, or is a string equal to a private name, as a patch
+    names its target."""
+    return (
+        isinstance(node, ast.Attribute) and (node.attr in PRIVATE or node.attr == "log")
+        or isinstance(node, ast.Name) and node.id in PRIVATE
+        or isinstance(node, ast.Constant) and node.value in PRIVATE
+    )
+
+
+def private_readers(path: Path) -> tuple[int, int, int]:
+    """(test functions that name a private name, test functions, lines) of
+    one test module.  A test names what its own body names and what every
+    top-level function of the same module that it names, directly or
+    through another such function, names."""
+    text = path.read_text(encoding="utf-8")
+    helpers = {
+        node.name: node
+        for node in ast.parse(text).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    tests = [node for name, node in helpers.items() if name.startswith("test_")]
     readers = 0
     for test in tests:
-        for node in ast.walk(test):
-            if (
-                isinstance(node, ast.Attribute) and (node.attr in PRIVATE or node.attr == "log")
-                or isinstance(node, ast.Name) and node.id in PRIVATE
-                or isinstance(node, ast.Constant) and node.value in PRIVATE
-            ):
+        seen, todo = {test.name}, [test]
+        while todo:
+            nodes = list(ast.walk(todo.pop()))
+            if any(map(names_private, nodes)):
                 readers += 1
                 break
-    return readers, len(tests)
+            for node in nodes:
+                if isinstance(node, ast.Name) and node.id in helpers and node.id not in seen:
+                    seen.add(node.id)
+                    todo.append(helpers[node.id])
+    return readers, len(tests), len(text.splitlines())
 
 
 def main(argv: list[str]) -> None:
@@ -136,10 +166,10 @@ def main(argv: list[str]) -> None:
     for size, name in sorted(largest, key=lambda item: (-item[0], item[1]))[:10]:
         print(f"{name:<40} {size:>6}")
     print()
-    print(f"{'tests naming private names':<32} {'private':>7} {'tests':>6}")
+    print(f"{'tests naming private names':<32} {'private':>7} {'tests':>6} {'lines':>6}")
     for path in sorted((package.parent.parent / "tests").glob("test_*.py")):
-        readers, tests = private_readers(path)
-        print(f"{path.name:<32} {readers:>7} {tests:>6}")
+        readers, tests, lines = private_readers(path)
+        print(f"{path.name:<32} {readers:>7} {tests:>6} {lines:>6}")
 
 
 if __name__ == "__main__":

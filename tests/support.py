@@ -172,29 +172,40 @@ def naive_close(
     return ClosureResult(status, g, rounds, fold_events, tuple(history))
 
 
+def assert_graph_consistent(g: BirootedGraph, letters) -> None:
+    """Through g's public walk: both roots are vertices, every step from
+    a vertex along one of letters or its inverse lands on a vertex and
+    steps back, and the positive steps are g's edges.  letters must hold
+    every letter of g."""
+    live = g.vertices
+    assert g.alpha in live and g.beta in live
+    walked = set()
+    for v in live:
+        for x in letters:
+            for sign in (1, -1):
+                t = g.walk(v, ((x, sign),))
+                if t is not None:
+                    assert t in live
+                    assert g.walk(t, ((x, -sign),)) == v
+                    if sign == 1:
+                        walked.add((v, x, t))
+    assert walked == g.edges
+
+
 def assert_builder_consistent(b: GraphBuilder) -> None:
-    """Every vertex id folded b holds is one of its vertices, every edge
-    is listed at both ends under opposite signs, and every log entry
-    whose ends are both vertices names an edge of the rows.
+    """Folded b is a consistent graph (see assert_graph_consistent), and
+    every log entry whose ends are both vertices names an edge of the rows.
 
     A shallow copy of b is handed to a graph, which so reads b's own rows
     through its public walk without spending b; the graph is dropped
     before b changes again.
     """
     view = BirootedGraph(copy.copy(b))
-    live = view.vertices
-    assert b.alpha in live and b.beta in live
+    assert_graph_consistent(view, b.letters)
     for s, c, t, _ in b.log:
-        if s in live and t in live:
+        if s in view.vertices and t in view.vertices:
             x, sign = b.letters[c >> 1], -1 if c & 1 else 1
             assert view.walk(s, ((x, sign),)) == t
-    for v in live:
-        for x in b.letters:
-            for sign in (1, -1):
-                t = view.walk(v, ((x, sign),))
-                if t is not None:
-                    assert t in live
-                    assert view.walk(t, ((x, -sign),)) == v
     assert b.freeze().edges == view.edges
 
 
@@ -236,13 +247,15 @@ def elementary_expansion(g: BirootedGraph, site: tuple) -> BirootedGraph:
     return b.freeze()
 
 
-def full_p_expansion(g: BirootedGraph, p: Presentation) -> BirootedGraph:
+def full_p_expansion(g: BirootedGraph, p: Presentation, sites=None) -> BirootedGraph:
     """One full round: sew every site found at round start, then fold.
 
     Sites that only become available mid-round are left for the next round.
+    sites, when given, are sewn in their order in place of those that
+    find_expansions finds.
     """
     b = _linked(g.alpha, g.beta, g.edges, p.alphabet)
-    for start, end, (_, sew) in find_expansions(g, p):
+    for start, end, (_, sew) in find_expansions(g, p) if sites is None else sites:
         spell(b, start, sew, end)
     b.fold()
     return b.freeze()

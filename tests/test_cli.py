@@ -271,6 +271,18 @@ def test_internal_fault_exits_2_with_one_line(fault, comm, monkeypatch, capsys):
         (["check", "{comm}", "--dot", "x"], "stephen-kit: unrecognized arguments: --dot x"),
         (["graph", "{comm}", "ab", "--max-rounds", "-3"], "budget limits must be positive"),
         (["eq", "{comm}", "a", "b", "--max-rounds", "0"], "budget limits must be positive"),
+        (
+            ["eq", "{comm}", "ab", "ba", "--json="],
+            "stephen-kit eq: argument --json: expected one argument",
+        ),
+        (
+            ["eq", "{comm}", "ab", "ba", "--json", ""],
+            "stephen-kit eq: argument --json: expected one argument",
+        ),
+        (
+            ["graph", "{comm}", "ab", "--dot="],
+            "stephen-kit graph: argument --dot: expected one argument",
+        ),
     ],
     ids=[
         "missing-word",
@@ -284,6 +296,9 @@ def test_internal_fault_exits_2_with_one_line(fault, comm, monkeypatch, capsys):
         "flag-of-another-command",
         "negative-max-rounds",
         "zero-max-rounds",
+        "empty-json-path",
+        "empty-json-value",
+        "empty-dot-path",
     ],
 )
 def test_usage_error_exits_2_with_one_line(argv, message, comm, capsys):
